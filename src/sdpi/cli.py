@@ -1,5 +1,7 @@
 """Command-line front end.
 
+Commands registered with ``_command`` share --format text|json and
+--out; the figure datasets and the simulation share ``_write_csv``.
 Every CSV starts with a comment line carrying the canonical invocation
 and the seed, numbers are printed with 9 significant digits, and output
 bytes depend only on the command, flags, and seed.  Exit codes: 0 on
@@ -41,12 +43,87 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
-def _emit_json(payload: dict, out: str | None) -> None:
-    _emit(json.dumps(payload, sort_keys=True) + "\n", out)
+def _handle_errors(f):
+    @functools.wraps(f)
+    def wrapper(*args, **kwargs):
+        try:
+            return f(*args, **kwargs)
+        except InfeasibleError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(1)
+        except (ValidationError, ValueError, OSError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(2)
+
+    return wrapper
 
 
-def _invocation(*parts) -> str:
-    return "# sdpi " + " ".join(str(p) for p in parts)
+def _command(group: click.Group, name: str):
+    """Register a text/JSON command under ``group``.
+
+    The decorated function returns (JSON payload, text, exit code).  The
+    command gains --format and --out as its last options, writes the
+    chosen rendering to stdout or --out, and exits with the code.
+    """
+
+    def decorate(f):
+        @functools.wraps(f)
+        @_handle_errors
+        def run(fmt, out, **params):
+            payload, text, code = f(**params)
+            _emit(json.dumps(payload, sort_keys=True) + "\n" if fmt == "json" else text, out)
+            if code:
+                sys.exit(code)
+
+        cmd = group.command(name)(run)
+        cmd.params += [
+            click.Option(["--format", "fmt"], type=click.Choice(["text", "json"]), default="text"),
+            click.Option(["--out"], type=click.Path(), default=None),
+        ]
+        return cmd
+
+    return decorate
+
+
+def _csv_command(group: click.Group, name: str, plot: bool = True):
+    """Register a CSV command under ``group``; its function writes the
+    table with ``_write_csv``.  The command gains --out, and --gnuplot
+    when ``plot``, as its last options."""
+
+    def decorate(f):
+        @functools.wraps(f)
+        @_handle_errors
+        def run(out, gnuplot=False, **params):
+            f(**params)
+
+        cmd = group.command(name)(run)
+        cmd.params.append(click.Option(["--out"], type=click.Path(), default=None))
+        if plot:
+            cmd.params.append(click.Option(["--gnuplot"], is_flag=True, default=False))
+        return cmd
+
+    return decorate
+
+
+def _invocation(ctx: click.Context) -> str:
+    """Canonical ``# sdpi <command> <options>`` line of the running command.
+
+    Options appear in declaration order, whatever their order on the
+    command line, with a multiple option repeated once per value and a
+    tuple value joined by commas; the output options are left out.
+    """
+    parts, c = [], ctx
+    while c.parent is not None:
+        parts.insert(0, c.info_name)
+        c = c.parent
+    for param in ctx.command.params:
+        if param.name in ("out", "gnuplot"):
+            continue
+        value = ctx.params[param.name]
+        for v in value if param.multiple else (value,):
+            text = ",".join(map(_num, v)) if isinstance(v, tuple) else _num(v)
+            parts.append(f"{param.opts[0]} {text}")
+    return "# sdpi " + " ".join(parts)
 
 
 def _gnuplot_script(csv_path: str, columns: list[str]) -> str:
@@ -61,27 +138,27 @@ def _gnuplot_script(csv_path: str, columns: list[str]) -> str:
     )
 
 
-def _write_gnuplot(out: str | None, gnuplot: bool, columns: list[str]) -> None:
-    if not gnuplot:
-        return
-    if out is None:
-        raise ValidationError("--gnuplot requires --out (the script references the CSV file)")
-    Path(out).with_suffix(".gp").write_text(_gnuplot_script(out, columns))
+def _write_csv(columns: list[str], rows, footer: str | None = None, note: str | None = None) -> None:
+    """Write the running command's CSV to stdout or --out.
 
-
-def _handle_errors(f):
-    @functools.wraps(f)
-    def wrapper(*args, **kwargs):
-        try:
-            return f(*args, **kwargs)
-        except InfeasibleError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(1)
-        except (ValidationError, ValueError, OSError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
-
-    return wrapper
+    Lines: the canonical invocation, ``note`` if given, the column names,
+    one line per row of numbers, and ``footer`` if given.  With --out the
+    footer is also echoed to stdout (without its ``# ``), and --gnuplot
+    writes a plot script next to the CSV.
+    """
+    ctx = click.get_current_context()
+    out = ctx.params["out"]
+    lines = [_invocation(ctx), *([note] if note else []), ",".join(columns)]
+    lines += (",".join(map(_num, row)) for row in rows)
+    if footer:
+        lines.append(footer)
+    _emit("\n".join(lines) + "\n", out)
+    if footer and out is not None:
+        click.echo(footer.lstrip("# "))
+    if ctx.params.get("gnuplot"):
+        if out is None:
+            raise ValidationError("--gnuplot requires --out (the script references the CSV file)")
+        Path(out).with_suffix(".gp").write_text(_gnuplot_script(out, columns))
 
 
 def _parse_int_list(_ctx, _param, value):
@@ -120,33 +197,22 @@ def bound():
     """Contraction bounds for channels and noisy layers."""
 
 
-@bound.command("channel")
+@_command(bound, "channel")
 @click.argument("path", type=click.Path())
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
-@click.option("--out", type=click.Path(), default=None)
-@_handle_errors
-def bound_channel(path, fmt, out):
+def bound_channel(path):
     """Pair bound of a channel read from a JSON or CSV file."""
     result = ctr.contraction_bound(load_channel(path))
-    if fmt == "json":
-        _emit_json(result.to_json(), out)
-    else:
-        k, l = result.witness_pair
-        _emit(
-            f"eta: {_num(result.eta)}\nwitness: ({k}, {l})\nmethod: {result.method}\n",
-            out,
-        )
+    k, l = result.witness_pair
+    text = f"eta: {_num(result.eta)}\nwitness: ({k}, {l})\nmethod: {result.method}\n"
+    return result.to_json(), text, 0
 
 
-@bound.command("layer")
+@_command(bound, "layer")
 @click.option("--n", type=int, required=True, help="Layer width.")
 @click.option("--xi", type=float, default=None, help="Independent flip probability.")
 @click.option("--xi1", type=float, default=None, help="Shared flip probability.")
 @click.option("--xi2", type=float, default=None, help="Per-component flip probability.")
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
-@click.option("--out", type=click.Path(), default=None)
-@_handle_errors
-def bound_layer(n, xi, xi1, xi2, fmt, out):
+def bound_layer(n, xi, xi1, xi2):
     """Contraction bound of an n-component noisy layer.
 
     Use --xi for independent noise (closed form) or --xi1/--xi2 for
@@ -165,22 +231,15 @@ def bound_layer(n, xi, xi1, xi2, fmt, out):
         spec = ctr.CorrelatedNoiseSpec(xi1=xi1, xi2=xi2, n=n)
         exact = ctr.correlated_layer_bound_exact(spec)
         leading = ctr.correlated_layer_bound_leading(spec)
-        payload = dict(exact.to_json(), eta_leading=leading)
-        if fmt == "json":
-            _emit_json(payload, out)
-        else:
-            k, l = exact.witness_pair
-            _emit(
-                f"eta: {_num(exact.eta)}\nwitness: ({k}, {l})\nmethod: {exact.method}\n"
-                f"eta_leading: {_num(leading)}\n",
-                out,
-            )
-    else:
-        eta = ctr.independent_layer_bound(ctr.LayerNoiseSpec(xi=xi, n=n))
-        if fmt == "json":
-            _emit_json({"eta": eta, "witness": None, "method": "closed-form"}, out)
-        else:
-            _emit(f"eta: {_num(eta)}\nmethod: closed-form\n", out)
+        k, l = exact.witness_pair
+        text = (
+            f"eta: {_num(exact.eta)}\nwitness: ({k}, {l})\nmethod: {exact.method}\n"
+            f"eta_leading: {_num(leading)}\n"
+        )
+        return dict(exact.to_json(), eta_leading=leading), text, 0
+    eta = ctr.independent_layer_bound(ctr.LayerNoiseSpec(xi=xi, n=n))
+    payload = {"eta": eta, "witness": None, "method": "closed-form"}
+    return payload, f"eta: {_num(eta)}\nmethod: closed-form\n", 0
 
 
 # -------------------------------------------------------------------- nn
@@ -191,94 +250,71 @@ def nn():
     """Noisy threshold network computations."""
 
 
-@nn.command("mi")
+@_command(nn, "mi")
 @click.argument("netfile", type=click.Path())
 @click.option("--px", type=click.Path(), default=None, help="Input law file (default uniform).")
 @click.option("--base", type=click.Choice(["bits", "nats"]), default="bits")
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
-@click.option("--out", type=click.Path(), default=None)
-@_handle_errors
-def nn_mi(netfile, px, base, fmt, out):
+def nn_mi(netfile, px, base):
     """Exact input-output mutual information of a network file."""
     net = nn_mod.load_network(netfile)
     p_x = load_distribution(px) if px else None
     value = nn_mod.exact_io_mutual_information(net, p_x, base=base)
-    if fmt == "json":
-        _emit_json({"mutual_information": value, "base": base}, out)
-    else:
-        _emit(f"mutual information: {_num(value)} {base}\n", out)
+    payload = {"mutual_information": value, "base": base}
+    return payload, f"mutual information: {_num(value)} {base}\n", 0
 
 
-@nn.command("bound")
+@_command(nn, "bound")
 @click.option("--widths", callback=_parse_int_list, required=True, help="Comma-separated layer widths.")
 @click.option("--xi", type=float, required=True)
 @click.option("--hx", type=float, default=1.0, help="Input entropy H(X).")
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
-@click.option("--out", type=click.Path(), default=None)
-@_handle_errors
-def nn_bound(widths, xi, hx, fmt, out):
+def nn_bound(widths, xi, hx):
     """Information decay bound through layers of the given widths."""
     value = nn_mod.information_decay_bound(widths, xi, hx)
-    if fmt == "json":
-        _emit_json({"bound": value}, out)
-    else:
-        _emit(f"decay bound: {_num(value)}\n", out)
+    return {"bound": value}, f"decay bound: {_num(value)}\n", 0
 
 
-@nn.command("min-neurons")
+@_command(nn, "min-neurons")
 @click.option("--xi", type=float, required=True)
 @click.option("--delta", type=float, required=True)
 @click.option("--layers", type=int, required=True)
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
-@click.option("--out", type=click.Path(), default=None)
-@_handle_errors
-def nn_min_neurons(xi, delta, layers, fmt, out):
+def nn_min_neurons(xi, delta, layers):
     """Hidden-neuron lower bound for delta-reliable computation."""
     value = nn_mod.min_neurons_lower_bound(xi, delta, layers)
-    if fmt == "json":
-        _emit_json({"n_s": None if math.isinf(value) else value}, out)
-    else:
-        _emit(f"minimum hidden neurons: {_num(value)}\n", out)
-    if math.isinf(value):
-        sys.exit(1)
+    infeasible = math.isinf(value)
+    payload = {"n_s": None if infeasible else value}
+    return payload, f"minimum hidden neurons: {_num(value)}\n", 1 if infeasible else 0
 
 
-@nn.command("tradeoff")
+@_command(nn, "tradeoff")
 @click.option("--n", type=float, required=True, help="Input count of the target function.")
 @click.option("--xi", type=float, required=True)
 @click.option("--delta", type=float, required=True)
 @click.option("--max-depth", type=int, required=True)
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
-@click.option("--out", type=click.Path(), default=None)
-@_handle_errors
-def nn_tradeoff(n, xi, delta, max_depth, fmt, out):
+def nn_tradeoff(n, xi, delta, max_depth):
     """Depth sweep of max(expressibility, noise) size requirements."""
     result = nn_mod.optimal_depth_tradeoff(int(n), xi, delta, max_depth)
-    if fmt == "json":
-        payload = {
-            "per_depth": [
-                {
-                    "depth": r.depth,
-                    "expressibility": r.expressibility_bound,
-                    "noise": None if math.isinf(r.noise_bound) else r.noise_bound,
-                    "binding": r.binding,
-                }
-                for r in result.per_depth
-            ],
-            "best": {"depth": result.best.depth, "minimum_neurons": result.best.minimum_neurons},
-        }
-        _emit_json(payload, out)
-    else:
-        lines = [
-            f"d={r.depth}: expressibility {_num(r.expressibility_bound)}, "
-            f"noise {_num(r.noise_bound)}, binding {r.binding}"
+    payload = {
+        "per_depth": [
+            {
+                "depth": r.depth,
+                "expressibility": r.expressibility_bound,
+                "noise": None if math.isinf(r.noise_bound) else r.noise_bound,
+                "binding": r.binding,
+            }
             for r in result.per_depth
-        ]
-        lines.append(
-            f"optimal depth {result.best.depth}: minimum neurons "
-            f"{_num(result.best.minimum_neurons)}"
-        )
-        _emit("\n".join(lines) + "\n", out)
+        ],
+        "best": {"depth": result.best.depth, "minimum_neurons": result.best.minimum_neurons},
+    }
+    lines = [
+        f"d={r.depth}: expressibility {_num(r.expressibility_bound)}, "
+        f"noise {_num(r.noise_bound)}, binding {r.binding}"
+        for r in result.per_depth
+    ]
+    lines.append(
+        f"optimal depth {result.best.depth}: minimum neurons "
+        f"{_num(result.best.minimum_neurons)}"
+    )
+    return payload, "\n".join(lines) + "\n", 0
 
 
 # ------------------------------------------------------------------- mem
@@ -289,77 +325,56 @@ def mem_group():
     """Fault-tolerant memory bounds and simulation."""
 
 
-@mem_group.command("overhead")
+@_command(mem_group, "overhead")
 @click.option("--delta", type=float, required=True)
 @click.option("--intervals", type=int, required=True, help="Refresh intervals to survive.")
 @click.option("--xi", type=float, required=True)
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
-@click.option("--out", type=click.Path(), default=None)
-@_handle_errors
-def mem_overhead(delta, intervals, xi, fmt, out):
+def mem_overhead(delta, intervals, xi):
     """Physical-bit lower bound for any correction rule."""
     value = mem.overhead_lower_bound(delta, intervals, xi)
-    if fmt == "json":
-        _emit_json({"n_lower": value}, out)
-    else:
-        _emit(f"overhead lower bound: {_num(value)} bits\n", out)
+    return {"n_lower": value}, f"overhead lower bound: {_num(value)} bits\n", 0
 
 
-@mem_group.command("relax")
+@_command(mem_group, "relax")
 @click.option("--n", type=int, required=True)
 @click.option("--xi", type=float, required=True)
 @click.option("--delta", type=float, required=True)
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
-@click.option("--out", type=click.Path(), default=None)
-@_handle_errors
-def mem_relax(n, xi, delta, fmt, out):
+def mem_relax(n, xi, delta):
     """Relaxation-time upper bound for any correction rule."""
     result = mem.relaxation_upper_bound(n, xi, delta)
-    if fmt == "json":
-        _emit_json({"time": result.time, "asymptotic": result.asymptotic}, out)
-    else:
-        _emit(
-            f"relaxation upper bound: {_num(result.time)} intervals "
-            f"(asymptotic {_num(result.asymptotic)})\n",
-            out,
-        )
+    text = (
+        f"relaxation upper bound: {_num(result.time)} intervals "
+        f"(asymptotic {_num(result.asymptotic)})\n"
+    )
+    return {"time": result.time, "asymptotic": result.asymptotic}, text, 0
 
 
-@mem_group.command("reptime")
+@_command(mem_group, "reptime")
 @click.option("--n", type=int, required=True)
 @click.option("--xi", type=float, required=True)
 @click.option("--delta", type=float, required=True)
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
-@click.option("--out", type=click.Path(), default=None)
-@_handle_errors
-def mem_reptime(n, xi, delta, fmt, out):
+def mem_reptime(n, xi, delta):
     """Repetition-code relaxation time (exact tail probability)."""
     result = mem.repetition_relaxation_time(n, xi, delta)
-    if fmt == "json":
-        _emit_json({"time": result.time, "chernoff_lower": result.chernoff_lower}, out)
-    else:
-        extra = "" if result.chernoff_lower is None else f" (chernoff lower {_num(result.chernoff_lower)})"
-        _emit(f"repetition relaxation time: {_num(result.time)} intervals{extra}\n", out)
+    extra = "" if result.chernoff_lower is None else f" (chernoff lower {_num(result.chernoff_lower)})"
+    text = f"repetition relaxation time: {_num(result.time)} intervals{extra}\n"
+    return {"time": result.time, "chernoff_lower": result.chernoff_lower}, text, 0
 
 
-@mem_group.command("simulate")
+@_csv_command(mem_group, "simulate", plot=False)
 @click.option("--n", type=int, required=True)
 @click.option("--xi", type=float, required=True)
 @click.option("--delta", type=float, required=True)
 @click.option("--intervals", type=int, required=True)
 @click.option("--trials", type=int, default=10000)
 @click.option("--seed", type=int, default=0)
-@click.option("--out", type=click.Path(), default=None)
-@_handle_errors
-def mem_simulate(n, xi, delta, intervals, trials, seed, out):
+def mem_simulate(n, xi, delta, intervals, trials, seed):
     """Monte Carlo repetition-code memory; emits a CSV success curve."""
     spec = mem.MemorySpec(n=n, xi=xi, delta=delta, intervals=intervals)
     report = mem.simulate_memory(spec, trials=trials, seed=seed)
-    header = _invocation(
-        "mem simulate", "--n", n, "--xi", _num(xi), "--delta", _num(delta),
-        "--intervals", intervals, "--trials", trials, "--seed", seed,
-    )
-    _emit(header + "\n" + mem.simulation_csv(report, spec), out)
+    meta = dict(spec.to_dict(), trials=trials, seed=seed)
+    rows = zip(range(1, intervals + 1), report.success_prob, report.stderr())
+    _write_csv(["t", "success_prob", "stderr"], rows, note="# " + json.dumps(meta, sort_keys=True))
 
 
 # ------------------------------------------------------------------- fig
@@ -370,46 +385,33 @@ def fig():
     """Reproduce the figure datasets as CSV."""
 
 
-@fig.command("2")
+@_csv_command(fig, "2")
 @click.option("--n", type=int, default=3, help="Components in the layer.")
 @click.option("--xi-min", type=float, default=0.0)
 @click.option("--xi-max", type=float, default=0.5)
 @click.option("--points", type=int, default=51)
 @click.option("--seed", type=int, default=0)
-@click.option("--out", type=click.Path(), default=None)
-@click.option("--gnuplot", is_flag=True, default=False)
-@_handle_errors
-def fig2(n, xi_min, xi_max, points, seed, out, gnuplot):
+def fig2(n, xi_min, xi_max, points, seed):
     """Layer bound versus per-component (Evans-Schulman) accounting."""
     if not (0.0 <= xi_min <= xi_max <= 0.5):
         raise ValidationError("xi grid must satisfy 0 <= min <= max <= 0.5")
     if points < 1 or n < 1:
         raise ValidationError("points and n must be positive")
-    columns = ["xi", "evans_schulman", "ours"]
-    lines = [
-        _invocation("fig 2", "--n", n, "--xi-min", _num(xi_min), "--xi-max", _num(xi_max),
-                    "--points", points, "--seed", seed),
-        ",".join(columns),
-    ]
+    rows = []
     for xi in np.linspace(xi_min, xi_max, points):
         eta = 1.0 - (4.0 * xi - 4.0 * xi**2)
-        ours = 1.0 - (1.0 - eta) ** n
-        lines.append(f"{_num(xi)},{_num(ctr.evans_schulman_raw(eta, n))},{_num(ours)}")
-    _emit("\n".join(lines) + "\n", out)
-    _write_gnuplot(out, gnuplot, columns)
+        rows.append((xi, ctr.evans_schulman_raw(eta, n), 1.0 - (1.0 - eta) ** n))
+    _write_csv(["xi", "evans_schulman", "ours"], rows)
 
 
-@fig.command("3")
+@_csv_command(fig, "3")
 @click.option("--xi2", type=float, default=0.35)
 @click.option("--n", type=int, default=5)
 @click.option("--xi1-min", type=float, default=0.0)
 @click.option("--xi1-max", type=float, default=0.07)
 @click.option("--points", type=int, default=15)
 @click.option("--seed", type=int, default=0)
-@click.option("--out", type=click.Path(), default=None)
-@click.option("--gnuplot", is_flag=True, default=False)
-@_handle_errors
-def fig3(xi2, n, xi1_min, xi1_max, points, seed, out, gnuplot):
+def fig3(xi2, n, xi1_min, xi1_max, points, seed):
     """Correlated-noise bounds against the matched independent bound."""
     if xi1_min < 0.0 or xi1_max < xi1_min:
         raise ValidationError("xi1 grid must satisfy 0 <= min <= max")
@@ -420,147 +422,98 @@ def fig3(xi2, n, xi1_min, xi1_max, points, seed, out, gnuplot):
             "warning: xi1 above 0.07 leaves the numerically verified ordering range",
             err=True,
         )
-    columns = ["xi1", "eta_ind", "eta_wc_leading", "eta_wc_exact"]
-    lines = [
-        _invocation("fig 3", "--xi2", _num(xi2), "--n", n, "--xi1-min", _num(xi1_min),
-                    "--xi1-max", _num(xi1_max), "--points", points, "--seed", seed),
-        ",".join(columns),
-    ]
+    rows = []
     for xi1 in np.linspace(xi1_min, xi1_max, points):
         spec = ctr.CorrelatedNoiseSpec(xi1=xi1, xi2=xi2, n=n)
         matched = xi1 * (1.0 - xi2) + (1.0 - xi1) * xi2
         eta_ind = ctr.independent_layer_bound(ctr.LayerNoiseSpec(xi=matched, n=n))
         leading = ctr.correlated_layer_bound_leading(spec)
         exact = ctr.correlated_layer_bound_exact(spec).eta
-        lines.append(f"{_num(xi1)},{_num(eta_ind)},{_num(leading)},{_num(exact)}")
-    _emit("\n".join(lines) + "\n", out)
-    _write_gnuplot(out, gnuplot, columns)
+        rows.append((xi1, eta_ind, leading, exact))
+    _write_csv(["xi1", "eta_ind", "eta_wc_leading", "eta_wc_exact"], rows)
 
 
-@fig.command("5")
+@_csv_command(fig, "5")
 @click.option("--xi-min", type=float, default=0.01)
 @click.option("--xi-max", type=float, default=0.49)
 @click.option("--points", type=int, default=49)
 @click.option("--delta", "deltas", type=float, multiple=True, default=(0.3, 0.4))
 @click.option("--layers", "layer_counts", type=int, multiple=True, default=(2, 4, 6))
 @click.option("--seed", type=int, default=0)
-@click.option("--out", type=click.Path(), default=None)
-@click.option("--gnuplot", is_flag=True, default=False)
-@_handle_errors
-def fig5(xi_min, xi_max, points, deltas, layer_counts, seed, out, gnuplot):
+def fig5(xi_min, xi_max, points, deltas, layer_counts, seed):
     """Hidden-neuron lower bound as a function of the noise level."""
     if not (0.0 <= xi_min <= xi_max < 0.5):
         raise ValidationError("xi grid must satisfy 0 <= min <= max < 0.5")
     if points < 1:
         raise ValidationError("points must be positive")
-    columns = ["xi", "delta", "L", "n_s"]
-    lines = [
-        _invocation("fig 5", "--xi-min", _num(xi_min), "--xi-max", _num(xi_max),
-                    "--points", points,
-                    *(f"--delta {_num(d)}" for d in deltas),
-                    *(f"--layers {L}" for L in layer_counts),
-                    "--seed", seed),
-        ",".join(columns),
+    rows = [
+        (xi, delta, depth, nn_mod.min_neurons_lower_bound(xi, delta, depth))
+        for delta in deltas
+        for depth in layer_counts
+        for xi in np.linspace(xi_min, xi_max, points)
     ]
-    for delta in deltas:
-        for depth in layer_counts:
-            for xi in np.linspace(xi_min, xi_max, points):
-                value = nn_mod.min_neurons_lower_bound(xi, delta, depth)
-                lines.append(f"{_num(xi)},{_num(delta)},{depth},{_num(value)}")
-    _emit("\n".join(lines) + "\n", out)
-    _write_gnuplot(out, gnuplot, columns)
+    _write_csv(["xi", "delta", "L", "n_s"], rows)
 
 
-@fig.command("6")
+@_csv_command(fig, "6")
 @click.option("--n", type=float, default=5e8, help="Input count of the parity target.")
 @click.option("--xi", type=float, default=0.37)
 @click.option("--delta", type=float, default=0.4)
 @click.option("--max-depth", type=int, default=6)
 @click.option("--seed", type=int, default=0)
-@click.option("--out", type=click.Path(), default=None)
-@click.option("--gnuplot", is_flag=True, default=False)
-@_handle_errors
-def fig6(n, xi, delta, max_depth, seed, out, gnuplot):
+def fig6(n, xi, delta, max_depth, seed):
     """Size requirements per depth with the binding regime and the optimum."""
     result = nn_mod.optimal_depth_tradeoff(int(n), xi, delta, max_depth)
-    columns = ["d", "omega", "ns_plus_1", "max"]
-    lines = [
-        _invocation("fig 6", "--n", _num(n), "--xi", _num(xi), "--delta", _num(delta),
-                    "--max-depth", max_depth, "--seed", seed),
-        ",".join(columns),
+    rows = [
+        (r.depth, r.expressibility_bound, r.noise_bound, r.minimum_neurons)
+        for r in result.per_depth
     ]
-    for r in result.per_depth:
-        lines.append(
-            f"{r.depth},{_num(r.expressibility_bound)},{_num(r.noise_bound)},"
-            f"{_num(r.minimum_neurons)}"
-        )
-    summary = (
+    footer = (
         f"# optimal depth {result.best.depth}: minimum neurons "
         f"{_num(result.best.minimum_neurons)}"
     )
-    lines.append(summary)
-    _emit("\n".join(lines) + "\n", out)
-    if out is not None:
-        click.echo(summary.lstrip("# "))
-    _write_gnuplot(out, gnuplot, columns)
+    _write_csv(["d", "omega", "ns_plus_1", "max"], rows, footer=footer)
 
 
-@fig.command("8")
+@_csv_command(fig, "8")
 @click.option("--t-max", type=int, default=100)
 @click.option("--pair", "pairs", multiple=True, callback=_parse_pair,
               default=("0.3,0.2", "0.4,0.1"), help="delta,xi series (repeatable).")
 @click.option("--seed", type=int, default=0)
-@click.option("--out", type=click.Path(), default=None)
-@click.option("--gnuplot", is_flag=True, default=False)
-@_handle_errors
-def fig8(t_max, pairs, seed, out, gnuplot):
+def fig8(t_max, pairs, seed):
     """Error-correction overhead lower bound versus the interval count."""
     if t_max < 1:
         raise ValidationError("t-max must be at least 1")
-    columns = ["T", "delta", "xi", "n_lower"]
-    lines = [
-        _invocation("fig 8", "--t-max", t_max,
-                    *(f"--pair {_num(d)},{_num(x)}" for d, x in pairs),
-                    "--seed", seed),
-        ",".join(columns),
+    rows = [
+        (t, delta, xi, mem.overhead_lower_bound(delta, t, xi))
+        for delta, xi in pairs
+        for t in range(1, t_max + 1)
     ]
-    for delta, xi in pairs:
-        for t in range(1, t_max + 1):
-            value = mem.overhead_lower_bound(delta, t, xi)
-            lines.append(f"{t},{_num(delta)},{_num(xi)},{_num(value)}")
-    _emit("\n".join(lines) + "\n", out)
-    _write_gnuplot(out, gnuplot, columns)
+    _write_csv(["T", "delta", "xi", "n_lower"], rows)
 
 
 # ---------------------------------------------------------------- verify
 
 
-@main.command()
+@_command(main, "verify")
 @click.argument("suite", type=click.Choice([*sorted(SUITES), "all"]))
 @click.option("--seed", type=int, default=0)
 @click.option("--budget", type=int, default=None, help="Sample count for randomized suites.")
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
-@click.option("--out", type=click.Path(), default=None)
-@_handle_errors
-def verify(suite, seed, budget, fmt, out):
+def verify(suite, seed, budget):
     """Run a verification suite; exit 0 iff every check passes."""
     names = sorted(SUITES) if suite == "all" else [suite]
     results = [run_suite(name, seed=seed, budget=budget) for name in names]
-    if fmt == "json":
-        _emit_json({"results": [r.to_dict() for r in results]}, out)
-    else:
-        lines = []
-        for r in results:
-            status = "PASS" if r.passed else "FAIL"
-            lines.append(
-                f"suite {r.suite}: {status} ({r.checks} checks, {r.skipped} skipped) "
-                + json.dumps(r.worst, sort_keys=True)
-            )
-            for failure in r.failures[:3]:
-                lines.append("counterexample: " + json.dumps(failure, sort_keys=True))
-        _emit("\n".join(lines) + "\n", out)
-    if not all(r.passed for r in results):
-        sys.exit(1)
+    lines = []
+    for r in results:
+        status = "PASS" if r.passed else "FAIL"
+        lines.append(
+            f"suite {r.suite}: {status} ({r.checks} checks, {r.skipped} skipped) "
+            + json.dumps(r.worst, sort_keys=True)
+        )
+        for failure in r.failures[:3]:
+            lines.append("counterexample: " + json.dumps(failure, sort_keys=True))
+    payload = {"results": [r.to_dict() for r in results]}
+    return payload, "\n".join(lines) + "\n", 0 if all(r.passed for r in results) else 1
 
 
 if __name__ == "__main__":

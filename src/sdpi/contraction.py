@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from math import comb, sqrt
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ValidationError
 from .info import Channel, Distribution, compose, joint, mutual_information
@@ -302,11 +301,15 @@ class EmpiricalContraction:
         }
 
 
-def _simplex_point(rng: np.random.Generator, size: int) -> np.ndarray:
+def _simplex_point(rng: np.random.Generator, size: int, min_entry: float = 0.0) -> np.ndarray:
     # Independent exponentials normalized to sum 1 (flat Dirichlet):
-    # full-support coverage without boundary degeneracy.
-    v = rng.standard_exponential(size)
-    return v / v.sum()
+    # full-support coverage without boundary degeneracy.  Redrawn until
+    # every entry is at least min_entry.
+    while True:
+        v = rng.standard_exponential(size)
+        v /= v.sum()
+        if v.min() >= min_entry:
+            return v
 
 
 def _chain_ratio(px: Distribution, cxy: Channel, cyz: Channel) -> float | None:
@@ -426,7 +429,10 @@ def rayleigh_supremum(c: Channel, p: Distribution) -> float:
     h_f = pushforward_entropy_hessian(c, p)
     h_g = entropy_hessian(p)
     try:
-        top = scipy.linalg.eigh(-h_f, -h_g, eigvals_only=True)[-1]
+        low = np.linalg.cholesky(-h_g)
+        # L^-1 (-H_f) L^-T: the pencil's eigenvalues as an ordinary symmetric problem.
+        half = np.linalg.solve(low, -h_f)
+        top = np.linalg.eigvalsh(np.linalg.solve(low, half.T))[-1]
     except np.linalg.LinAlgError as exc:
         raise ValidationError(f"ill-conditioned Hessian pencil: {exc}") from None
     return float(min(max(top, 0.0), 1.0))

@@ -191,12 +191,28 @@ def joint(d: Distribution, c: Channel) -> JointDistribution:
 
 
 def mutual_information(j: JointDistribution, base: LogBase = "nats") -> float:
-    """I(X;Y) = H(X) + H(Y) - H(X,Y), clamped at 0 for float rounding."""
+    """I(X;Y) = sum_xy p(x) p(y) phi(d), d = p(x,y) / (p(x) p(y)) - 1.
+
+    phi(d) = (1 + d) log1p(d) - d is non-negative, and 1 on zero cells,
+    so every term is >= 0 and a tiny I(X;Y) is not lost to cancellation
+    as it is in H(X) + H(Y) - H(X,Y).
+    """
     t = j.table
-    mi = _entropy_nats(t.sum(axis=1)) + _entropy_nats(t.sum(axis=0)) - _entropy_nats(t.ravel())
-    if -1e-12 < mi < 0.0:
-        mi = 0.0
-    return _as_base(mi, base)
+    px, py = t.sum(axis=1), t.sum(axis=0)
+    # Empty rows and columns have zero weight; dividing them by 1 keeps them finite.
+    ratio = t / np.where(px > 0.0, px, 1.0)[:, None]
+    ratio /= np.where(py > 0.0, py, 1.0)
+    # Worked in place, so ratio and phi are the only table-sized temporaries
+    # alive together.  Zero cells come out as 0 * log(0) = nan; phi(-1) = 1.
+    phi = np.subtract(ratio, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.log1p(phi, out=phi)
+        phi *= ratio
+    ratio -= 1.0
+    phi -= ratio
+    del ratio
+    phi[np.isnan(phi)] = 1.0
+    return _as_base(float(px @ phi @ py), base)
 
 
 def compose(c1: Channel, c2: Channel) -> Channel:

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .errors import InfeasibleError, ValidationError
 from .network import delta_capacity
@@ -108,14 +107,10 @@ def catastrophic_prob_exact(n: int, xi: float) -> float:
     if xi == 1.0:
         return 1.0
     k = np.arange(_majority_fail_threshold(n), n + 1)
-    log_terms = (
-        gammaln(n + 1)
-        - gammaln(k + 1)
-        - gammaln(n - k + 1)
-        + k * math.log(xi)
-        + (n - k) * math.log1p(-xi)
-    )
-    return float(np.clip(np.exp(logsumexp(log_terms)), 0.0, 1.0))
+    log_binom = [math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1) for j in k]
+    log_terms = np.array(log_binom) + k * math.log(xi) + (n - k) * math.log1p(-xi)
+    top = log_terms.max()
+    return float(np.clip(math.exp(top) * np.exp(log_terms - top).sum(), 0.0, 1.0))
 
 
 def catastrophic_prob_chernoff(n: int, xi: float) -> float:

@@ -11,21 +11,20 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Literal, Sequence
 
 import numpy as np
 
 from .errors import InfeasibleError, ValidationError
-from .contraction import LayerNoiseSpec, independent_layer_channel
+from .contraction import LayerNoiseSpec
 from .info import (
     Channel,
     Distribution,
     LogBase,
     _as_base,
     _entropy_nats,
-    compose,
     joint,
     mutual_information,
 )
@@ -132,11 +131,16 @@ def load_network(path) -> NoisyNetwork:
     return NoisyNetwork.from_dict(data)
 
 
-def layer_channel(layer: Sequence[ThresholdNeuron], xi: float, max_width: int = MAX_EXACT_WIDTH) -> Channel:
-    """Channel of one noisy layer: threshold map followed by bit-flip noise.
+def _propagate(
+    m: np.ndarray | None, layer: Sequence[ThresholdNeuron], xi: float, max_width: int
+) -> np.ndarray:
+    """m times the channel matrix of one noisy layer, without forming that matrix.
 
-    Rows index the 2^fan_in input states, columns the 2^width output
-    states, both little-endian (neuron i is bit i).
+    The threshold map adds each column of m into the column of the state
+    it fires; the noise, the width-fold tensor power of bsc(xi), is then
+    one binary-symmetric butterfly per output bit.  A layer of width w
+    costs O(rows * w * 2^w) time and a few rows x 2^w arrays, instead of
+    a 2^w x 2^w noise matrix.  m = None stands for the identity.
     """
     neurons = tuple(layer)
     if not neurons:
@@ -149,26 +153,44 @@ def layer_channel(layer: Sequence[ThresholdNeuron], xi: float, max_width: int = 
         raise ValidationError(
             f"layer size {max(fan_in, width)} exceeds the exact-propagation cap {max_width}"
         )
+    LayerNoiseSpec(xi=xi, n=width)  # rejects a flip probability outside [0, 1/2)
     states = np.arange(1 << fan_in)
     bits = (states[:, None] >> np.arange(fan_in)) & 1
     w = np.vstack([n.weights for n in neurons])
     b = np.array([n.bias for n in neurons])
     fired = (bits @ w.T + b >= 0.0).astype(np.int64)
     out_states = fired @ (1 << np.arange(width))
-    noise = independent_layer_channel(LayerNoiseSpec(xi=xi, n=width), max_neurons=max_width)
-    return Channel(noise.matrix[out_states])
+    if m is None:
+        m = np.eye(1 << fan_in)
+    rows = m.shape[0]
+    out = np.zeros((rows, 1 << width))
+    np.add.at(out.T, out_states, m.T)
+    for k in range(width):
+        v = out.reshape(rows, -1, 2, 1 << k)
+        out = ((1.0 - xi) * v + xi * v[:, :, ::-1, :]).reshape(rows, -1)
+    return out
+
+
+def layer_channel(layer: Sequence[ThresholdNeuron], xi: float, max_width: int = MAX_EXACT_WIDTH) -> Channel:
+    """Channel of one noisy layer: threshold map followed by bit-flip noise.
+
+    Rows index the 2^fan_in input states, columns the 2^width output
+    states, both little-endian (neuron i is bit i).
+    """
+    return Channel(_propagate(None, layer, xi, max_width))
 
 
 def network_channel(net: NoisyNetwork, max_width: int = MAX_EXACT_WIDTH) -> Channel:
-    """End-to-end channel from input states to last-layer output states."""
+    """End-to-end channel from input states to last-layer output states,
+    propagated layer by layer (see ``_propagate``)."""
     if net.input_width > max_width:
         raise ValidationError(
             f"input width {net.input_width} exceeds the exact-propagation cap {max_width}"
         )
-    chan = layer_channel(net.layers[0], net.xi, max_width)
-    for layer in net.layers[1:]:
-        chan = compose(chan, layer_channel(layer, net.xi, max_width))
-    return chan
+    m = None
+    for layer in net.layers:
+        m = _propagate(m, layer, net.xi, max_width)
+    return Channel(m)
 
 
 def exact_io_mutual_information(
@@ -201,8 +223,8 @@ def information_decay_bound(widths: Sequence[int], xi: float, h_x: float) -> flo
         raise ValidationError("layer widths must be a non-empty list of positive integers")
     if not 0.0 <= xi < 0.5:
         raise ValidationError(f"flip probability must be in [0, 0.5), got {xi:.9g}")
-    if h_x < 0.0:
-        raise ValidationError("input entropy must be non-negative")
+    if not (math.isfinite(h_x) and h_x >= 0.0):
+        raise ValidationError(f"input entropy must be finite and non-negative, got {h_x:.9g}")
     a = 4.0 * xi - 4.0 * xi**2
     factor = 1.0
     for w in widths:
@@ -221,17 +243,6 @@ def delta_capacity(delta: float) -> float:
     if delta == 0.0:
         return 1.0
     return 1.0 + delta * math.log2(delta) + (1.0 - delta) * math.log2(1.0 - delta)
-
-
-@dataclass(frozen=True)
-class ReliabilitySpec:
-    """Reliability level delta with its decoding-information threshold."""
-
-    delta: float
-    capacity_delta: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "capacity_delta", delta_capacity(self.delta))
 
 
 @dataclass(frozen=True)

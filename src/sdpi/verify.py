@@ -14,7 +14,9 @@ import numpy as np
 
 from .errors import ValidationError
 from .contraction import (
+    DEGENERATE_MI,
     LayerNoiseSpec,
+    _simplex_point,
     contraction_bound,
     independent_layer_bound,
     independent_layer_channel,
@@ -27,7 +29,6 @@ from .memory import relaxation_upper_bound, repetition_relaxation_time
 RATIO_SLACK = 1e-9
 RESIDUAL_TOL = 1e-9
 SQUARE_TOL = -1e-12
-DEGENERATE_MI = 1e-10
 
 
 @dataclass
@@ -50,14 +51,6 @@ class SuiteResult:
         }
 
 
-def _simplex(rng: np.random.Generator, size: int, min_entry: float = 0.0) -> np.ndarray:
-    while True:
-        v = rng.standard_exponential(size)
-        v /= v.sum()
-        if v.min() >= min_entry:
-            return v
-
-
 def sdpi_fuzz(samples: int = 10000, seed: int = 0) -> SuiteResult:
     """Random chains X -> Y -> Z: the MI ratio never exceeds the pair bound."""
     failures = []
@@ -66,9 +59,9 @@ def sdpi_fuzz(samples: int = 10000, seed: int = 0) -> SuiteResult:
     for i in range(samples):
         rng = np.random.default_rng((seed, i))
         nx, ny, nz = rng.integers(2, 5, size=3)
-        px = Distribution(_simplex(rng, nx))
-        c_xy = Channel(np.vstack([_simplex(rng, ny) for _ in range(nx)]))
-        c_yz = Channel(np.vstack([_simplex(rng, nz) for _ in range(ny)]))
+        px = Distribution(_simplex_point(rng, nx))
+        c_xy = Channel(np.vstack([_simplex_point(rng, ny) for _ in range(nx)]))
+        c_yz = Channel(np.vstack([_simplex_point(rng, nz) for _ in range(ny)]))
         i_xy = mutual_information(joint(px, c_xy))
         if i_xy <= DEGENERATE_MI:
             skipped += 1
@@ -114,12 +107,12 @@ def appendix_identity(samples: int = 1000, seed: int = 0) -> SuiteResult:
         rng = np.random.default_rng((seed, i))
         n = int(rng.integers(2, 7))
         m = int(rng.integers(2, 7))
-        chan = Channel(np.vstack([_simplex(rng, m) for _ in range(n)]))
-        p = Distribution(_simplex(rng, n, min_entry=1e-4))
+        chan = Channel(np.vstack([_simplex_point(rng, m) for _ in range(n)]))
+        p = Distribution(_simplex_point(rng, n, min_entry=1e-4))
         coeffs = rng.normal(size=n - 1)
         report = quadratic_decomposition_check(chan, p, coeffs)
 
-        flat = Channel(np.tile(_simplex(rng, m), (n, 1)))
+        flat = Channel(np.tile(_simplex_point(rng, m), (n, 1)))
         flat_report = quadratic_decomposition_check(flat, p, coeffs)
 
         sup = rayleigh_supremum(chan, p)

@@ -133,6 +133,12 @@ class TestNetworkCommands:
         )
         assert json.loads(res.stdout)["bound"] == pytest.approx(0.0531437435, abs=1e-9)
 
+    def test_bound_rejects_non_finite_entropy(self, runner):
+        for hx in ("nan", "inf"):
+            res = runner.invoke(main, ["nn", "bound", "--widths", "3", "--xi", "0.1", "--hx", hx])
+            assert res.exit_code == 2
+            assert res.stdout == ""
+
     def test_min_neurons(self, runner):
         res = runner.invoke(
             main, ["nn", "min-neurons", "--xi", "0.37", "--delta", "0.4", "--layers", "4"]
@@ -336,6 +342,13 @@ class TestVerifyCommand:
         res = runner.invoke(main, ["verify", "sdpi-fuzz", "--budget", "200"])
         assert res.exit_code == 0
         assert "PASS" in res.stdout
+
+    def test_fuzz_tiny_information_is_not_a_counterexample(self, runner):
+        # Sample 970 of this seed has I(X;Z) ~ 4e-15, which the entropy-sum
+        # form of mutual information lost to cancellation.
+        res = runner.invoke(main, ["verify", "sdpi-fuzz", "--seed", "1405303632", "--budget", "971"])
+        assert res.exit_code == 0
+        assert "PASS (971 checks" in res.stdout
 
     def test_identity_suite_json(self, runner):
         res = runner.invoke(

@@ -149,6 +149,13 @@ class TestJointAndMi:
         assert mutual_information(j, base="bits") == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.531004, abs=1e-6)
 
+    def test_mi_near_independence_keeps_relative_accuracy(self):
+        # Oracle: for bsc((1 - x)/2) on a uniform input, I = x^2/2 + x^4/12 + ...
+        # nats.  H(X) + H(Y) - H(X,Y) loses values this small to cancellation.
+        for x in (1e-4, 1e-6, 1e-7):
+            j = joint(Distribution.uniform(2), Channel.bsc((1.0 - x) / 2.0))
+            assert mutual_information(j) == pytest.approx(x**2 / 2 + x**4 / 12, rel=1e-6, abs=0.0)
+
     def test_mi_symmetric_under_transpose(self):
         rng = np.random.default_rng(4)
         for _ in range(30):

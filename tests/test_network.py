@@ -9,8 +9,8 @@ from sdpi import (
     Channel,
     Distribution,
     InfeasibleError,
+    LayerNoiseSpec,
     NoisyNetwork,
-    ReliabilitySpec,
     ThresholdNeuron,
     ValidationError,
     amgm_product_bound,
@@ -18,6 +18,7 @@ from sdpi import (
     entropy,
     exact_io_mutual_information,
     feasibility_check,
+    independent_layer_channel,
     information_decay_bound,
     layer_channel,
     load_network,
@@ -76,6 +77,25 @@ class TestLayerChannel:
     def test_width_cap(self):
         with pytest.raises(ValidationError):
             layer_channel(copier_layer(4), xi=0.1, max_width=3)
+
+    def test_network_channel_matches_dense_composition(self):
+        # Threshold map as a 0/1 matrix, then the materialized 2^w x 2^w noise channel.
+        rng = np.random.default_rng(22)
+        for _ in range(20):
+            widths = [int(w) for w in rng.integers(1, 6, size=int(rng.integers(1, 4)))]
+            xi = float(rng.uniform(0.0, 0.49))
+            net = random_network(int(rng.integers(1, 6)), widths, xi, seed=int(rng.integers(1e6)))
+            dense = np.eye(1 << net.input_width)
+            fan_in = net.input_width
+            for layer in net.layers:
+                fired = [
+                    sum(neuron_fire(n, (s >> np.arange(fan_in)) & 1) << i for i, n in enumerate(layer))
+                    for s in range(1 << fan_in)
+                ]
+                noise = independent_layer_channel(LayerNoiseSpec(xi=xi, n=len(layer))).matrix
+                dense = dense @ noise[fired]
+                fan_in = len(layer)
+            np.testing.assert_allclose(network_channel(net).matrix, dense, rtol=0.0, atol=1e-12)
 
 
 class TestNetworkValidation:
@@ -182,10 +202,6 @@ class TestReliability:
         grid = np.arange(0.0, 0.5, 0.01)
         vals = [delta_capacity(d) for d in grid]
         assert all(a > b for a, b in zip(vals, vals[1:]))
-
-    def test_spec_carries_threshold(self):
-        spec = ReliabilitySpec(delta=0.4)
-        assert spec.capacity_delta == pytest.approx(delta_capacity(0.4), abs=0)
 
     def test_out_of_range(self):
         with pytest.raises(ValidationError):
