@@ -19,7 +19,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .errors import InfeasibleError, ValidationError
+from .errors import InfeasibleError, ValidationError, count, interval
 from . import contraction as ctr
 from . import memory as mem
 from . import network as nn_mod
@@ -94,6 +94,8 @@ def _csv_command(group: click.Group, name: str, plot: bool = True):
         @functools.wraps(f)
         @_handle_errors
         def run(out, gnuplot=False, **params):
+            if gnuplot and out is None:
+                raise ValidationError("--gnuplot requires --out (the script references the CSV)")
             f(**params)
 
         cmd = group.command(name)(run)
@@ -156,8 +158,6 @@ def _write_csv(columns: list[str], rows, footer: str | None = None, note: str | 
     if footer and out is not None:
         click.echo(footer.lstrip("# "))
     if ctx.params.get("gnuplot"):
-        if out is None:
-            raise ValidationError("--gnuplot requires --out (the script references the CSV file)")
         Path(out).with_suffix(".gp").write_text(_gnuplot_script(out, columns))
 
 
@@ -292,7 +292,7 @@ def nn_min_neurons(xi, delta, layers):
 @click.option("--max-depth", type=int, required=True)
 def nn_tradeoff(n, xi, delta, max_depth):
     """Depth sweep of max(expressibility, noise) size requirements."""
-    result = nn_mod.optimal_depth_tradeoff(int(n), xi, delta, max_depth)
+    result = nn_mod.optimal_depth_tradeoff(n, xi, delta, max_depth)
     payload = {
         "per_depth": [
             {
@@ -393,12 +393,10 @@ def fig():
 @click.option("--seed", type=int, default=0)
 def fig2(n, xi_min, xi_max, points, seed):
     """Layer bound versus per-component (Evans-Schulman) accounting."""
-    if not (0.0 <= xi_min <= xi_max <= 0.5):
-        raise ValidationError("xi grid must satisfy 0 <= min <= max <= 0.5")
-    if points < 1 or n < 1:
-        raise ValidationError("points and n must be positive")
+    xi_min = interval(xi_min, "xi-min", "[0, 0.5]")
+    interval(xi_max, "xi-max", f"[{xi_min}, 0.5]")
     rows = []
-    for xi in np.linspace(xi_min, xi_max, points):
+    for xi in np.linspace(xi_min, xi_max, count(points, "points")):
         eta = 1.0 - (4.0 * xi - 4.0 * xi**2)
         rows.append((xi, ctr.evans_schulman_raw(eta, n), 1.0 - (1.0 - eta) ** n))
     _write_csv(["xi", "evans_schulman", "ours"], rows)
@@ -413,17 +411,15 @@ def fig2(n, xi_min, xi_max, points, seed):
 @click.option("--seed", type=int, default=0)
 def fig3(xi2, n, xi1_min, xi1_max, points, seed):
     """Correlated-noise bounds against the matched independent bound."""
-    if xi1_min < 0.0 or xi1_max < xi1_min:
-        raise ValidationError("xi1 grid must satisfy 0 <= min <= max")
-    if points < 1:
-        raise ValidationError("points must be positive")
+    xi1_min = interval(xi1_min, "xi1-min", "[0, 1]")
+    interval(xi1_max, "xi1-max", f"[{xi1_min}, 1]")
     if xi1_max > 0.07:
         click.echo(
             "warning: xi1 above 0.07 leaves the numerically verified ordering range",
             err=True,
         )
     rows = []
-    for xi1 in np.linspace(xi1_min, xi1_max, points):
+    for xi1 in np.linspace(xi1_min, xi1_max, count(points, "points")):
         spec = ctr.CorrelatedNoiseSpec(xi1=xi1, xi2=xi2, n=n)
         matched = xi1 * (1.0 - xi2) + (1.0 - xi1) * xi2
         eta_ind = ctr.independent_layer_bound(ctr.LayerNoiseSpec(xi=matched, n=n))
@@ -442,15 +438,14 @@ def fig3(xi2, n, xi1_min, xi1_max, points, seed):
 @click.option("--seed", type=int, default=0)
 def fig5(xi_min, xi_max, points, deltas, layer_counts, seed):
     """Hidden-neuron lower bound as a function of the noise level."""
-    if not (0.0 <= xi_min <= xi_max < 0.5):
-        raise ValidationError("xi grid must satisfy 0 <= min <= max < 0.5")
-    if points < 1:
-        raise ValidationError("points must be positive")
+    xi_min = interval(xi_min, "xi-min", "[0, 0.5)")
+    interval(xi_max, "xi-max", f"[{xi_min}, 0.5)")
+    grid = np.linspace(xi_min, xi_max, count(points, "points"))
     rows = [
         (xi, delta, depth, nn_mod.min_neurons_lower_bound(xi, delta, depth))
         for delta in deltas
         for depth in layer_counts
-        for xi in np.linspace(xi_min, xi_max, points)
+        for xi in grid
     ]
     _write_csv(["xi", "delta", "L", "n_s"], rows)
 
@@ -463,7 +458,7 @@ def fig5(xi_min, xi_max, points, deltas, layer_counts, seed):
 @click.option("--seed", type=int, default=0)
 def fig6(n, xi, delta, max_depth, seed):
     """Size requirements per depth with the binding regime and the optimum."""
-    result = nn_mod.optimal_depth_tradeoff(int(n), xi, delta, max_depth)
+    result = nn_mod.optimal_depth_tradeoff(n, xi, delta, max_depth)
     rows = [
         (r.depth, r.expressibility_bound, r.noise_bound, r.minimum_neurons)
         for r in result.per_depth
@@ -482,8 +477,7 @@ def fig6(n, xi, delta, max_depth, seed):
 @click.option("--seed", type=int, default=0)
 def fig8(t_max, pairs, seed):
     """Error-correction overhead lower bound versus the interval count."""
-    if t_max < 1:
-        raise ValidationError("t-max must be at least 1")
+    t_max = count(t_max, "t-max")
     rows = [
         (t, delta, xi, mem.overhead_lower_bound(delta, t, xi))
         for delta, xi in pairs

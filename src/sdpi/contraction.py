@@ -20,7 +20,7 @@ from math import comb, sqrt
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, count, interval
 from .info import Channel, Distribution, compose, joint, mutual_information
 
 # Hessian-based operations require p bounded away from the simplex
@@ -74,10 +74,8 @@ class LayerNoiseSpec:
     n: int
 
     def __post_init__(self):
-        if not 0.0 <= self.xi < 0.5:
-            raise ValidationError(f"flip probability must be in [0, 0.5), got {self.xi:.9g}")
-        if int(self.n) != self.n or self.n < 1:
-            raise ValidationError(f"layer width must be a positive integer, got {self.n}")
+        interval(self.xi, "flip probability", "[0, 0.5)")
+        object.__setattr__(self, "n", count(self.n, "layer width"))
 
 
 @dataclass(frozen=True)
@@ -95,14 +93,9 @@ class CorrelatedNoiseSpec:
     n: int
 
     def __post_init__(self):
-        if not 0.0 <= self.xi1 <= 1.0:
-            raise ValidationError(f"shared flip probability must be in [0, 1], got {self.xi1:.9g}")
-        if not 0.0 <= self.xi2 < 0.5:
-            raise ValidationError(
-                f"independent flip probability must be in [0, 0.5), got {self.xi2:.9g}"
-            )
-        if int(self.n) != self.n or self.n < 1:
-            raise ValidationError(f"layer width must be a positive integer, got {self.n}")
+        interval(self.xi1, "shared flip probability", "[0, 1]")
+        interval(self.xi2, "independent flip probability", "[0, 0.5)")
+        object.__setattr__(self, "n", count(self.n, "layer width"))
 
 
 def independent_layer_bound(spec: LayerNoiseSpec) -> float:
@@ -121,11 +114,7 @@ def independent_layer_channel(spec: LayerNoiseSpec, max_neurons: int = MAX_LAYER
     Entry (r, s) is xi^d (1-xi)^(n-d) where d is the Hamming distance
     between the states; equal to the n-fold tensor power of bsc(xi).
     """
-    if spec.n > max_neurons:
-        raise ValidationError(
-            f"layer width {spec.n} exceeds the materialization cap {max_neurons} "
-            f"(2^{spec.n} states); raise max_neurons explicitly if intended"
-        )
+    count(spec.n, "layer width within the materialization cap max_neurons", 1, max_neurons)
     d = _hamming_grid(spec.n)
     return Channel(spec.xi**d * (1.0 - spec.xi) ** (spec.n - d))
 
@@ -139,11 +128,7 @@ def _correlated_weights(spec: CorrelatedNoiseSpec) -> np.ndarray:
 
 def correlated_layer_channel(spec: CorrelatedNoiseSpec, max_neurons: int = MAX_LAYER_NEURONS) -> Channel:
     """The 2^n x 2^n channel of shared-plus-independent bit flips."""
-    if spec.n > max_neurons:
-        raise ValidationError(
-            f"layer width {spec.n} exceeds the materialization cap {max_neurons} "
-            f"(2^{spec.n} states); raise max_neurons explicitly if intended"
-        )
+    count(spec.n, "layer width within the materialization cap max_neurons", 1, max_neurons)
     w = _correlated_weights(spec)
     return Channel(w[_hamming_grid(spec.n)])
 
@@ -207,19 +192,15 @@ def shared_noise_slope(xi2: float, n: int) -> float:
 
     Equals 2[(4 xi2^2 - 4 xi2 + 2)^n - (4 xi2 - 4 xi2^2)^n].
     """
-    if not 0.0 <= xi2 <= 0.5:
-        raise ValidationError(f"independent flip probability must be in [0, 0.5], got {xi2:.9g}")
-    if n < 1:
-        raise ValidationError("layer width must be at least 1")
+    xi2 = interval(xi2, "independent flip probability", "[0, 0.5]")
+    n = count(n, "layer width")
     return 2.0 * ((4.0 * xi2**2 - 4.0 * xi2 + 2.0) ** n - (4.0 * xi2 - 4.0 * xi2**2) ** n)
 
 
 def shared_noise_slope_factored(xi2: float, n: int) -> float:
     """Cross-check form 4(4 xi2^2 - 4 xi2 + 1) sum_i u^(n-i) v^(i-1) of the slope."""
-    if not 0.0 <= xi2 <= 0.5:
-        raise ValidationError(f"independent flip probability must be in [0, 0.5], got {xi2:.9g}")
-    if n < 1:
-        raise ValidationError("layer width must be at least 1")
+    xi2 = interval(xi2, "independent flip probability", "[0, 0.5]")
+    n = count(n, "layer width")
     u = 4.0 * xi2**2 - 4.0 * xi2 + 2.0
     v = 4.0 * xi2 - 4.0 * xi2**2
     series = sum(u ** (n - i) * v ** (i - 1) for i in range(1, n + 1))
@@ -230,10 +211,8 @@ def matched_noise_slope(xi2: float, n: int) -> float:
     """Slope 4n(2 xi2 - 1)^2 (4 xi2 - 4 xi2^2)^(n-1) of the independent bound
     at the matched per-component noise level; never exceeds
     ``shared_noise_slope``."""
-    if not 0.0 <= xi2 <= 0.5:
-        raise ValidationError(f"independent flip probability must be in [0, 0.5], got {xi2:.9g}")
-    if n < 1:
-        raise ValidationError("layer width must be at least 1")
+    xi2 = interval(xi2, "independent flip probability", "[0, 0.5]")
+    n = count(n, "layer width")
     return 4.0 * n * (2.0 * xi2 - 1.0) ** 2 * (4.0 * xi2 - 4.0 * xi2**2) ** (n - 1)
 
 
@@ -250,11 +229,7 @@ def correlated_layer_bound_leading(spec: CorrelatedNoiseSpec) -> float:
 
 def evans_schulman_raw(eta_single: float, n: int) -> float:
     """Per-component accounting bound n * eta, unclamped (can exceed 1)."""
-    if not 0.0 <= eta_single <= 1.0:
-        raise ValidationError(f"single-component eta must be in [0, 1], got {eta_single:.9g}")
-    if n < 1:
-        raise ValidationError("component count must be at least 1")
-    return n * eta_single
+    return count(n, "component count") * interval(eta_single, "single-component eta", "[0, 1]")
 
 def evans_schulman_bound(eta_single: float, n: int) -> float:
     """Evans-Schulman style bound min(n * eta, 1); an MI ratio cannot exceed 1."""
@@ -271,12 +246,9 @@ class SearchConfig:
     refine_steps: int = 200
 
     def __post_init__(self):
-        if not 2 <= self.alphabet_x <= 4:
-            raise ValidationError(f"search alphabet size must be in [2, 4], got {self.alphabet_x}")
-        if self.samples < 1:
-            raise ValidationError("sample count must be at least 1")
-        if self.refine_steps < 0:
-            raise ValidationError("refine step count must be non-negative")
+        object.__setattr__(self, "alphabet_x", count(self.alphabet_x, "alphabet_x", 2, 4))
+        object.__setattr__(self, "samples", count(self.samples, "sample count"))
+        object.__setattr__(self, "refine_steps", count(self.refine_steps, "refine step count", 0))
 
 
 @dataclass(frozen=True)
@@ -372,8 +344,7 @@ def empirical_contraction(c_yz: Channel, config: SearchConfig = SearchConfig()) 
 
 
 def _interior_probs(p: Distribution) -> np.ndarray:
-    if p.alphabet_size < 2:
-        raise ValidationError("Hessian operations need an alphabet of at least 2")
+    count(p.alphabet_size, "alphabet size of a Hessian operation", 2)
     if p.probs.min() < INTERIOR_MIN:
         raise ValidationError(
             f"distribution must be interior (min entry >= {INTERIOR_MIN:g}); "

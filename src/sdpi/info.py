@@ -18,7 +18,7 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, count, interval
 
 # Entries below this are treated as exact zeros inside logarithms
 # (0 * log 0 = 0 convention).
@@ -42,23 +42,31 @@ def _as_base(value_nats: float, base: LogBase) -> float:
     raise ValidationError(f"unknown log base {base!r}; expected 'nats' or 'bits'")
 
 
-def _validated_pmf(values, what: str) -> np.ndarray:
-    v = np.asarray(values, dtype=float).reshape(-1)
-    if v.size == 0:
-        raise ValidationError(f"{what} must have at least one entry")
-    if not np.all(np.isfinite(v)):
-        raise ValidationError(f"{what} contains non-finite entries")
-    if v.min() < -NORMALIZE_TOLERANCE:
-        raise ValidationError(f"{what} has a negative entry ({v.min():.9g})")
-    v = np.maximum(v, 0.0)
-    total = v.sum()
-    if abs(total - 1.0) > NORMALIZE_TOLERANCE:
+def _validated_rows(values: np.ndarray, what: str) -> np.ndarray:
+    """Each row of a non-empty 2-d array clipped at 0 and rescaled to sum 1.
+
+    A row must be finite, with no entry below -NORMALIZE_TOLERANCE and a
+    sum within NORMALIZE_TOLERANCE of 1; the error names the first row
+    that is not (``what`` formatted with its index).
+    """
+    finite = np.isfinite(values).all(axis=1)
+    low = values.min(axis=1)
+    rows = np.maximum(values, 0.0)
+    total = rows.sum(axis=1)
+    bad = ~finite | (low < -NORMALIZE_TOLERANCE) | (np.abs(total - 1.0) > NORMALIZE_TOLERANCE)
+    if bad.any():
+        i = int(np.argmax(bad))
+        what = what.format(i)
+        if not finite[i]:
+            raise ValidationError(f"{what} contains non-finite entries")
+        if low[i] < -NORMALIZE_TOLERANCE:
+            raise ValidationError(f"{what} has a negative entry ({low[i]:.9g})")
         raise ValidationError(
-            f"{what} sums to {total:.9g}; expected 1 within {NORMALIZE_TOLERANCE:g}"
+            f"{what} sums to {total[i]:.9g}; expected 1 within {NORMALIZE_TOLERANCE:g}"
         )
-    v = v / total
-    v.setflags(write=False)
-    return v
+    rows /= total[:, None]
+    rows.setflags(write=False)
+    return rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,7 +76,9 @@ class Distribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "probs", _validated_pmf(self.probs, "distribution"))
+        v = np.asarray(self.probs, dtype=float).reshape(1, -1)
+        count(v.size, "distribution entry count")
+        object.__setattr__(self, "probs", _validated_rows(v, "distribution")[0])
 
     @property
     def alphabet_size(self) -> int:
@@ -76,16 +86,13 @@ class Distribution:
 
     @staticmethod
     def uniform(n: int) -> "Distribution":
-        if n < 1:
-            raise ValidationError("alphabet size must be positive")
+        n = count(n, "alphabet size")
         return Distribution(np.full(n, 1.0 / n))
 
     @staticmethod
     def point_mass(index: int, n: int) -> "Distribution":
-        if not 0 <= index < n:
-            raise ValidationError(f"point mass index {index} outside alphabet of size {n}")
-        v = np.zeros(n)
-        v[index] = 1.0
+        v = np.zeros(count(n, "alphabet size"))
+        v[count(index, "point mass index", 0, n - 1)] = 1.0
         return Distribution(v)
 
 
@@ -99,15 +106,7 @@ class Channel:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.size == 0:
             raise ValidationError("channel matrix must be a non-empty 2-d array")
-        rows = []
-        for i, row in enumerate(m):
-            try:
-                rows.append(_validated_pmf(row, f"channel row {i}"))
-            except ValidationError as exc:
-                raise ValidationError(str(exc)) from None
-        m = np.vstack(rows)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _validated_rows(m, "channel row {}"))
 
     @property
     def n_inputs(self) -> int:
@@ -124,8 +123,7 @@ class Channel:
     @staticmethod
     def bsc(p: float) -> "Channel":
         """Binary symmetric channel flipping a bit with probability p."""
-        if not 0.0 <= p <= 1.0:
-            raise ValidationError(f"flip probability must be in [0, 1], got {p:.9g}")
+        p = interval(p, "flip probability", "[0, 1]")
         return Channel(np.array([[1.0 - p, p], [p, 1.0 - p]]))
 
 
@@ -139,19 +137,9 @@ class JointDistribution:
         t = np.asarray(self.table, dtype=float)
         if t.ndim != 2 or t.size == 0:
             raise ValidationError("joint table must be a non-empty 2-d array")
-        if not np.all(np.isfinite(t)):
-            raise ValidationError("joint table contains non-finite entries")
-        if t.min() < -NORMALIZE_TOLERANCE:
-            raise ValidationError(f"joint table has a negative entry ({t.min():.9g})")
-        t = np.maximum(t, 0.0)
-        total = t.sum()
-        if abs(total - 1.0) > NORMALIZE_TOLERANCE:
-            raise ValidationError(
-                f"joint table sums to {total:.9g}; expected 1 within {NORMALIZE_TOLERANCE:g}"
-            )
-        t = t / total
-        t.setflags(write=False)
-        object.__setattr__(self, "table", t)
+        # The whole table is one law, so it is validated as one row.
+        table = _validated_rows(t.reshape(1, -1), "joint table").reshape(t.shape)
+        object.__setattr__(self, "table", table)
 
     @property
     def marginal_x(self) -> Distribution:

@@ -17,8 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError, ValidationError
+from .errors import InfeasibleError, count, interval
 from .network import delta_capacity
+
+# Largest block of float64 uniforms that simulate_memory holds at once.
+SIMULATION_BLOCK_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -32,33 +35,21 @@ class MemorySpec:
     intervals: int
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 1:
-            raise ValidationError(f"bit count must be a positive integer, got {self.n}")
-        if not 0.0 < self.xi < 0.5:
-            raise ValidationError(f"flip probability must be in (0, 0.5), got {self.xi:.9g}")
-        if not 0.0 < self.delta < 0.5:
-            raise ValidationError(f"failure budget must be in (0, 0.5), got {self.delta:.9g}")
-        if int(self.intervals) != self.intervals or self.intervals < 1:
-            raise ValidationError(f"interval count must be a positive integer, got {self.intervals}")
+        object.__setattr__(self, "n", count(self.n, "bit count"))
+        interval(self.xi, "flip probability", "(0, 0.5)")
+        interval(self.delta, "failure budget", "(0, 0.5)")
+        object.__setattr__(self, "intervals", count(self.intervals, "interval count"))
 
     def to_dict(self) -> dict:
         return {"n": self.n, "xi": self.xi, "delta": self.delta, "intervals": self.intervals}
 
 
-def _check_params(xi: float, delta: float) -> None:
-    if not 0.0 < xi < 0.5:
-        raise ValidationError(f"flip probability must be in (0, 0.5), got {xi:.9g}")
-    if not 0.0 < delta < 0.5:
-        raise ValidationError(f"failure budget must be in (0, 0.5), got {delta:.9g}")
-
-
 def overhead_lower_bound(delta: float, intervals: int, xi: float) -> float:
     """Minimum physical bits log(1 - D^(1/T)) / log(4 xi - 4 xi^2) to hold one
     bit delta-reliably for T intervals, for any correction rule."""
-    _check_params(xi, delta)
-    if int(intervals) != intervals or intervals < 1:
-        raise ValidationError(f"interval count must be a positive integer, got {intervals}")
-    cap = delta_capacity(delta)
+    xi = interval(xi, "flip probability", "(0, 0.5)")
+    cap = delta_capacity(interval(delta, "failure budget", "(0, 0.5)"))
+    intervals = count(intervals, "interval count")
     a = 4.0 * xi - 4.0 * xi**2
     # 1 - cap^(1/T) via expm1 keeps precision for large T.
     return math.log(-math.expm1(math.log(cap) / intervals)) / math.log(a)
@@ -75,10 +66,9 @@ class RelaxationBound:
 def relaxation_upper_bound(n: int, xi: float, delta: float) -> RelaxationBound:
     """No correction rule retains the bit past log(D) / log(1 - (4xi-4xi^2)^n)
     intervals; grows exponentially in n with rate log(1/(4xi-4xi^2))."""
-    _check_params(xi, delta)
-    if int(n) != n or n < 1:
-        raise ValidationError(f"bit count must be a positive integer, got {n}")
-    cap = delta_capacity(delta)
+    xi = interval(xi, "flip probability", "(0, 0.5)")
+    cap = delta_capacity(interval(delta, "failure budget", "(0, 0.5)"))
+    n = count(n, "bit count")
     a = 4.0 * xi - 4.0 * xi**2
     a_n = a**n
     asymptotic = math.inf if a_n == 0.0 else -math.log(cap) / a_n
@@ -98,10 +88,8 @@ def catastrophic_prob_exact(n: int, xi: float) -> float:
     count as failure.  Summed in log space so tails below 1e-12 stay
     accurate.
     """
-    if int(n) != n or n < 1:
-        raise ValidationError(f"bit count must be a positive integer, got {n}")
-    if not 0.0 <= xi <= 1.0:
-        raise ValidationError(f"flip probability must be in [0, 1], got {xi:.9g}")
+    n = count(n, "bit count")
+    xi = interval(xi, "flip probability", "[0, 1]")
     if xi == 0.0:
         return 0.0
     if xi == 1.0:
@@ -115,10 +103,8 @@ def catastrophic_prob_exact(n: int, xi: float) -> float:
 
 def catastrophic_prob_chernoff(n: int, xi: float) -> float:
     """Chernoff-Hoeffding upper bound (4 xi (1 - xi))^(n/2) on the tail."""
-    if int(n) != n or n < 1:
-        raise ValidationError(f"bit count must be a positive integer, got {n}")
-    if not 0.0 <= xi <= 1.0:
-        raise ValidationError(f"flip probability must be in [0, 1], got {xi:.9g}")
+    n = count(n, "bit count")
+    xi = interval(xi, "flip probability", "[0, 1]")
     return (4.0 * xi * (1.0 - xi)) ** (n / 2.0)
 
 
@@ -142,7 +128,8 @@ def repetition_relaxation_time(n: int, xi: float, delta: float) -> RepetitionRel
     catastrophic events occurred, so correct decoding has probability
     (1 + (1 - 2 p_e)^T)/2; solving for the delta level gives the formula.
     """
-    _check_params(xi, delta)
+    xi = interval(xi, "flip probability", "(0, 0.5)")
+    delta = interval(delta, "failure budget", "(0, 0.5)")
     p_e = catastrophic_prob_exact(n, xi)
     if p_e >= 0.5:
         raise InfeasibleError(
@@ -174,7 +161,7 @@ class SimulationReport:
         return np.sqrt(p * (1.0 - p) / self.trials)
 
 
-def simulate_memory(spec: MemorySpec, trials: int, seed: int, chunk: int = 4096) -> SimulationReport:
+def simulate_memory(spec: MemorySpec, trials: int, seed: int) -> SimulationReport:
     """Monte Carlo repetition-code memory: flip bits, refresh to majority.
 
     All bits carry the logical value after each refresh, so an interval
@@ -182,21 +169,23 @@ def simulate_memory(spec: MemorySpec, trials: int, seed: int, chunk: int = 4096)
     count as flipping to the wrong codeword).  Trial i consumes an
     (intervals x n) uniform block from its own RNG stream derived from
     (seed, i); aggregation uses integer counts, so the result is exactly
-    reproducible and order-independent.  ``estimated_relaxation`` is the
-    first interval at which the success probability drops below
-    1 - delta, or None if it never does.
+    reproducible and order-independent, whatever the block size: a block
+    holds as many trials' uniforms as fit in ``SIMULATION_BLOCK_BYTES``,
+    and at least one trial.  ``estimated_relaxation`` is the first
+    interval at which the success probability drops below 1 - delta, or
+    None if it never does.
     """
-    if trials < 1:
-        raise ValidationError("trial count must be at least 1")
+    trials = count(trials, "trial count")
     steps, n = spec.intervals, spec.n
     threshold = _majority_fail_threshold(n)
+    block = min(trials, max(1, SIMULATION_BLOCK_BYTES // (steps * n * 8)))
+    u = np.empty((block, steps, n))
     wrong_counts = np.zeros(steps, dtype=np.int64)
-    for start in range(0, trials, chunk):
-        size = min(chunk, trials - start)
-        u = np.empty((size, steps, n))
+    for start in range(0, trials, block):
+        size = min(block, trials - start)
         for i in range(size):
             u[i] = np.random.default_rng((seed, start + i)).random((steps, n))
-        catastrophic = (u < spec.xi).sum(axis=2) >= threshold
+        catastrophic = (u[:size] < spec.xi).sum(axis=2) >= threshold
         wrong = np.cumsum(catastrophic, axis=1) % 2
         wrong_counts += wrong.sum(axis=0)
     success = 1.0 - wrong_counts / trials

@@ -17,14 +17,13 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .errors import InfeasibleError, ValidationError
-from .contraction import LayerNoiseSpec
+from .errors import InfeasibleError, ValidationError, count, interval
 from .info import (
     Channel,
     Distribution,
+    JointDistribution,
     LogBase,
     _as_base,
-    _entropy_nats,
     joint,
     mutual_information,
 )
@@ -43,11 +42,11 @@ class ThresholdNeuron:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float).reshape(-1)
-        if w.size == 0 or not np.all(np.isfinite(w)) or not np.isfinite(self.bias):
-            raise ValidationError("neuron needs finite weights (at least one) and a finite bias")
+        if w.size == 0 or not np.all(np.isfinite(w)):
+            raise ValidationError("neuron needs finite weights (at least one)")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "bias", float(self.bias))
+        object.__setattr__(self, "bias", interval(self.bias, "neuron bias", "(-inf, inf)"))
 
     @property
     def fan_in(self) -> int:
@@ -71,10 +70,8 @@ class NoisyNetwork:
     input_width: int
 
     def __post_init__(self):
-        if not 0.0 <= self.xi < 0.5:
-            raise ValidationError(f"flip probability must be in [0, 0.5), got {self.xi:.9g}")
-        if self.input_width < 1:
-            raise ValidationError("input width must be positive")
+        interval(self.xi, "flip probability", "[0, 0.5)")
+        object.__setattr__(self, "input_width", count(self.input_width, "input width"))
         layers = tuple(tuple(layer) for layer in self.layers)
         if not layers or any(not layer for layer in layers):
             raise ValidationError("network needs at least one non-empty layer")
@@ -149,11 +146,7 @@ def _propagate(
     if any(n.fan_in != fan_in for n in neurons):
         raise ValidationError("all neurons in a layer must share the same fan-in")
     width = len(neurons)
-    if fan_in > max_width or width > max_width:
-        raise ValidationError(
-            f"layer size {max(fan_in, width)} exceeds the exact-propagation cap {max_width}"
-        )
-    LayerNoiseSpec(xi=xi, n=width)  # rejects a flip probability outside [0, 1/2)
+    count(max(fan_in, width), "layer size within the propagation cap max_width", 1, max_width)
     states = np.arange(1 << fan_in)
     bits = (states[:, None] >> np.arange(fan_in)) & 1
     w = np.vstack([n.weights for n in neurons])
@@ -177,16 +170,13 @@ def layer_channel(layer: Sequence[ThresholdNeuron], xi: float, max_width: int = 
     Rows index the 2^fan_in input states, columns the 2^width output
     states, both little-endian (neuron i is bit i).
     """
+    xi = interval(xi, "flip probability", "[0, 0.5)")
     return Channel(_propagate(None, layer, xi, max_width))
 
 
 def network_channel(net: NoisyNetwork, max_width: int = MAX_EXACT_WIDTH) -> Channel:
     """End-to-end channel from input states to last-layer output states,
     propagated layer by layer (see ``_propagate``)."""
-    if net.input_width > max_width:
-        raise ValidationError(
-            f"input width {net.input_width} exceeds the exact-propagation cap {max_width}"
-        )
     m = None
     for layer in net.layers:
         m = _propagate(m, layer, net.xi, max_width)
@@ -201,9 +191,9 @@ def exact_io_mutual_information(
 ) -> float:
     """Exact I(input; output) of the network under input law p_x.
 
-    Composes the per-layer channels into one transition matrix and
-    evaluates the mutual information of the resulting joint; p_x defaults
-    to uniform over the 2^input_width states.
+    Propagates the input states layer by layer to the end-to-end channel
+    (``network_channel``) and evaluates the mutual information of the
+    resulting joint; p_x defaults to uniform over the 2^input_width states.
     """
     if p_x is None:
         p_x = Distribution.uniform(1 << net.input_width)
@@ -215,16 +205,18 @@ def exact_io_mutual_information(
     return mutual_information(joint(p_x, chan), base)
 
 
+def _widths(widths: Sequence[int]) -> tuple[int, ...]:
+    widths = tuple(count(w, "layer width") for w in widths)
+    count(len(widths), "number of layer widths")
+    return widths
+
+
 def information_decay_bound(widths: Sequence[int], xi: float, h_x: float) -> float:
     """Upper bound h_x * prod_l (1 - (4 xi - 4 xi^2)^(n_l)) on end-to-end
     mutual information through layers of the given widths."""
-    widths = tuple(int(w) for w in widths)
-    if not widths or any(w < 1 for w in widths):
-        raise ValidationError("layer widths must be a non-empty list of positive integers")
-    if not 0.0 <= xi < 0.5:
-        raise ValidationError(f"flip probability must be in [0, 0.5), got {xi:.9g}")
-    if not (math.isfinite(h_x) and h_x >= 0.0):
-        raise ValidationError(f"input entropy must be finite and non-negative, got {h_x:.9g}")
+    widths = _widths(widths)
+    xi = interval(xi, "flip probability", "[0, 0.5)")
+    h_x = interval(h_x, "input entropy", "[0, inf)")
     a = 4.0 * xi - 4.0 * xi**2
     factor = 1.0
     for w in widths:
@@ -238,9 +230,7 @@ def delta_capacity(delta: float) -> float:
     1 + delta log2 delta + (1 - delta) log2(1 - delta); equals 1 at
     delta = 0 and decreases to 0 as delta -> 1/2.
     """
-    if not 0.0 <= delta < 0.5:
-        raise ValidationError(f"reliability level must be in [0, 0.5), got {delta:.9g}")
-    if delta == 0.0:
+    if interval(delta, "reliability level", "[0, 0.5)") == 0.0:
         return 1.0
     return 1.0 + delta * math.log2(delta) + (1.0 - delta) * math.log2(1.0 - delta)
 
@@ -280,12 +270,9 @@ def min_neurons_lower_bound(xi: float, delta: float, layers: int) -> float:
     the last output neuron alone caps the information flow.  L = 1 has no
     hidden neurons: returns 0 when feasible (1 - a >= D), inf otherwise.
     """
-    if int(layers) != layers or layers < 1:
-        raise ValidationError(f"layer count must be a positive integer, got {layers}")
-    if not 0.0 <= xi < 0.5:
-        raise ValidationError(f"flip probability must be in [0, 0.5), got {xi:.9g}")
-    if not 0.0 < delta < 0.5:
-        raise ValidationError(f"reliability level must be in (0, 0.5), got {delta:.9g}")
+    layers = count(layers, "layer count")
+    xi = interval(xi, "flip probability", "[0, 0.5)")
+    delta = interval(delta, "reliability level", "(0, 0.5)")
     a = 4.0 * xi - 4.0 * xi**2
     if a == 0.0:
         return 0.0
@@ -308,11 +295,8 @@ class AmGmBound:
 
 def amgm_product_bound(a: float, widths: Sequence[int]) -> AmGmBound:
     """prod_l (1 - a^(n_l)) <= (1 - a^mean)^L, with equality for equal widths."""
-    if not 0.0 <= a <= 1.0:
-        raise ValidationError(f"base must be in [0, 1], got {a:.9g}")
-    widths = tuple(int(w) for w in widths)
-    if not widths or any(w < 1 for w in widths):
-        raise ValidationError("widths must be a non-empty list of positive integers")
+    a = interval(a, "base", "[0, 1]")
+    widths = _widths(widths)
     product = 1.0
     for w in widths:
         product *= 1.0 - a**w
@@ -325,10 +309,7 @@ def amgm_product_bound(a: float, widths: Sequence[int]) -> AmGmBound:
 def parity_size_complexity(n: int, d: int) -> float:
     """Gate-count lower bound (n/2)^(1/(2(d-1))) for depth-d threshold
     circuits computing the n-bit parity (Impagliazzo-Paturi-Saks)."""
-    if n < 2:
-        raise ValidationError(f"input count must be at least 2, got {n}")
-    if d < 2:
-        raise ValidationError(f"depth must be at least 2, got {d}")
+    n, d = count(n, "input count", 2), count(d, "depth", 2)
     return (n / 2.0) ** (1.0 / (2.0 * (d - 1)))
 
 
@@ -361,8 +342,7 @@ def optimal_depth_tradeoff(n: int, xi: float, delta: float, max_depth: int) -> D
     depths 2..max_depth and the one minimizing the max (ties go to the
     smaller depth).
     """
-    if max_depth < 2:
-        raise ValidationError(f"max depth must be at least 2, got {max_depth}")
+    max_depth = count(max_depth, "max depth", 2)
     results = []
     for d in range(2, max_depth + 1):
         omega = parity_size_complexity(n, d)
@@ -416,8 +396,7 @@ def monte_carlo_io_mi(
     decides its flip.  Counts accumulate into an empirical joint table,
     so the result is reproducible and order-independent.
     """
-    if trials < 1:
-        raise ValidationError("trial count must be at least 1")
+    trials = count(trials, "trial count")
     n_in = 1 << net.input_width
     if p_x is None:
         p_x = Distribution.uniform(n_in)
@@ -448,8 +427,7 @@ def monte_carlo_io_mi(
 
     px_hat = p_hat.sum(axis=1)
     py_hat = p_hat.sum(axis=0)
-    mi = _entropy_nats(px_hat) + _entropy_nats(py_hat) - _entropy_nats(p_hat.ravel())
-    mi = max(mi, 0.0)
+    mi = mutual_information(JointDistribution(p_hat))
     # Asymptotic (delta-method) variance of the plug-in estimate.
     nz = p_hat > 0.0
     log_ratio = np.zeros_like(p_hat)

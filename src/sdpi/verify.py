@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, count
 from .contraction import (
     DEGENERATE_MI,
     LayerNoiseSpec,
@@ -230,5 +230,5 @@ DEFAULT_BUDGETS = {
 def run_suite(name: str, seed: int = 0, budget: int | None = None) -> SuiteResult:
     if name not in SUITES:
         raise ValidationError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
-    samples = DEFAULT_BUDGETS[name] if budget is None else budget
+    samples = DEFAULT_BUDGETS[name] if budget is None else count(budget, "budget")
     return SUITES[name](samples, seed)

@@ -3,6 +3,7 @@
 import json
 import math
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -317,6 +318,12 @@ class TestFigureCommands:
         res = runner.invoke(main, ["fig", "2", "--gnuplot"])
         assert res.exit_code == 2
 
+    def test_gnuplot_without_out_writes_nothing(self, runner):
+        res = runner.invoke(main, ["fig", "2", "--points", "2", "--gnuplot"])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: --gnuplot requires --out")
+
 
 class TestDeterminism:
     def test_identical_invocations_identical_bytes(self, runner):
@@ -369,3 +376,70 @@ class TestVerifyCommand:
     def test_unknown_suite_exits_2(self, runner):
         res = runner.invoke(main, ["verify", "no-such-suite"])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_budget_without_samples_exits_2(self, runner, budget):
+        # Zero samples would report PASS having checked nothing.
+        res = runner.invoke(main, ["verify", "sdpi-fuzz", "--budget", budget])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+
+
+@pytest.mark.parametrize("n", ["inf", "-inf", "nan", "2.5", "1"])
+@pytest.mark.parametrize("command", [
+    ["nn", "tradeoff", "--xi", "0.37", "--delta", "0.4", "--max-depth", "6"],
+    ["fig", "6"],
+], ids=["nn-tradeoff", "fig-6"])
+def test_input_count_must_be_an_integer_of_at_least_2(runner, command, n):
+    res = runner.invoke(main, [*command, "--n", n])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.count("\n") == 1
+    assert "input count must be an integer" in res.stderr
+
+
+# One cheap valid invocation per leaf command with numeric options; the
+# sweep below replaces one option at a time with an edge value.
+SWEEP_BASE = {
+    "bound layer": "--n 3 --xi 0.1",
+    "nn bound": "--widths 3,2 --xi 0.1",
+    "nn min-neurons": "--xi 0.37 --delta 0.4 --layers 4",
+    "nn tradeoff": "--n 5e8 --xi 0.37 --delta 0.4 --max-depth 6",
+    "mem overhead": "--delta 0.4 --intervals 100 --xi 0.1",
+    "mem relax": "--n 9 --xi 0.3 --delta 0.4",
+    "mem reptime": "--n 9 --xi 0.3 --delta 0.4",
+    "mem simulate": "--n 3 --xi 0.1 --delta 0.2 --intervals 2 --trials 50",
+    "fig 2": "--points 3",
+    "fig 3": "--points 2",
+    "fig 5": "--points 2",
+    "fig 6": "",
+    "fig 8": "--t-max 3",
+    "verify": "layer-equality",
+}
+EDGE_VALUES = ["nan", "inf", "-inf", "-1", "0"]
+
+
+def _leaves(group, path=()):
+    for name, cmd in sorted(group.commands.items()):
+        if isinstance(cmd, click.Group):
+            yield from _leaves(cmd, path + (name,))
+        else:
+            yield " ".join(path + (name,)), cmd
+
+
+def _numeric_options():
+    for path, cmd in _leaves(main):
+        for param in cmd.params:
+            if isinstance(param, click.Option) and isinstance(
+                param.type, (click.types.IntParamType, click.types.FloatParamType)
+            ):
+                yield path, param.opts[0]
+
+
+@pytest.mark.parametrize("value", EDGE_VALUES)
+@pytest.mark.parametrize("path,option", list(_numeric_options()))
+def test_edge_values_never_escape_as_exceptions(runner, path, option, value):
+    args = [*path.split(), *SWEEP_BASE[path].split(), option, value]
+    res = runner.invoke(main, args)
+    assert res.exception is None or isinstance(res.exception, SystemExit), res.exception
+    assert res.exit_code in (0, 1, 2)

@@ -1,0 +1,118 @@
+"""The shared input checks and the parameter domains they guard."""
+
+import math
+
+import pytest
+
+from sdpi import (
+    Channel,
+    CorrelatedNoiseSpec,
+    Distribution,
+    LayerNoiseSpec,
+    MemorySpec,
+    SearchConfig,
+    ThresholdNeuron,
+    ValidationError,
+    catastrophic_prob_exact,
+    delta_capacity,
+    evans_schulman_raw,
+    information_decay_bound,
+    matched_noise_slope,
+    min_neurons_lower_bound,
+    optimal_depth_tradeoff,
+    overhead_lower_bound,
+    parity_size_complexity,
+    relaxation_upper_bound,
+    shared_noise_slope,
+    shared_noise_slope_factored,
+    simulate_memory,
+)
+from sdpi.errors import count, interval
+
+NAN, INF = math.nan, math.inf
+
+
+class TestInterval:
+    def test_returns_a_float(self):
+        got = interval(1, "x", "[0, 1]")
+        assert got == 1.0 and type(got) is float
+
+    def test_message_quotes_the_domain(self):
+        with pytest.raises(ValidationError, match=r"^flip probability must be in \[0, 0.5\), got 0.5$"):
+            interval(0.5, "flip probability", "[0, 0.5)")
+
+    @pytest.mark.parametrize("domain,inside,outside", [
+        ("[0, 0.5)", [0.0, 0.49], [0.5, -1e-300]),
+        ("(0, 0.5)", [1e-300, 0.25], [0.0, 0.5]),
+        ("[0, 1]", [0.0, 1.0], [1.0000001, -0.1]),
+    ])
+    def test_brackets_close_and_parentheses_open(self, domain, inside, outside):
+        for x in inside:
+            assert interval(x, "x", domain) == x
+        for x in outside:
+            with pytest.raises(ValidationError):
+                interval(x, "x", domain)
+
+    @pytest.mark.parametrize("x", [NAN, INF, -INF])
+    def test_non_finite_values_are_outside_every_domain(self, x):
+        with pytest.raises(ValidationError):
+            interval(x, "x", "(-inf, inf)")
+
+
+class TestCount:
+    def test_whole_floats_become_ints(self):
+        got = count(5e8, "n", 2)
+        assert got == 500_000_000 and type(got) is int
+
+    @pytest.mark.parametrize("value", [NAN, INF, -INF, 2.5, "3", None, 0, -1])
+    def test_rejects_non_integers_and_values_below_the_minimum(self, value):
+        with pytest.raises(ValidationError, match="must be an integer of at least 1"):
+            count(value, "n")
+
+    def test_maximum_is_inclusive(self):
+        assert count(4, "n", 2, 4) == 4
+        with pytest.raises(ValidationError, match=r"must be an integer in \[2, 4\], got 5"):
+            count(5, "n", 2, 4)
+
+
+def _spec(**kw):
+    return MemorySpec(**{"n": 5, "xi": 0.1, "delta": 0.3, "intervals": 5, **kw})
+
+
+@pytest.mark.parametrize("call", [
+    lambda: parity_size_complexity(NAN, 3),
+    lambda: parity_size_complexity(INF, 3),
+    lambda: evans_schulman_raw(0.5, NAN),
+    lambda: shared_noise_slope(0.3, NAN),
+    lambda: shared_noise_slope_factored(0.3, INF),
+    lambda: matched_noise_slope(NAN, 3),
+    lambda: LayerNoiseSpec(0.1, INF),
+    lambda: LayerNoiseSpec(NAN, 3),
+    lambda: CorrelatedNoiseSpec(0.01, 0.3, INF),
+    lambda: MemorySpec(INF, 0.1, 0.3, 5),
+    lambda: _spec(intervals=INF),
+    lambda: _spec(xi=NAN),
+    lambda: simulate_memory(_spec(), trials=INF, seed=0),
+    lambda: catastrophic_prob_exact(INF, 0.1),
+    lambda: overhead_lower_bound(0.3, INF, 0.1),
+    lambda: relaxation_upper_bound(INF, 0.1, 0.3),
+    lambda: delta_capacity(NAN),
+    lambda: information_decay_bound([3, INF], 0.1, 1.0),
+    lambda: min_neurons_lower_bound(0.1, 0.3, INF),
+    lambda: optimal_depth_tradeoff(INF, 0.37, 0.4, 6),
+    lambda: optimal_depth_tradeoff(5e8, 0.37, 0.4, INF),
+    lambda: Channel.bsc(NAN),
+    lambda: Distribution.uniform(INF),
+    lambda: SearchConfig(samples=INF),
+    lambda: ThresholdNeuron([1.0], INF),
+], ids=[
+    "parity-nan-n", "parity-inf-n", "evans-schulman-nan-n", "slope-nan-n", "slope-factored-inf-n",
+    "matched-slope-nan-xi", "layer-spec-inf-n", "layer-spec-nan-xi", "correlated-spec-inf-n",
+    "memory-spec-inf-n", "memory-spec-inf-intervals", "memory-spec-nan-xi", "simulate-inf-trials",
+    "tail-inf-n", "overhead-inf-intervals", "relax-inf-n", "capacity-nan-delta",
+    "decay-inf-width", "min-neurons-inf-layers", "tradeoff-inf-n", "tradeoff-inf-depth",
+    "bsc-nan", "uniform-inf", "search-inf-samples", "neuron-inf-bias",
+])
+def test_non_finite_inputs_raise_validation_error(call):
+    with pytest.raises(ValidationError):
+        call()

@@ -76,6 +76,27 @@ class TestConstruction:
         with pytest.raises(ValidationError, match="row 1"):
             Channel([[0.5, 0.5], [0.6, 0.3]])
 
+    @pytest.mark.parametrize("rows", [[[0.5, 0.5], [0.5, 0.5], [0.2, -0.01]],
+                                      [[0.5, 0.5], [0.5, 0.5], [np.nan, 1.0]],
+                                      [[0.5, 0.5], [0.5, 0.5], [0.5, 0.6], [np.inf, 0.0]]])
+    def test_channel_error_names_first_bad_row(self, rows):
+        with pytest.raises(ValidationError, match="^channel row 2 "):
+            Channel(rows)
+
+    def test_rows_match_the_one_row_at_a_time_reference(self):
+        # Each row is clipped at 0 and divided by its own sum, exactly as a
+        # Distribution of that row would be; a joint table is one law.
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            m = rng.standard_exponential(rng.integers(1, 30, size=2)) ** 3
+            m /= m.sum(axis=1, keepdims=True)
+            m += rng.normal(scale=1e-11, size=m.shape)
+            want = [np.maximum(row, 0.0) / np.maximum(row, 0.0).sum() for row in m]
+            np.testing.assert_array_equal(Channel(m).matrix, want)
+            t = m / m.sum()
+            flat = np.maximum(t, 0.0)
+            np.testing.assert_array_equal(JointDistribution(t).table, flat / flat.sum())
+
     def test_channel_shapes(self):
         c = Channel([[0.2, 0.8], [0.9, 0.1], [0.5, 0.5]])
         assert (c.n_inputs, c.m_outputs) == (3, 2)

@@ -1,10 +1,12 @@
 """Fault-tolerant memory bounds and the repetition-code simulator."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from sdpi import memory
 from sdpi import (
     InfeasibleError,
     MemorySpec,
@@ -179,12 +181,25 @@ class TestSimulation:
         for t in range(1, len(p)):
             assert p[t] <= p[t - 1] + 3 * max(stderr[t], stderr[t - 1])
 
-    def test_deterministic_and_chunk_independent(self):
+    def test_deterministic_and_chunk_independent(self, monkeypatch):
         spec = MemorySpec(n=5, xi=0.2, delta=0.3, intervals=8)
         a = simulate_memory(spec, trials=1000, seed=13)
-        b = simulate_memory(spec, trials=1000, seed=13, chunk=77)
+        # One trial holds 8 x 5 float64 uniforms: blocks of 77 trials.
+        monkeypatch.setattr(memory, "SIMULATION_BLOCK_BYTES", 77 * 8 * 5 * 8)
+        b = simulate_memory(spec, trials=1000, seed=13)
         np.testing.assert_array_equal(a.success_prob, b.success_prob)
         assert a.estimated_relaxation == b.estimated_relaxation
+
+    def test_block_memory_is_capped(self):
+        # 2000 trials of 200 x 25 uniforms would be 80 MB in one block.
+        spec = MemorySpec(n=25, xi=0.01, delta=0.4, intervals=200)
+        tracemalloc.start()
+        try:
+            simulate_memory(spec, trials=2000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * memory.SIMULATION_BLOCK_BYTES
 
     def test_csv_serialization(self):
         spec = MemorySpec(n=5, xi=0.2, delta=0.3, intervals=3)
