@@ -5,7 +5,8 @@ Commands registered with ``_command`` share --format text|json and
 Every CSV starts with a comment line carrying the canonical invocation
 and the seed, numbers are printed with 9 significant digits, and output
 bytes depend only on the command, flags, and seed.  Exit codes: 0 on
-success, 1 on domain infeasibility, 2 on input error.
+success, 1 on domain infeasibility, 2 on input error, 3 on an internal
+error (one ``error: internal:`` line on stderr, no traceback).
 """
 
 from __future__ import annotations
@@ -54,6 +55,12 @@ def _handle_errors(f):
         except (ValidationError, ValueError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
+        except (click.ClickException, click.exceptions.Exit, click.Abort):
+            raise
+        except Exception as exc:
+            # Any other failure is a defect of the program, not of the input.
+            click.echo(f"error: internal: {type(exc).__name__}: {exc}", err=True)
+            sys.exit(3)
 
     return wrapper
 

@@ -49,21 +49,33 @@ class ContractionBound:
 
 
 def contraction_bound(c: Channel) -> ContractionBound:
-    """Bhattacharyya pair bound on the contraction of mutual information.
+    """Bhattacharyya pair bound on the contraction of mutual information;
+    see ``pair_bound_batch``."""
+    eta, (k, l) = pair_bound_batch(c.matrix)
+    return ContractionBound(eta=float(eta), witness_pair=(int(k), int(l)))
 
-    Scans all unordered row pairs of the transition matrix, O(n^2 m);
-    ties are broken by the lexicographically smallest (k, l).
+
+def pair_bound_batch(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pair bound eta and witness (k, l) of each channel in a (..., n, m)
+    stack of row-stochastic matrices.
+
+    Scans all unordered row pairs, O(n^2 m) per channel; ties are broken
+    by the lexicographically smallest (k, l).  The witnesses come back
+    with shape (..., 2).
     """
-    if c.n_inputs < 2:
+    a = np.asarray(matrices, dtype=float)
+    n = a.shape[-2]
+    if n < 2:
         raise ValidationError("contraction bound needs at least 2 channel inputs")
-    s = np.sqrt(c.matrix)
-    gram = s @ s.T
-    n = c.n_inputs
-    upper = np.where(np.triu(np.ones((n, n), dtype=bool), k=1), gram, np.inf)
-    flat = int(np.argmin(upper))
-    k, l = divmod(flat, n)
-    eta = 1.0 - gram[k, l] ** 2
-    return ContractionBound(eta=float(min(max(eta, 0.0), 1.0)), witness_pair=(k, l))
+    s = np.sqrt(a)
+    gram = (s @ s.swapaxes(-1, -2)).reshape(*a.shape[:-2], n * n)
+    upper = np.where(np.triu(np.ones((n, n), dtype=bool), k=1).reshape(-1), gram, np.inf)
+    flat = np.argmin(upper, axis=-1)
+    best = np.take_along_axis(gram, flat[..., None], axis=-1)[..., 0]
+    # float_power squares with libm pow, as ``x ** 2`` on a float does;
+    # np.square can differ from it in the last bit.
+    eta = np.clip(1.0 - np.float_power(best, 2.0), 0.0, 1.0)
+    return eta, np.stack(np.divmod(flat, n), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -343,14 +355,21 @@ def empirical_contraction(c_yz: Channel, config: SearchConfig = SearchConfig()) 
     )
 
 
-def _interior_probs(p: Distribution) -> np.ndarray:
-    count(p.alphabet_size, "alphabet size of a Hessian operation", 2)
-    if p.probs.min() < INTERIOR_MIN:
+def _interior_probs(probs: np.ndarray, matrices: np.ndarray | None = None) -> np.ndarray:
+    """``probs``, a (..., n) stack of laws, if every law is interior and,
+    given ``matrices``, every channel has n inputs."""
+    count(probs.shape[-1], "alphabet size of a Hessian operation", 2)
+    if probs.min() < INTERIOR_MIN:
         raise ValidationError(
             f"distribution must be interior (min entry >= {INTERIOR_MIN:g}); "
             "degenerate entries correspond to a smaller alphabet"
         )
-    return p.probs
+    if matrices is not None and matrices.shape[-2] != probs.shape[-1]:
+        raise ValidationError(
+            f"distribution size {probs.shape[-1]} does not match channel inputs "
+            f"{matrices.shape[-2]}"
+        )
+    return probs
 
 
 def entropy_hessian(p: Distribution) -> np.ndarray:
@@ -359,10 +378,15 @@ def entropy_hessian(p: Distribution) -> np.ndarray:
     With p_n the dependent coordinate, the entries are -1/p_n off the
     diagonal and -(p_i + p_n)/(p_i p_n) on it; negative definite.
     """
-    probs = _interior_probs(p)
-    head, pn = probs[:-1], probs[-1]
-    h = np.full((head.size, head.size), -1.0 / pn)
-    np.fill_diagonal(h, -(head + pn) / (head * pn))
+    return _entropy_hessians(_interior_probs(p.probs))
+
+
+def _entropy_hessians(probs: np.ndarray) -> np.ndarray:
+    head, pn = probs[..., :-1], probs[..., -1:]
+    k = head.shape[-1]
+    h = np.broadcast_to((-1.0 / pn)[..., None], (*head.shape, k)).copy()
+    diagonal = np.arange(k)
+    h[..., diagonal, diagonal] = -(head + pn) / (head * pn)
     return h
 
 
@@ -370,43 +394,49 @@ def pushforward_entropy_hessian(c: Channel, p: Distribution) -> np.ndarray:
     """Hessian of p -> entropy(p @ A) in the same simplex coordinates.
 
     Entry (k, l) is -sum_j (a_kj - a_nj)(a_lj - a_nj) / (p @ A)_j; all-zero
-    output columns contribute nothing and are dropped.  Negative
-    semidefinite.
+    output columns contribute nothing.  Negative semidefinite.
     """
-    probs = _interior_probs(p)
-    if p.alphabet_size != c.n_inputs:
-        raise ValidationError(
-            f"distribution size {p.alphabet_size} does not match channel inputs {c.n_inputs}"
-        )
-    a = c.matrix
-    q = probs @ a
-    diff = a[:-1] - a[-1]
+    return _pushforward_hessians(c.matrix, _interior_probs(p.probs, c.matrix))
+
+
+def _pushforward_hessians(a: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    q = (probs[..., None, :] @ a)[..., 0, :]
+    diff = a[..., :-1, :] - a[..., -1:, :]
     dead = q <= 0.0
     if np.any(dead):
-        if np.any(np.abs(diff[:, dead]) > 0.0):
+        if np.any((diff != 0.0) & dead[..., None, :]):
             raise ValidationError("zero-probability output column with a nonzero row difference")
-        diff, q = diff[:, ~dead], q[~dead]
-    return -(diff / q) @ diff.T
+        q = np.where(dead, 1.0, q)
+    return -(diff / q[..., None, :]) @ diff.swapaxes(-1, -2)
 
 
 def rayleigh_supremum(c: Channel, p: Distribution) -> float:
-    """Largest generalized Rayleigh quotient of the two entropy Hessians.
+    """Largest generalized Rayleigh quotient of the two entropy Hessians;
+    see ``rayleigh_supremum_batch``."""
+    return float(rayleigh_supremum_batch(c.matrix, p.probs))
+
+
+def rayleigh_supremum_batch(matrices: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Rayleigh supremum of each channel in a (..., n, m) stack at the
+    matching interior law in a (..., n) stack.
 
     sup over nonzero coefficient vectors of (c' H_f c)/(c' H_g c), computed
     as the top eigenvalue of the symmetric-definite pencil (-H_f, -H_g)
     via Cholesky whitening; always within [0, 1] and at most the pair
     bound ``contraction_bound(c).eta``.
     """
-    h_f = pushforward_entropy_hessian(c, p)
-    h_g = entropy_hessian(p)
+    a = np.asarray(matrices, dtype=float)
+    probs = _interior_probs(np.asarray(probs, dtype=float), a)
+    h_f = _pushforward_hessians(a, probs)
+    h_g = _entropy_hessians(probs)
     try:
         low = np.linalg.cholesky(-h_g)
         # L^-1 (-H_f) L^-T: the pencil's eigenvalues as an ordinary symmetric problem.
         half = np.linalg.solve(low, -h_f)
-        top = np.linalg.eigvalsh(np.linalg.solve(low, half.T))[-1]
+        top = np.linalg.eigvalsh(np.linalg.solve(low, half.swapaxes(-1, -2)))[..., -1]
     except np.linalg.LinAlgError as exc:
         raise ValidationError(f"ill-conditioned Hessian pencil: {exc}") from None
-    return float(min(max(top, 0.0), 1.0))
+    return np.clip(top, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -425,52 +455,63 @@ class DecompositionReport:
     sum_residual: float
 
 
-def _square_terms(probs: np.ndarray, coeffs: np.ndarray) -> dict[tuple[int, int], float]:
-    n = probs.size
-    c_total = float(coeffs.sum())
-    out: dict[tuple[int, int], float] = {}
-    for s in range(1, n):
-        ps, cs = probs[s - 1], coeffs[s - 1]
-        for t in range(s + 1, n):
-            pt, ct = probs[t - 1], coeffs[t - 1]
-            out[(s, t)] = (sqrt(pt / ps) * cs - sqrt(ps / pt) * ct) ** 2
-        pn = probs[-1]
-        out[(s, n)] = (cs * (sqrt(ps / pn) + sqrt(pn / ps)) + sqrt(ps / pn) * (c_total - cs)) ** 2
-    return out
+def _square_terms(probs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Q_st for 1 <= s < t <= n in lexicographic (s, t) order, along the last axis."""
+    n = probs.shape[-1]
+    s, t = np.triu_indices(n, k=1)
+    ps, pt, pn, cs = probs[..., s], probs[..., t], probs[..., -1:], coeffs[..., s]
+    # The terms with t = n take the second form, which has no c_t.
+    ct = coeffs[..., np.minimum(t, n - 2)]
+    pair = np.sqrt(pt / ps) * cs - np.sqrt(ps / pt) * ct
+    root = np.sqrt(ps / pn)
+    to_last = cs * (root + np.sqrt(pn / ps)) + root * (coeffs.sum(axis=-1, keepdims=True) - cs)
+    # Squared with libm pow, as in pair_bound_batch.
+    return np.float_power(np.where(t == n - 1, to_last, pair), 2.0)
+
+
+def _quadratic_form(h: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    return (-coeffs[..., None, :] @ h @ coeffs[..., :, None])[..., 0, 0]
 
 
 def quadratic_decomposition_check(c: Channel, p: Distribution, coeffs) -> DecompositionReport:
-    """Verify the square-term decomposition behind the pair bound.
+    """Verify the square-term decomposition behind the pair bound; see
+    ``quadratic_decomposition_batch``."""
+    coeffs = np.asarray(coeffs, dtype=float).reshape(-1)
+    residuals = quadratic_decomposition_batch(c.matrix, p.probs, coeffs)
+    return DecompositionReport(*(float(r) for r in residuals))
+
+
+def quadratic_decomposition_batch(
+    matrices: np.ndarray, probs: np.ndarray, coeffs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Identity residual, smallest square term and sum residual (the
+    fields of ``DecompositionReport``) of each item of a (..., n, m) stack
+    of channels, a (..., n) stack of interior laws and a (..., n-1) stack
+    of coefficient vectors.
 
     For an interior p and coefficient vector c of length n-1, checks that
     Q_g(c) = Q_f(c) + sum_{s<t} Q_st(c) * sum_j a_sj a_tj / (p @ A)_j
     holds to float accuracy, where Q_g, Q_f are the negated Hessian
     quadratic forms and each Q_st is an explicit square.
     """
-    coeffs = np.asarray(coeffs, dtype=float).reshape(-1)
-    if coeffs.size != c.n_inputs - 1:
+    a = np.asarray(matrices, dtype=float)
+    coeffs = np.asarray(coeffs, dtype=float)
+    n = a.shape[-2]
+    if coeffs.shape[-1] != n - 1:
         raise ValidationError(
-            f"coefficient vector must have length {c.n_inputs - 1}, got {coeffs.size}"
+            f"coefficient vector must have length {n - 1}, got {coeffs.shape[-1]}"
         )
-    probs = _interior_probs(p)
-    if p.alphabet_size != c.n_inputs:
-        raise ValidationError(
-            f"distribution size {p.alphabet_size} does not match channel inputs {c.n_inputs}"
-        )
-    q_g = -coeffs @ entropy_hessian(p) @ coeffs
-    q_f = -coeffs @ pushforward_entropy_hessian(c, p) @ coeffs
+    probs = _interior_probs(np.asarray(probs, dtype=float), a)
+    q_g = _quadratic_form(_entropy_hessians(probs), coeffs)
+    q_f = _quadratic_form(_pushforward_hessians(a, probs), coeffs)
     squares = _square_terms(probs, coeffs)
 
-    a = c.matrix
-    col = probs @ a
+    s, t = np.triu_indices(n, k=1)
+    col = probs[..., None, :] @ a
     live = col > 0.0
-    weighted = 0.0
-    for (s, t), sq in squares.items():
-        w = float(np.sum(a[s - 1, live] * a[t - 1, live] / col[live]))
-        weighted += sq * w
-
-    return DecompositionReport(
-        identity_residual=abs(q_g - q_f - weighted),
-        min_square_term=min(squares.values()),
-        sum_residual=abs(q_g - sum(squares.values())),
-    )
+    w = np.where(live, a[..., s, :] * a[..., t, :] / np.where(live, col, 1.0), 0.0).sum(axis=-1)
+    # The residuals are round-off; summing one term at a time in (s, t)
+    # order fixes which round-off they report.
+    weighted = np.cumsum(squares * w, axis=-1)[..., -1]
+    total = np.cumsum(squares, axis=-1)[..., -1]
+    return np.abs(q_g - q_f - weighted), squares.min(axis=-1), np.abs(q_g - total)

@@ -179,17 +179,26 @@ def joint(d: Distribution, c: Channel) -> JointDistribution:
 
 
 def mutual_information(j: JointDistribution, base: LogBase = "nats") -> float:
-    """I(X;Y) = sum_xy p(x) p(y) phi(d), d = p(x,y) / (p(x) p(y)) - 1.
+    """I(X;Y) of a joint law; see ``mutual_information_batch``."""
+    return float(mutual_information_batch(j.table, base))
 
+
+def mutual_information_batch(tables: np.ndarray, base: LogBase = "nats") -> np.ndarray:
+    """I(X;Y) of each joint table in a (..., nx, ny) stack of valid joint laws.
+
+    I(X;Y) = sum_xy p(x) p(y) phi(d), d = p(x,y) / (p(x) p(y)) - 1, and
     phi(d) = (1 + d) log1p(d) - d is non-negative, and 1 on zero cells,
     so every term is >= 0 and a tiny I(X;Y) is not lost to cancellation
-    as it is in H(X) + H(Y) - H(X,Y).
+    as it is in H(X) + H(Y) - H(X,Y).  Each table's value is the same,
+    bit for bit, whatever the stack around it.
     """
-    t = j.table
-    px, py = t.sum(axis=1), t.sum(axis=0)
+    t = np.asarray(tables, dtype=float)
+    if t.ndim < 2:
+        raise ValidationError("joint tables must have at least 2 dimensions")
+    px, py = t.sum(axis=-1), t.sum(axis=-2)
     # Empty rows and columns have zero weight; dividing them by 1 keeps them finite.
-    ratio = t / np.where(px > 0.0, px, 1.0)[:, None]
-    ratio /= np.where(py > 0.0, py, 1.0)
+    ratio = t / np.where(px > 0.0, px, 1.0)[..., :, None]
+    ratio /= np.where(py > 0.0, py, 1.0)[..., None, :]
     # Worked in place, so ratio and phi are the only table-sized temporaries
     # alive together.  Zero cells come out as 0 * log(0) = nan; phi(-1) = 1.
     phi = np.subtract(ratio, 1.0)
@@ -200,7 +209,7 @@ def mutual_information(j: JointDistribution, base: LogBase = "nats") -> float:
     phi -= ratio
     del ratio
     phi[np.isnan(phi)] = 1.0
-    return _as_base(float(px @ phi @ py), base)
+    return _as_base((px[..., None, :] @ phi @ py[..., :, None])[..., 0, 0], base)
 
 
 def compose(c1: Channel, c2: Channel) -> Channel:

@@ -11,7 +11,6 @@ side up to a factor of 2 in the exponent.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -195,12 +194,3 @@ def simulate_memory(spec: MemorySpec, trials: int, seed: int) -> SimulationRepor
         success_prob=success, estimated_relaxation=estimated, trials=trials, seed=seed
     )
 
-
-def simulation_csv(report: SimulationReport, spec: MemorySpec) -> str:
-    """CSV with columns t, success_prob, stderr and a JSON header line."""
-    header = dict(spec.to_dict(), trials=report.trials, seed=report.seed)
-    lines = ["# " + json.dumps(header, sort_keys=True), "t,success_prob,stderr"]
-    errs = report.stderr()
-    for t, (p, se) in enumerate(zip(report.success_prob, errs), start=1):
-        lines.append(f"{t},{p:.9g},{se:.9g}")
-    return "\n".join(lines) + "\n"

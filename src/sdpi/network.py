@@ -302,7 +302,8 @@ def amgm_product_bound(a: float, widths: Sequence[int]) -> AmGmBound:
         product *= 1.0 - a**w
     mean = sum(widths) / len(widths)
     bound = (1.0 - a**mean) ** len(widths)
-    assert product <= bound + 1e-12
+    if not product <= bound + 1e-12:
+        raise ArithmeticError(f"AM-GM violated: product {product!r} exceeds bound {bound!r}")
     return AmGmBound(product=product, bound=bound, tight=len(set(widths)) == 1)
 
 

@@ -20,15 +20,21 @@ from .contraction import (
     contraction_bound,
     independent_layer_bound,
     independent_layer_channel,
-    quadratic_decomposition_check,
-    rayleigh_supremum,
+    pair_bound_batch,
+    quadratic_decomposition_batch,
+    rayleigh_supremum_batch,
 )
-from .info import Channel, Distribution, compose, joint, mutual_information
+from .info import _validated_rows, mutual_information_batch
 from .memory import relaxation_upper_bound, repetition_relaxation_time
 
 RATIO_SLACK = 1e-9
 RESIDUAL_TOL = 1e-9
 SQUARE_TOL = -1e-12
+
+# The randomized suites evaluate this many samples at a time, grouped by
+# alphabet shape; every sample keeps its own RNG stream and every
+# reduction is per sample, so no result depends on it.
+SAMPLE_BLOCK = 1024
 
 
 @dataclass
@@ -51,36 +57,87 @@ class SuiteResult:
         }
 
 
+def _shape_groups(samples: int, seed: int, draw, width: int):
+    """The samples' draws, ``SAMPLE_BLOCK`` samples at a time, grouped by
+    alphabet shape.
+
+    ``draw(seed, i)`` returns sample i's alphabet shape and its values, at
+    most ``width`` of them; yields (shape, sample indices, values) with one
+    row of values per sample of the group, padded to ``width``.  One
+    buffer holds a block's values.
+    """
+    values = np.empty((min(SAMPLE_BLOCK, samples), width))
+    for start in range(0, samples, SAMPLE_BLOCK):
+        groups: dict = {}
+        for j, i in enumerate(range(start, min(start + SAMPLE_BLOCK, samples))):
+            shape, row = draw(seed, i)
+            values[j, : row.size] = row
+            groups.setdefault(shape, []).append(j)
+        for shape, rows in groups.items():
+            yield shape, [start + j for j in rows], values[rows]
+
+
+def _simplex_rows(values: np.ndarray, size: int) -> np.ndarray:
+    """Each sample's exponentials, in runs of ``size``, as the flat-Dirichlet
+    rows ``_simplex_point`` makes of them: shape (samples, runs, size)."""
+    rows = values.reshape(len(values), -1, size)
+    return rows / rows.sum(axis=-1, keepdims=True)
+
+
+def _channels(matrices: np.ndarray) -> np.ndarray:
+    """A (samples, n, m) stack, each matrix validated as ``Channel`` does."""
+    g, n, m = matrices.shape
+    return _validated_rows(matrices.reshape(g * n, m), "channel row {}").reshape(g, n, m)
+
+
+def _joints(px: np.ndarray, channels: np.ndarray) -> np.ndarray:
+    """Joint tables px(x) c(y|x), each validated as ``JointDistribution`` does."""
+    tables = px[:, :, None] * channels
+    return _validated_rows(tables.reshape(len(tables), -1), "joint table").reshape(tables.shape)
+
+
+def _fuzz_draw(seed: int, i: int) -> tuple:
+    """Alphabet sizes (nx, ny, nz) of sample i, then the exponentials of
+    p_X, the nx rows of X -> Y and the ny rows of Y -> Z."""
+    rng = np.random.default_rng((seed, i))
+    nx, ny, nz = (int(k) for k in rng.integers(2, 5, size=3))
+    return (nx, ny, nz), rng.standard_exponential(nx + nx * ny + ny * nz)
+
+
 def sdpi_fuzz(samples: int = 10000, seed: int = 0) -> SuiteResult:
     """Random chains X -> Y -> Z: the MI ratio never exceeds the pair bound."""
     failures = []
     skipped = 0
     worst_excess = -np.inf
-    for i in range(samples):
-        rng = np.random.default_rng((seed, i))
-        nx, ny, nz = rng.integers(2, 5, size=3)
-        px = Distribution(_simplex_point(rng, nx))
-        c_xy = Channel(np.vstack([_simplex_point(rng, ny) for _ in range(nx)]))
-        c_yz = Channel(np.vstack([_simplex_point(rng, nz) for _ in range(ny)]))
-        i_xy = mutual_information(joint(px, c_xy))
-        if i_xy <= DEGENERATE_MI:
-            skipped += 1
+    # The largest draw has nx = ny = nz = 4.
+    for (nx, ny, nz), indices, values in _shape_groups(samples, seed, _fuzz_draw, 36):
+        px, xy, yz, _ = np.split(values, np.cumsum([nx, nx * ny, ny * nz]), axis=1)
+        px = _validated_rows(_simplex_rows(px, nx)[:, 0], "distribution")
+        c_xy = _channels(_simplex_rows(xy, ny))
+        c_yz = _channels(_simplex_rows(yz, nz))
+        i_xy = mutual_information_batch(_joints(px, c_xy))
+        live = i_xy > DEGENERATE_MI
+        skipped += len(indices) - int(live.sum())
+        if not live.any():
             continue
-        ratio = mutual_information(joint(px, compose(c_xy, c_yz))) / i_xy
-        eta = contraction_bound(c_yz).eta
+        px, c_xy, c_yz = px[live], c_xy[live], c_yz[live]
+        ratio = mutual_information_batch(_joints(px, _channels(c_xy @ c_yz))) / i_xy[live]
+        eta, _ = pair_bound_batch(c_yz)
         excess = ratio - eta
-        worst_excess = max(worst_excess, excess)
-        if excess > RATIO_SLACK:
+        worst_excess = max(worst_excess, float(excess.max()))
+        sample = np.array(indices)[live]
+        for j in np.flatnonzero(excess > RATIO_SLACK):
             failures.append(
                 {
-                    "sample": int(i),
-                    "ratio": ratio,
-                    "eta": eta,
-                    "px": px.probs.tolist(),
-                    "channel_xy": c_xy.matrix.tolist(),
-                    "channel_yz": c_yz.matrix.tolist(),
+                    "sample": int(sample[j]),
+                    "ratio": float(ratio[j]),
+                    "eta": float(eta[j]),
+                    "px": px[j].tolist(),
+                    "channel_xy": c_xy[j].tolist(),
+                    "channel_yz": c_yz[j].tolist(),
                 }
             )
+    failures.sort(key=lambda f: f["sample"])
     return SuiteResult(
         suite="sdpi-fuzz",
         passed=not failures,
@@ -89,6 +146,21 @@ def sdpi_fuzz(samples: int = 10000, seed: int = 0) -> SuiteResult:
         failures=failures,
         worst={"max_ratio_minus_eta": float(worst_excess)},
     )
+
+
+def _identity_draw(seed: int, i: int) -> tuple:
+    """Alphabet sizes (n, m) of sample i, then, in one array, the
+    exponentials of its channel rows, its interior law, its coefficients
+    and the exponentials of the row shared by its equal-rows channel."""
+    rng = np.random.default_rng((seed, i))
+    n = int(rng.integers(2, 7))
+    m = int(rng.integers(2, 7))
+    return (n, m), np.concatenate([
+        rng.standard_exponential(n * m),
+        _simplex_point(rng, n, min_entry=1e-4),
+        rng.normal(size=n - 1),
+        rng.standard_exponential(m),
+    ])
 
 
 def appendix_identity(samples: int = 1000, seed: int = 0) -> SuiteResult:
@@ -103,50 +175,45 @@ def appendix_identity(samples: int = 1000, seed: int = 0) -> SuiteResult:
     failures = []
     worst = {"identity_residual": 0.0, "sum_residual": 0.0, "min_square": np.inf,
              "rayleigh_minus_eta": -np.inf}
-    for i in range(samples):
-        rng = np.random.default_rng((seed, i))
-        n = int(rng.integers(2, 7))
-        m = int(rng.integers(2, 7))
-        chan = Channel(np.vstack([_simplex_point(rng, m) for _ in range(n)]))
-        p = Distribution(_simplex_point(rng, n, min_entry=1e-4))
-        coeffs = rng.normal(size=n - 1)
-        report = quadratic_decomposition_check(chan, p, coeffs)
+    # The largest draw has n = m = 6.
+    for (n, m), indices, values in _shape_groups(samples, seed, _identity_draw, 53):
+        rows, p, coeffs, flat_row, _ = np.split(values, np.cumsum([n * m, n, n - 1, m]), axis=1)
+        chan = _channels(_simplex_rows(rows, m))
+        p = _validated_rows(p, "distribution")
+        flat = _channels(np.repeat(_simplex_rows(flat_row, m), n, axis=1))
+        identity, min_square, sum_residual = quadratic_decomposition_batch(chan, p, coeffs)
+        flat_identity, _, flat_sum = quadratic_decomposition_batch(flat, p, coeffs)
+        sup = rayleigh_supremum_batch(chan, p)
+        eta, _ = pair_bound_batch(chan)
 
-        flat = Channel(np.tile(_simplex_point(rng, m), (n, 1)))
-        flat_report = quadratic_decomposition_check(flat, p, coeffs)
-
-        sup = rayleigh_supremum(chan, p)
-        eta = contraction_bound(chan).eta
-
-        worst["identity_residual"] = max(worst["identity_residual"], report.identity_residual)
-        worst["sum_residual"] = max(
-            worst["sum_residual"], report.sum_residual, flat_report.sum_residual
-        )
-        worst["min_square"] = min(worst["min_square"], report.min_square_term)
-        worst["rayleigh_minus_eta"] = max(worst["rayleigh_minus_eta"], sup - eta)
+        worst["identity_residual"] = max(worst["identity_residual"], identity.max())
+        worst["sum_residual"] = max(worst["sum_residual"], sum_residual.max(), flat_sum.max())
+        worst["min_square"] = min(worst["min_square"], min_square.min())
+        worst["rayleigh_minus_eta"] = max(worst["rayleigh_minus_eta"], (sup - eta).max())
 
         bad = (
-            report.identity_residual > RESIDUAL_TOL
-            or report.min_square_term < SQUARE_TOL
-            or report.sum_residual > RESIDUAL_TOL
-            or flat_report.identity_residual > RESIDUAL_TOL
-            or flat_report.sum_residual > RESIDUAL_TOL
-            or sup > eta + RATIO_SLACK
+            (identity > RESIDUAL_TOL)
+            | (min_square < SQUARE_TOL)
+            | (sum_residual > RESIDUAL_TOL)
+            | (flat_identity > RESIDUAL_TOL)
+            | (flat_sum > RESIDUAL_TOL)
+            | (sup > eta + RATIO_SLACK)
         )
-        if bad:
+        for j in np.flatnonzero(bad):
             failures.append(
                 {
-                    "sample": int(i),
-                    "identity_residual": report.identity_residual,
-                    "sum_residual": report.sum_residual,
-                    "min_square": report.min_square_term,
-                    "rayleigh": sup,
-                    "eta": eta,
-                    "channel": chan.matrix.tolist(),
-                    "p": p.probs.tolist(),
-                    "coeffs": coeffs.tolist(),
+                    "sample": indices[j],
+                    "identity_residual": float(identity[j]),
+                    "sum_residual": float(sum_residual[j]),
+                    "min_square": float(min_square[j]),
+                    "rayleigh": float(sup[j]),
+                    "eta": float(eta[j]),
+                    "channel": chan[j].tolist(),
+                    "p": p[j].tolist(),
+                    "coeffs": coeffs[j].tolist(),
                 }
             )
+    failures.sort(key=lambda f: f["sample"])
     worst = {k: float(v) for k, v in worst.items()}
     return SuiteResult(
         suite="appendix-identity",

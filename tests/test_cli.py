@@ -2,12 +2,17 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import sdpi
 from sdpi.cli import main
 
 
@@ -103,6 +108,21 @@ class TestBoundCommands:
         )
         assert res.exit_code == 0
         assert json.loads(res.stdout)["witness"] == [0, (1 << 20) - 1]
+
+    def test_internal_error_exits_3_with_one_line(self):
+        # The distance-class scan overflows a float at this width; whatever
+        # escapes the library is reported on one line, never as a traceback.
+        env = dict(os.environ, PYTHONPATH=str(Path(sdpi.__file__).parents[1]))
+        res = subprocess.run(
+            [sys.executable, "-m", "sdpi.cli", "bound", "layer", "--n", "1100",
+             "--xi1", "0.01", "--xi2", "0.3"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert res.returncode == 3
+        assert res.stdout == ""
+        assert res.stderr.count("\n") == 1
+        assert res.stderr.startswith("error: internal: OverflowError: ")
+        assert "Traceback" not in res.stderr
 
     def test_layer_flag_conflicts(self, runner):
         res = runner.invoke(main, ["bound", "layer", "--n", "3", "--xi1", "0.01"])

@@ -1,8 +1,12 @@
 """The shared input checks and the parameter domains they guard."""
 
+import ast
 import math
+from pathlib import Path
 
 import pytest
+
+import sdpi
 
 from sdpi import (
     Channel,
@@ -116,3 +120,14 @@ def _spec(**kw):
 def test_non_finite_inputs_raise_validation_error(call):
     with pytest.raises(ValidationError):
         call()
+
+
+def test_no_assert_statements_in_the_package():
+    # ``python -O`` strips assert statements, so a check made with one is no check.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(sdpi.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

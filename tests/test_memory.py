@@ -17,7 +17,6 @@ from sdpi import (
     relaxation_upper_bound,
     repetition_relaxation_time,
     simulate_memory,
-    simulation_csv,
 )
 
 
@@ -200,16 +199,6 @@ class TestSimulation:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * memory.SIMULATION_BLOCK_BYTES
-
-    def test_csv_serialization(self):
-        spec = MemorySpec(n=5, xi=0.2, delta=0.3, intervals=3)
-        report = simulate_memory(spec, trials=100, seed=1)
-        text = simulation_csv(report, spec)
-        lines = text.strip().split("\n")
-        assert lines[0].startswith("# {")
-        assert '"seed": 1' in lines[0]
-        assert lines[1] == "t,success_prob,stderr"
-        assert len(lines) == 2 + 3
 
     def test_spec_validation(self):
         with pytest.raises(ValidationError):
