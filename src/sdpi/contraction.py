@@ -260,6 +260,7 @@ class SearchConfig:
     def __post_init__(self):
         object.__setattr__(self, "alphabet_x", count(self.alphabet_x, "alphabet_x", 2, 4))
         object.__setattr__(self, "samples", count(self.samples, "sample count"))
+        object.__setattr__(self, "seed", count(self.seed, "seed", 0))
         object.__setattr__(self, "refine_steps", count(self.refine_steps, "refine step count", 0))
 
 

@@ -29,6 +29,9 @@ LOG_ZERO_CUTOFF = 1e-15
 # masking malformed input.
 NORMALIZE_TOLERANCE = 1e-9
 
+# Monte Carlo trials per RNG stream (see ``trial_blocks``).
+BLOCK = 1024
+
 _LN2 = float(np.log(2.0))
 
 LogBase = Literal["nats", "bits"]
@@ -241,6 +244,16 @@ def bits_state(bits) -> int:
     """Integer state of a little-endian bit vector."""
     b = np.asarray(bits, dtype=np.int64)
     return int(b @ (1 << np.arange(b.size)))
+
+
+def trial_blocks(total: int, seed: int):
+    """(start, stop, rng) per block: block b covers trials [b*BLOCK,
+    (b+1)*BLOCK) and draws from ``np.random.default_rng((seed, b))``, so a
+    Monte Carlo result depends only on the seed and the trial count, not on
+    evaluation order or on how a caller splits a block."""
+    seed = count(seed, "seed", minimum=0)
+    return ((start, min(start + BLOCK, total), np.random.default_rng((seed, start // BLOCK)))
+            for start in range(0, total, BLOCK))
 
 
 def load_channel(path) -> Channel:

@@ -17,9 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError, count, interval
+from .info import trial_blocks
 from .network import delta_capacity
 
-# Largest block of float64 uniforms that simulate_memory holds at once.
+# Largest chunk of int64 flip counts that simulate_memory holds at once.
 SIMULATION_BLOCK_BYTES = 8 << 20
 
 
@@ -164,29 +165,28 @@ def simulate_memory(spec: MemorySpec, trials: int, seed: int) -> SimulationRepor
     """Monte Carlo repetition-code memory: flip bits, refresh to majority.
 
     All bits carry the logical value after each refresh, so an interval
-    reduces to whether its flip count defeats the majority (even-n ties
-    count as flipping to the wrong codeword).  Trial i consumes an
-    (intervals x n) uniform block from its own RNG stream derived from
-    (seed, i); aggregation uses integer counts, so the result is exactly
-    reproducible and order-independent, whatever the block size: a block
-    holds as many trials' uniforms as fit in ``SIMULATION_BLOCK_BYTES``,
-    and at least one trial.  ``estimated_relaxation`` is the first
-    interval at which the success probability drops below 1 - delta, or
-    None if it never does.
+    reduces to whether its Binomial(n, xi) flip count defeats the majority
+    (even-n ties count as flipping to the wrong codeword).  The counts are
+    drawn row-major over (trial, interval), block b of ``BLOCK`` trials
+    from ``default_rng((seed, b))`` (``info.trial_blocks``), in chunks of at
+    most ``SIMULATION_BLOCK_BYTES`` (at least one trial) taken in turn from
+    the block's one generator; with integer aggregation the result is
+    exactly reproducible whatever the byte cap.  ``estimated_relaxation``
+    is the first interval at which the success probability drops below
+    1 - delta, or None if it never does.
     """
     trials = count(trials, "trial count")
-    steps, n = spec.intervals, spec.n
-    threshold = _majority_fail_threshold(n)
-    block = min(trials, max(1, SIMULATION_BLOCK_BYTES // (steps * n * 8)))
-    u = np.empty((block, steps, n))
+    steps = spec.intervals
+    threshold = _majority_fail_threshold(spec.n)
+    rows = max(1, SIMULATION_BLOCK_BYTES // (steps * 8))
     wrong_counts = np.zeros(steps, dtype=np.int64)
-    for start in range(0, trials, block):
-        size = min(block, trials - start)
-        for i in range(size):
-            u[i] = np.random.default_rng((seed, start + i)).random((steps, n))
-        catastrophic = (u[:size] < spec.xi).sum(axis=2) >= threshold
-        wrong = np.cumsum(catastrophic, axis=1) % 2
-        wrong_counts += wrong.sum(axis=0)
+    for start, stop, rng in trial_blocks(trials, seed):
+        for first in range(start, stop, rows):
+            counts = rng.binomial(spec.n, spec.xi, size=(min(rows, stop - first), steps))
+            # Parity of the catastrophic events so far, in the counts' own buffer.
+            np.cumsum(counts >= threshold, axis=1, out=counts)
+            counts %= 2
+            wrong_counts += counts.sum(axis=0)
     success = 1.0 - wrong_counts / trials
     below = np.nonzero(success < 1.0 - spec.delta)[0]
     estimated = int(below[0]) + 1 if below.size else None

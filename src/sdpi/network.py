@@ -26,6 +26,7 @@ from .info import (
     _as_base,
     joint,
     mutual_information,
+    trial_blocks,
 )
 
 # Exact propagation materializes 2^width states per layer; widths beyond
@@ -391,11 +392,12 @@ def monte_carlo_io_mi(
 ) -> MiEstimate:
     """Estimate I(input; output) by sampling noisy forward passes.
 
-    Each trial draws from its own RNG stream derived from (seed, trial
-    index): one uniform selects the input state from p_x, then one
-    uniform per neuron (layer by layer, neuron order within a layer)
-    decides its flip.  Counts accumulate into an empirical joint table,
-    so the result is reproducible and order-independent.
+    Each trial takes a row of uniforms, drawn row-major, block b of
+    ``BLOCK`` trials from ``default_rng((seed, b))`` (``info.trial_blocks``):
+    the first selects the input state from p_x, then one per neuron (layer
+    by layer, neuron order within a layer) decides its flip.  Counts
+    accumulate into an empirical joint table, so the result is
+    reproducible and order-independent.
     """
     trials = count(trials, "trial count")
     n_in = 1 << net.input_width
@@ -404,10 +406,9 @@ def monte_carlo_io_mi(
     if p_x.alphabet_size != n_in:
         raise ValidationError(f"input law has {p_x.alphabet_size} states, expected {n_in}")
 
-    total_neurons = sum(net.widths)
-    draws = np.empty((trials, 1 + total_neurons))
-    for i in range(trials):
-        draws[i] = np.random.default_rng((seed, i)).random(1 + total_neurons)
+    draws = np.empty((trials, 1 + sum(net.widths)))
+    for start, stop, rng in trial_blocks(trials, seed):
+        rng.random(out=draws[start:stop])
 
     cum = np.cumsum(p_x.probs)
     x_states = np.minimum(np.searchsorted(cum, draws[:, 0], side="right"), n_in - 1)

@@ -298,4 +298,4 @@ def run_suite(name: str, seed: int = 0, budget: int | None = None) -> SuiteResul
     if name not in SUITES:
         raise ValidationError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
     samples = DEFAULT_BUDGETS[name] if budget is None else count(budget, "budget")
-    return SUITES[name](samples, seed)
+    return SUITES[name](samples, count(seed, "seed", 0))

@@ -232,6 +232,16 @@ class TestMemoryCommands:
         assert header == ["t", "success_prob", "stderr"]
         assert len(data) == 4
 
+    @pytest.mark.parametrize("command", [
+        ["mem", "simulate", "--n", "5", "--xi", "0.2", "--delta", "0.3", "--intervals", "4"],
+        ["verify", "sdpi-fuzz", "--budget", "5"],
+    ], ids=["mem-simulate", "verify"])
+    def test_negative_seed_exits_2_naming_the_seed(self, runner, command):
+        res = runner.invoke(main, [*command, "--seed", "-1"])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr == "error: seed must be an integer of at least 0, got -1\n"
+
 
 class TestFigureCommands:
     def test_fig2_header_and_tightness(self, runner):

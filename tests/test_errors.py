@@ -32,6 +32,8 @@ from sdpi import (
     simulate_memory,
 )
 from sdpi.errors import count, interval
+from sdpi.network import monte_carlo_io_mi, random_network
+from sdpi.verify import run_suite
 
 NAN, INF = math.nan, math.inf
 
@@ -122,6 +124,18 @@ def test_non_finite_inputs_raise_validation_error(call):
         call()
 
 
+@pytest.mark.parametrize("seed", [-1, 2.5, NAN, "3"])
+@pytest.mark.parametrize("call", [
+    lambda seed: simulate_memory(_spec(), trials=10, seed=seed),
+    lambda seed: monte_carlo_io_mi(random_network(2, [2], 0.1), trials=10, seed=seed),
+    lambda seed: run_suite("sdpi-fuzz", seed=seed, budget=5),
+    lambda seed: SearchConfig(seed=seed),
+], ids=["simulate-memory", "monte-carlo-mi", "run-suite", "search-config"])
+def test_seed_must_be_a_non_negative_integer(call, seed):
+    with pytest.raises(ValidationError, match=r"^seed must be an integer of at least 0, got "):
+        call(seed)
+
+
 def test_no_assert_statements_in_the_package():
     # ``python -O`` strips assert statements, so a check made with one is no check.
     found = [
@@ -131,3 +145,27 @@ def test_no_assert_statements_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+# Functions that may build an RNG themselves.  Monte Carlo trials draw from
+# the block streams of ``info.trial_blocks``; one generator per trial costs
+# about 20 us, more than the draws it serves.
+RNG_CONSTRUCTION_ALLOWED = {
+    "info.trial_blocks",
+    "verify._fuzz_draw",
+    "verify._identity_draw",
+    "contraction.empirical_contraction",
+    "network.random_network",
+}
+
+
+def test_rng_streams_come_from_the_block_helper():
+    found = set()
+    for path in sorted(Path(sdpi.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            owner = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            for node in ast.walk(top):
+                if "default_rng" in (getattr(node, "attr", None), getattr(node, "id", None)):
+                    found.add(owner)
+    assert found <= RNG_CONSTRUCTION_ALLOWED
+    assert "info.trial_blocks" in found

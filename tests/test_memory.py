@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sdpi import memory
+from sdpi import info, memory
 from sdpi import (
     InfeasibleError,
     MemorySpec,
@@ -18,6 +18,20 @@ from sdpi import (
     repetition_relaxation_time,
     simulate_memory,
 )
+
+
+def reference_simulation(spec, trials, seed):
+    """The documented draw order, written out: trial block b (1024 trials)
+    draws from default_rng((seed, b)) the Binomial(n, xi) flip counts of its
+    trials row-major over (trial, interval); a trial decodes wrongly after t
+    intervals iff an odd number of them reached the majority threshold."""
+    counts = np.concatenate([
+        np.random.default_rng((seed, b)).binomial(
+            spec.n, spec.xi, size=(min(1024, trials - 1024 * b), spec.intervals))
+        for b in range(-(-trials // 1024))
+    ])
+    wrong = np.cumsum(counts >= (spec.n + 1) // 2, axis=1) % 2
+    return 1.0 - wrong.sum(axis=0) / trials
 
 
 def tail_oracle(n, xi):
@@ -188,6 +202,26 @@ class TestSimulation:
         b = simulate_memory(spec, trials=1000, seed=13)
         np.testing.assert_array_equal(a.success_prob, b.success_prob)
         assert a.estimated_relaxation == b.estimated_relaxation
+
+    @pytest.mark.parametrize("rows", [None, 385, 1])
+    def test_draws_follow_the_documented_stream(self, monkeypatch, rows):
+        # 2500 trials: two full blocks and a partial one.  385-row chunks
+        # split every block unevenly (1024 = 2 * 385 + 254, 452 = 385 + 67).
+        spec = MemorySpec(n=7, xi=0.25, delta=0.4, intervals=12)
+        assert info.BLOCK == 1024
+        if rows is not None:
+            monkeypatch.setattr(memory, "SIMULATION_BLOCK_BYTES", rows * 12 * 8)
+        got = simulate_memory(spec, trials=2500, seed=21)
+        np.testing.assert_array_equal(got.success_prob, reference_simulation(spec, 2500, 21))
+
+    def test_pooled_seeds_match_two_state_closed_form(self):
+        spec = MemorySpec(n=9, xi=0.3, delta=0.4, intervals=20)
+        trials, seeds = 5000, range(20)
+        pooled = np.mean([simulate_memory(spec, trials, seed).success_prob for seed in seeds], axis=0)
+        p_e = catastrophic_prob_exact(9, 0.3)
+        analytic = (1 + (1 - 2 * p_e) ** np.arange(1, 21)) / 2
+        stderr = np.sqrt(analytic * (1 - analytic) / (trials * len(seeds)))
+        assert np.all(np.abs(pooled - analytic) <= 4 * stderr)
 
     def test_block_memory_is_capped(self):
         # 2000 trials of 200 x 25 uniforms would be 80 MB in one block.
