@@ -12,8 +12,6 @@ from .info import (
     load_channel,
     load_distribution,
     mutual_information,
-    push_forward,
-    tensor,
 )
 from .contraction import (
     ContractionBound,
@@ -26,23 +24,18 @@ from .contraction import (
     correlated_layer_bound_leading,
     correlated_layer_channel,
     empirical_contraction,
-    entropy_hessian,
-    evans_schulman_bound,
     evans_schulman_raw,
     independent_layer_bound,
     independent_layer_channel,
     matched_noise_slope,
-    pushforward_entropy_hessian,
     quadratic_decomposition_check,
     rayleigh_supremum,
     shared_noise_ordering_holds,
     shared_noise_slope,
-    shared_noise_slope_factored,
 )
 from .network import (
     AmGmBound,
     DepthTradeoff,
-    FeasibilityResult,
     MiEstimate,
     NoisyNetwork,
     SizeBoundResult,
@@ -50,18 +43,15 @@ from .network import (
     amgm_product_bound,
     delta_capacity,
     exact_io_mutual_information,
-    feasibility_check,
     information_decay_bound,
     layer_channel,
     load_network,
     min_neurons_lower_bound,
     monte_carlo_io_mi,
     network_channel,
-    neuron_fire,
     optimal_depth_tradeoff,
     parity_size_complexity,
     random_network,
-    save_network,
 )
 from .memory import (
     MemorySpec,

@@ -21,7 +21,13 @@ from math import comb, sqrt
 import numpy as np
 
 from .errors import ValidationError, count, interval
-from .info import Channel, Distribution, compose, joint, mutual_information
+from .info import (
+    Channel,
+    Distribution,
+    _validated_rows,
+    mutual_information_batch,
+    trial_blocks,
+)
 
 # Hessian-based operations require p bounded away from the simplex
 # boundary; degenerate p corresponds to a smaller alphabet and callers
@@ -209,16 +215,6 @@ def shared_noise_slope(xi2: float, n: int) -> float:
     return 2.0 * ((4.0 * xi2**2 - 4.0 * xi2 + 2.0) ** n - (4.0 * xi2 - 4.0 * xi2**2) ** n)
 
 
-def shared_noise_slope_factored(xi2: float, n: int) -> float:
-    """Cross-check form 4(4 xi2^2 - 4 xi2 + 1) sum_i u^(n-i) v^(i-1) of the slope."""
-    xi2 = interval(xi2, "independent flip probability", "[0, 0.5]")
-    n = count(n, "layer width")
-    u = 4.0 * xi2**2 - 4.0 * xi2 + 2.0
-    v = 4.0 * xi2 - 4.0 * xi2**2
-    series = sum(u ** (n - i) * v ** (i - 1) for i in range(1, n + 1))
-    return 4.0 * (4.0 * xi2**2 - 4.0 * xi2 + 1.0) * series
-
-
 def matched_noise_slope(xi2: float, n: int) -> float:
     """Slope 4n(2 xi2 - 1)^2 (4 xi2 - 4 xi2^2)^(n-1) of the independent bound
     at the matched per-component noise level; never exceeds
@@ -242,10 +238,6 @@ def correlated_layer_bound_leading(spec: CorrelatedNoiseSpec) -> float:
 def evans_schulman_raw(eta_single: float, n: int) -> float:
     """Per-component accounting bound n * eta, unclamped (can exceed 1)."""
     return count(n, "component count") * interval(eta_single, "single-component eta", "[0, 1]")
-
-def evans_schulman_bound(eta_single: float, n: int) -> float:
-    """Evans-Schulman style bound min(n * eta, 1); an MI ratio cannot exceed 1."""
-    return min(evans_schulman_raw(eta_single, n), 1.0)
 
 
 @dataclass(frozen=True)
@@ -286,54 +278,71 @@ class EmpiricalContraction:
         }
 
 
-def _simplex_point(rng: np.random.Generator, size: int, min_entry: float = 0.0) -> np.ndarray:
-    # Independent exponentials normalized to sum 1 (flat Dirichlet):
-    # full-support coverage without boundary degeneracy.  Redrawn until
-    # every entry is at least min_entry.
-    while True:
-        v = rng.standard_exponential(size)
-        v /= v.sum()
-        if v.min() >= min_entry:
-            return v
+def _simplex_rows(values: np.ndarray, size: int) -> np.ndarray:
+    """Each sample's exponentials, in runs of ``size``, normalized to sum 1
+    (flat Dirichlet rows): shape (samples, runs, size)."""
+    rows = values.reshape(len(values), -1, size)
+    return rows / rows.sum(axis=-1, keepdims=True)
 
 
-def _chain_ratio(px: Distribution, cxy: Channel, cyz: Channel) -> float | None:
-    i_xy = mutual_information(joint(px, cxy))
-    if i_xy < DEGENERATE_MI:
-        return None
-    i_xz = mutual_information(joint(px, compose(cxy, cyz)))
-    return i_xz / i_xy
+def _channels(matrices: np.ndarray) -> np.ndarray:
+    """A (samples, n, m) stack, each matrix validated as ``Channel`` does."""
+    g, n, m = matrices.shape
+    return _validated_rows(matrices.reshape(g * n, m), "channel row {}").reshape(g, n, m)
+
+
+def _joints(px: np.ndarray, channels: np.ndarray) -> np.ndarray:
+    """Joint tables px(x) c(y|x), each validated as ``JointDistribution`` does."""
+    tables = px[:, :, None] * channels
+    return _validated_rows(tables.reshape(len(tables), -1), "joint table").reshape(tables.shape)
+
+
+def _chain_ratios(
+    px: np.ndarray, c_xy: np.ndarray, c_yz: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """I(X;Z)/I(X;Y) of each chain of a stack of validated laws (k, nx),
+    channels (k, nx, ny) and second channels (ny, nz) or (k, ny, nz), and
+    whether I(X;Y) exceeds ``DEGENERATE_MI``; the ratio is -inf where it
+    does not, since it is undefined there."""
+    i_xy = mutual_information_batch(_joints(px, c_xy))
+    live = i_xy > DEGENERATE_MI
+    i_xz = mutual_information_batch(_joints(px, _channels(c_xy @ c_yz)))
+    return np.where(live, i_xz / np.where(live, i_xy, 1.0), -np.inf), live
 
 
 def empirical_contraction(c_yz: Channel, config: SearchConfig = SearchConfig()) -> EmpiricalContraction:
     """Random search maximizing I(X;Z)/I(X;Y) over (p_X, X -> Y channel).
 
-    Samples each candidate from its own RNG stream derived from
-    (seed, sample index), so the reported maximum is order-independent
-    and re-running with the same seed reproduces the identical result.
-    Samples with I(X;Y) below ``DEGENERATE_MI`` have an undefined ratio
-    and are skipped.  The best candidate is optionally refined by seeded
-    coordinate perturbation.
+    The samples are drawn in the blocks of ``info.trial_blocks``: a block
+    of k samples makes one ``standard_exponential((k, nx + nx * ny))``
+    draw from its generator, and each row is p_X (its first nx entries)
+    and the nx rows of the X -> Y channel, each run normalized to sum 1.
+    So re-running with the same seed and sample count reproduces the
+    identical result.  Samples with I(X;Y) at most ``DEGENERATE_MI`` have
+    an undefined ratio and are skipped; on ties the first best sample
+    wins.  The best candidate is then optionally refined by coordinate
+    perturbation, drawn from the last block's generator.
     """
     nx, ny = config.alphabet_x, c_yz.n_inputs
     best_ratio = -1.0
     best_px = best_cxy = None
     used = 0
-    for i in range(config.samples):
-        rng = np.random.default_rng((config.seed, i))
-        px = Distribution(_simplex_point(rng, nx))
-        cxy = Channel(np.vstack([_simplex_point(rng, ny) for _ in range(nx)]))
-        ratio = _chain_ratio(px, cxy, c_yz)
-        if ratio is None:
-            continue
-        used += 1
-        if ratio > best_ratio:
-            best_ratio, best_px, best_cxy = ratio, px, cxy
+    for start, stop, rng in trial_blocks(config.samples, config.seed):
+        values = rng.standard_exponential((stop - start, nx + nx * ny))
+        px = _simplex_rows(values[:, :nx], nx)[:, 0]
+        cxy = _simplex_rows(values[:, nx:], ny)
+        laws = _validated_rows(px, "distribution")
+        ratio, live = _chain_ratios(laws, _channels(cxy), c_yz.matrix)
+        used += int(live.sum())
+        j = int(np.argmax(ratio))
+        # Distribution(px[j]) validates px[j] as laws[j] was; validating
+        # laws[j] again could move its last bits.
+        if ratio[j] > best_ratio:
+            best_ratio, best_px, best_cxy = float(ratio[j]), Distribution(px[j]), Channel(cxy[j])
 
     if best_px is None:
         return EmpiricalContraction(0.0, None, None, 0, config.seed)
 
-    rng = np.random.default_rng((config.seed, config.samples))
     scale = 0.5
     p, m = best_px.probs, best_cxy.matrix
     for _ in range(config.refine_steps):
@@ -341,9 +350,9 @@ def empirical_contraction(c_yz: Channel, config: SearchConfig = SearchConfig()) 
         m2 = np.abs(m + scale * rng.normal(size=m.shape) * m.mean(axis=1, keepdims=True))
         cand_px = Distribution(p2 / p2.sum())
         cand_cxy = Channel(m2 / m2.sum(axis=1, keepdims=True))
-        ratio = _chain_ratio(cand_px, cand_cxy, c_yz)
-        if ratio is not None and ratio > best_ratio:
-            best_ratio, best_px, best_cxy = ratio, cand_px, cand_cxy
+        ratio, _ = _chain_ratios(cand_px.probs[None], cand_cxy.matrix[None], c_yz.matrix)
+        if ratio[0] > best_ratio:
+            best_ratio, best_px, best_cxy = float(ratio[0]), cand_px, cand_cxy
             p, m = best_px.probs, best_cxy.matrix
         scale *= 0.99
 
@@ -373,15 +382,6 @@ def _interior_probs(probs: np.ndarray, matrices: np.ndarray | None = None) -> np
     return probs
 
 
-def entropy_hessian(p: Distribution) -> np.ndarray:
-    """Hessian of the entropy map in simplex coordinates (p_1 .. p_{n-1}).
-
-    With p_n the dependent coordinate, the entries are -1/p_n off the
-    diagonal and -(p_i + p_n)/(p_i p_n) on it; negative definite.
-    """
-    return _entropy_hessians(_interior_probs(p.probs))
-
-
 def _entropy_hessians(probs: np.ndarray) -> np.ndarray:
     head, pn = probs[..., :-1], probs[..., -1:]
     k = head.shape[-1]
@@ -389,15 +389,6 @@ def _entropy_hessians(probs: np.ndarray) -> np.ndarray:
     diagonal = np.arange(k)
     h[..., diagonal, diagonal] = -(head + pn) / (head * pn)
     return h
-
-
-def pushforward_entropy_hessian(c: Channel, p: Distribution) -> np.ndarray:
-    """Hessian of p -> entropy(p @ A) in the same simplex coordinates.
-
-    Entry (k, l) is -sum_j (a_kj - a_nj)(a_lj - a_nj) / (p @ A)_j; all-zero
-    output columns contribute nothing.  Negative semidefinite.
-    """
-    return _pushforward_hessians(c.matrix, _interior_probs(p.probs, c.matrix))
 
 
 def _pushforward_hessians(a: np.ndarray, probs: np.ndarray) -> np.ndarray:

@@ -163,15 +163,6 @@ def entropy(d: Distribution, base: LogBase = "nats") -> float:
     return _as_base(_entropy_nats(d.probs), base)
 
 
-def push_forward(d: Distribution, c: Channel) -> Distribution:
-    """Output law of channel c on input law d (row vector times matrix)."""
-    if d.alphabet_size != c.n_inputs:
-        raise ValidationError(
-            f"distribution size {d.alphabet_size} does not match channel inputs {c.n_inputs}"
-        )
-    return Distribution(d.probs @ c.matrix)
-
-
 def joint(d: Distribution, c: Channel) -> JointDistribution:
     """Joint law p(x, y) = d(x) * c(y | x)."""
     if d.alphabet_size != c.n_inputs:
@@ -223,27 +214,6 @@ def compose(c1: Channel, c2: Channel) -> Channel:
             f"second expects {c2.n_inputs} inputs"
         )
     return Channel(c1.matrix @ c2.matrix)
-
-
-def tensor(c1: Channel, c2: Channel) -> Channel:
-    """Product channel acting on pairs of independent symbols.
-
-    The symbol of c1 is the lower-order digit of the combined index, so
-    iterating ``tensor(acc, extra)`` keeps earlier factors in the low bits
-    (the little-endian state convention).
-    """
-    return Channel(np.kron(c2.matrix, c1.matrix))
-
-
-def state_bits(state: int, width: int) -> np.ndarray:
-    """Little-endian bit vector of an integer state."""
-    return (state >> np.arange(width)) & 1
-
-
-def bits_state(bits) -> int:
-    """Integer state of a little-endian bit vector."""
-    b = np.asarray(bits, dtype=np.int64)
-    return int(b @ (1 << np.arange(b.size)))
 
 
 def trial_blocks(total: int, seed: int):

@@ -54,14 +54,6 @@ class ThresholdNeuron:
         return int(self.weights.size)
 
 
-def neuron_fire(neuron: ThresholdNeuron, x) -> int:
-    """Pre-noise output sgn(w . x + bias), with sgn(0) = 1."""
-    bits = np.asarray(x, dtype=float).reshape(-1)
-    if bits.size != neuron.fan_in:
-        raise ValidationError(f"input has {bits.size} bits, neuron fan-in is {neuron.fan_in}")
-    return 1 if float(neuron.weights @ bits) + neuron.bias >= 0.0 else 0
-
-
 @dataclass(frozen=True, eq=False)
 class NoisyNetwork:
     """Simply layered network of threshold neurons with flip probability xi."""
@@ -115,10 +107,6 @@ class NoisyNetwork:
             return NoisyNetwork(layers=layers, xi=data["xi"], input_width=data["input_width"])
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed network description: missing {exc}") from None
-
-
-def save_network(net: NoisyNetwork, path) -> None:
-    Path(path).write_text(json.dumps(net.to_dict(), indent=2) + "\n")
 
 
 def load_network(path) -> NoisyNetwork:
@@ -234,33 +222,6 @@ def delta_capacity(delta: float) -> float:
     if interval(delta, "reliability level", "[0, 0.5)") == 0.0:
         return 1.0
     return 1.0 + delta * math.log2(delta) + (1.0 - delta) * math.log2(1.0 - delta)
-
-
-@dataclass(frozen=True)
-class FeasibilityResult:
-    feasible: bool
-    margin: float
-    lhs: float
-    threshold: float
-
-
-def feasibility_check(
-    widths: Sequence[int], xi: float, delta: float, feature_extractor: bool = False
-) -> FeasibilityResult:
-    """Whether the decay bound leaves enough information for delta-reliable output.
-
-    By default ``widths`` are the hidden-layer widths and the single
-    output neuron contributes a final (1 - (4 xi - 4 xi^2)) factor; with
-    ``feature_extractor`` the product runs over the given widths only
-    (noiseless read-out of the whole last layer).
-    """
-    threshold = delta_capacity(delta)
-    lhs = information_decay_bound(widths, xi, 1.0)
-    if not feature_extractor:
-        lhs *= 1.0 - (4.0 * xi - 4.0 * xi**2)
-    return FeasibilityResult(
-        feasible=lhs >= threshold, margin=lhs - threshold, lhs=lhs, threshold=threshold
-    )
 
 
 def min_neurons_lower_bound(xi: float, delta: float, layers: int) -> float:

@@ -1,6 +1,11 @@
 """Randomized verification suites behind the ``verify`` CLI command.
 
-Each suite draws its cases from per-index RNG streams, checks an
+Each randomized suite draws its cases in the blocks of
+``info.trial_blocks``: block b covers samples [b * BLOCK, (b + 1) * BLOCK)
+and draws from ``default_rng((seed, b))``, first every sample's alphabet
+sizes in one ``integers`` call, then one fixed-width array per kind of
+value, of which each sample uses the prefix its sizes need.  The samples
+are evaluated one stack per alphabet shape.  Each suite checks an
 inequality or identity the library guarantees, and reports pass/fail
 with counterexamples.  A failure here means a bug (or a float-tolerance
 breach), never a sampling artifact.
@@ -14,9 +19,10 @@ import numpy as np
 
 from .errors import ValidationError, count
 from .contraction import (
-    DEGENERATE_MI,
     LayerNoiseSpec,
-    _simplex_point,
+    _chain_ratios,
+    _channels,
+    _simplex_rows,
     contraction_bound,
     independent_layer_bound,
     independent_layer_channel,
@@ -24,17 +30,12 @@ from .contraction import (
     quadratic_decomposition_batch,
     rayleigh_supremum_batch,
 )
-from .info import _validated_rows, mutual_information_batch
+from .info import _validated_rows, trial_blocks
 from .memory import relaxation_upper_bound, repetition_relaxation_time
 
 RATIO_SLACK = 1e-9
 RESIDUAL_TOL = 1e-9
 SQUARE_TOL = -1e-12
-
-# The randomized suites evaluate this many samples at a time, grouped by
-# alphabet shape; every sample keeps its own RNG stream and every
-# reduction is per sample, so no result depends on it.
-SAMPLE_BLOCK = 1024
 
 
 @dataclass
@@ -57,86 +58,44 @@ class SuiteResult:
         }
 
 
-def _shape_groups(samples: int, seed: int, draw, width: int):
-    """The samples' draws, ``SAMPLE_BLOCK`` samples at a time, grouped by
-    alphabet shape.
-
-    ``draw(seed, i)`` returns sample i's alphabet shape and its values, at
-    most ``width`` of them; yields (shape, sample indices, values) with one
-    row of values per sample of the group, padded to ``width``.  One
-    buffer holds a block's values.
-    """
-    values = np.empty((min(SAMPLE_BLOCK, samples), width))
-    for start in range(0, samples, SAMPLE_BLOCK):
-        groups: dict = {}
-        for j, i in enumerate(range(start, min(start + SAMPLE_BLOCK, samples))):
-            shape, row = draw(seed, i)
-            values[j, : row.size] = row
-            groups.setdefault(shape, []).append(j)
-        for shape, rows in groups.items():
-            yield shape, [start + j for j in rows], values[rows]
-
-
-def _simplex_rows(values: np.ndarray, size: int) -> np.ndarray:
-    """Each sample's exponentials, in runs of ``size``, as the flat-Dirichlet
-    rows ``_simplex_point`` makes of them: shape (samples, runs, size)."""
-    rows = values.reshape(len(values), -1, size)
-    return rows / rows.sum(axis=-1, keepdims=True)
-
-
-def _channels(matrices: np.ndarray) -> np.ndarray:
-    """A (samples, n, m) stack, each matrix validated as ``Channel`` does."""
-    g, n, m = matrices.shape
-    return _validated_rows(matrices.reshape(g * n, m), "channel row {}").reshape(g, n, m)
-
-
-def _joints(px: np.ndarray, channels: np.ndarray) -> np.ndarray:
-    """Joint tables px(x) c(y|x), each validated as ``JointDistribution`` does."""
-    tables = px[:, :, None] * channels
-    return _validated_rows(tables.reshape(len(tables), -1), "joint table").reshape(tables.shape)
-
-
-def _fuzz_draw(seed: int, i: int) -> tuple:
-    """Alphabet sizes (nx, ny, nz) of sample i, then the exponentials of
-    p_X, the nx rows of X -> Y and the ny rows of Y -> Z."""
-    rng = np.random.default_rng((seed, i))
-    nx, ny, nz = (int(k) for k in rng.integers(2, 5, size=3))
-    return (nx, ny, nz), rng.standard_exponential(nx + nx * ny + ny * nz)
-
-
 def sdpi_fuzz(samples: int = 10000, seed: int = 0) -> SuiteResult:
-    """Random chains X -> Y -> Z: the MI ratio never exceeds the pair bound."""
+    """Random chains X -> Y -> Z: the MI ratio never exceeds the pair bound.
+
+    A block of k samples draws ``integers(2, 5, size=(k, 3))`` for the
+    alphabet sizes (nx, ny, nz), then ``standard_exponential((k, 36))``:
+    row i holds p_X, the nx rows of X -> Y and the ny rows of Y -> Z in
+    that order, each run normalized to sum 1.
+    """
     failures = []
     skipped = 0
     worst_excess = -np.inf
-    # The largest draw has nx = ny = nz = 4.
-    for (nx, ny, nz), indices, values in _shape_groups(samples, seed, _fuzz_draw, 36):
-        px, xy, yz, _ = np.split(values, np.cumsum([nx, nx * ny, ny * nz]), axis=1)
-        px = _validated_rows(_simplex_rows(px, nx)[:, 0], "distribution")
-        c_xy = _channels(_simplex_rows(xy, ny))
-        c_yz = _channels(_simplex_rows(yz, nz))
-        i_xy = mutual_information_batch(_joints(px, c_xy))
-        live = i_xy > DEGENERATE_MI
-        skipped += len(indices) - int(live.sum())
-        if not live.any():
-            continue
-        px, c_xy, c_yz = px[live], c_xy[live], c_yz[live]
-        ratio = mutual_information_batch(_joints(px, _channels(c_xy @ c_yz))) / i_xy[live]
-        eta, _ = pair_bound_batch(c_yz)
-        excess = ratio - eta
-        worst_excess = max(worst_excess, float(excess.max()))
-        sample = np.array(indices)[live]
-        for j in np.flatnonzero(excess > RATIO_SLACK):
-            failures.append(
-                {
-                    "sample": int(sample[j]),
-                    "ratio": float(ratio[j]),
-                    "eta": float(eta[j]),
-                    "px": px[j].tolist(),
-                    "channel_xy": c_xy[j].tolist(),
-                    "channel_yz": c_yz[j].tolist(),
-                }
-            )
+    for start, stop, rng in trial_blocks(samples, seed):
+        shapes = rng.integers(2, 5, size=(stop - start, 3))
+        # The largest draw has nx = ny = nz = 4.
+        values = rng.standard_exponential((stop - start, 36))
+        kinds, which = np.unique(shapes, axis=0, return_inverse=True)
+        for g, (nx, ny, nz) in enumerate(kinds):
+            rows = np.flatnonzero(which.reshape(-1) == g)
+            px, xy, yz, _ = np.split(values[rows], np.cumsum([nx, nx * ny, ny * nz]), axis=1)
+            px = _validated_rows(_simplex_rows(px, nx)[:, 0], "distribution")
+            c_xy = _channels(_simplex_rows(xy, ny))
+            c_yz = _channels(_simplex_rows(yz, nz))
+            ratio, live = _chain_ratios(px, c_xy, c_yz)
+            skipped += len(rows) - int(live.sum())
+            eta, _ = pair_bound_batch(c_yz)
+            excess = ratio - eta
+            worst_excess = max(worst_excess, float(excess.max()))
+            for j in np.flatnonzero(excess > RATIO_SLACK):
+                failures.append(
+                    {
+                        "sample": start + int(rows[j]),
+                        "ratio": float(ratio[j]),
+                        "eta": float(eta[j]),
+                        "px": px[j].tolist(),
+                        "channel_xy": c_xy[j].tolist(),
+                        "channel_yz": c_yz[j].tolist(),
+                    }
+                )
     failures.sort(key=lambda f: f["sample"])
     return SuiteResult(
         suite="sdpi-fuzz",
@@ -148,19 +107,20 @@ def sdpi_fuzz(samples: int = 10000, seed: int = 0) -> SuiteResult:
     )
 
 
-def _identity_draw(seed: int, i: int) -> tuple:
-    """Alphabet sizes (n, m) of sample i, then, in one array, the
-    exponentials of its channel rows, its interior law, its coefficients
-    and the exponentials of the row shared by its equal-rows channel."""
-    rng = np.random.default_rng((seed, i))
-    n = int(rng.integers(2, 7))
-    m = int(rng.integers(2, 7))
-    return (n, m), np.concatenate([
-        rng.standard_exponential(n * m),
-        _simplex_point(rng, n, min_entry=1e-4),
-        rng.normal(size=n - 1),
-        rng.standard_exponential(m),
-    ])
+def _interior_laws(rng: np.random.Generator, sizes: np.ndarray) -> np.ndarray:
+    """``standard_exponential((k, 6))`` whose row i, cut to its first
+    sizes[i] entries and normalized, has every entry at least 1e-4; the
+    rows that do not are redrawn together, in sample order, from the same
+    generator until none remain."""
+    used = np.arange(6) < sizes[:, None]
+    law = rng.standard_exponential(used.shape)
+    while True:
+        head = np.where(used, law, 0.0)
+        head /= head.sum(axis=1, keepdims=True)
+        low = np.flatnonzero(np.where(used, head, 1.0).min(axis=1) < 1e-4)
+        if not low.size:
+            return law
+        law[low] = rng.standard_exponential((low.size, 6))
 
 
 def appendix_identity(samples: int = 1000, seed: int = 0) -> SuiteResult:
@@ -170,49 +130,62 @@ def appendix_identity(samples: int = 1000, seed: int = 0) -> SuiteResult:
     simplex point, and a coefficient vector; checks the decomposition
     identity, the positivity of every square term, the channel-free
     split, the equal-rows special case, and that the Rayleigh supremum
-    stays below the pair bound.
+    stays below the pair bound.  A block of k samples draws
+    ``integers(2, 7, size=(k, 2))`` for the sizes (n, m), then the
+    channel rows ``standard_exponential((k, 36))``, the interior laws of
+    ``_interior_laws``, the coefficients ``normal(size=(k, 5))`` and the
+    row shared by the equal-rows channel ``standard_exponential((k, 6))``.
     """
     failures = []
     worst = {"identity_residual": 0.0, "sum_residual": 0.0, "min_square": np.inf,
              "rayleigh_minus_eta": -np.inf}
-    # The largest draw has n = m = 6.
-    for (n, m), indices, values in _shape_groups(samples, seed, _identity_draw, 53):
-        rows, p, coeffs, flat_row, _ = np.split(values, np.cumsum([n * m, n, n - 1, m]), axis=1)
-        chan = _channels(_simplex_rows(rows, m))
-        p = _validated_rows(p, "distribution")
-        flat = _channels(np.repeat(_simplex_rows(flat_row, m), n, axis=1))
-        identity, min_square, sum_residual = quadratic_decomposition_batch(chan, p, coeffs)
-        flat_identity, _, flat_sum = quadratic_decomposition_batch(flat, p, coeffs)
-        sup = rayleigh_supremum_batch(chan, p)
-        eta, _ = pair_bound_batch(chan)
+    for start, stop, rng in trial_blocks(samples, seed):
+        k = stop - start
+        shapes = rng.integers(2, 7, size=(k, 2))
+        # The largest draw has n = m = 6.
+        chan_rows = rng.standard_exponential((k, 36))
+        laws = _interior_laws(rng, shapes[:, 0])
+        all_coeffs = rng.normal(size=(k, 5))
+        flat_rows = rng.standard_exponential((k, 6))
+        kinds, which = np.unique(shapes, axis=0, return_inverse=True)
+        for g, (n, m) in enumerate(kinds):
+            rows = np.flatnonzero(which.reshape(-1) == g)
+            chan = _channels(_simplex_rows(chan_rows[rows, : n * m], m))
+            p = _validated_rows(_simplex_rows(laws[rows, :n], n)[:, 0], "distribution")
+            coeffs = all_coeffs[rows, : n - 1]
+            flat = _channels(np.repeat(_simplex_rows(flat_rows[rows, :m], m), n, axis=1))
+            identity, min_square, sum_residual = quadratic_decomposition_batch(chan, p, coeffs)
+            flat_identity, _, flat_sum = quadratic_decomposition_batch(flat, p, coeffs)
+            sup = rayleigh_supremum_batch(chan, p)
+            eta, _ = pair_bound_batch(chan)
 
-        worst["identity_residual"] = max(worst["identity_residual"], identity.max())
-        worst["sum_residual"] = max(worst["sum_residual"], sum_residual.max(), flat_sum.max())
-        worst["min_square"] = min(worst["min_square"], min_square.min())
-        worst["rayleigh_minus_eta"] = max(worst["rayleigh_minus_eta"], (sup - eta).max())
+            worst["identity_residual"] = max(worst["identity_residual"], identity.max())
+            worst["sum_residual"] = max(worst["sum_residual"], sum_residual.max(), flat_sum.max())
+            worst["min_square"] = min(worst["min_square"], min_square.min())
+            worst["rayleigh_minus_eta"] = max(worst["rayleigh_minus_eta"], (sup - eta).max())
 
-        bad = (
-            (identity > RESIDUAL_TOL)
-            | (min_square < SQUARE_TOL)
-            | (sum_residual > RESIDUAL_TOL)
-            | (flat_identity > RESIDUAL_TOL)
-            | (flat_sum > RESIDUAL_TOL)
-            | (sup > eta + RATIO_SLACK)
-        )
-        for j in np.flatnonzero(bad):
-            failures.append(
-                {
-                    "sample": indices[j],
-                    "identity_residual": float(identity[j]),
-                    "sum_residual": float(sum_residual[j]),
-                    "min_square": float(min_square[j]),
-                    "rayleigh": float(sup[j]),
-                    "eta": float(eta[j]),
-                    "channel": chan[j].tolist(),
-                    "p": p[j].tolist(),
-                    "coeffs": coeffs[j].tolist(),
-                }
+            bad = (
+                (identity > RESIDUAL_TOL)
+                | (min_square < SQUARE_TOL)
+                | (sum_residual > RESIDUAL_TOL)
+                | (flat_identity > RESIDUAL_TOL)
+                | (flat_sum > RESIDUAL_TOL)
+                | (sup > eta + RATIO_SLACK)
             )
+            for j in np.flatnonzero(bad):
+                failures.append(
+                    {
+                        "sample": start + int(rows[j]),
+                        "identity_residual": float(identity[j]),
+                        "sum_residual": float(sum_residual[j]),
+                        "min_square": float(min_square[j]),
+                        "rayleigh": float(sup[j]),
+                        "eta": float(eta[j]),
+                        "channel": chan[j].tolist(),
+                        "p": p[j].tolist(),
+                        "coeffs": coeffs[j].tolist(),
+                    }
+                )
     failures.sort(key=lambda f: f["sample"])
     worst = {k: float(v) for k, v in worst.items()}
     return SuiteResult(

@@ -12,13 +12,14 @@ from sdpi import (
     Distribution,
     JointDistribution,
     contraction_bound,
-    entropy_hessian,
     mutual_information,
-    pushforward_entropy_hessian,
     quadratic_decomposition_check,
     rayleigh_supremum,
 )
 from sdpi.contraction import (
+    _entropy_hessians,
+    _interior_probs,
+    _pushforward_hessians,
     pair_bound_batch,
     quadratic_decomposition_batch,
     rayleigh_supremum_batch,
@@ -133,8 +134,8 @@ def reference_residuals(c, p, coeffs):
         pn = probs[-1]
         squares[(s, n)] = (cs * (sqrt(ps / pn) + sqrt(pn / ps))
                            + sqrt(ps / pn) * (float(coeffs.sum()) - cs)) ** 2
-    q_g = -coeffs @ entropy_hessian(p) @ coeffs
-    q_f = -coeffs @ pushforward_entropy_hessian(c, p) @ coeffs
+    q_g = -coeffs @ _entropy_hessians(_interior_probs(probs)) @ coeffs
+    q_f = -coeffs @ _pushforward_hessians(c.matrix, _interior_probs(probs, c.matrix)) @ coeffs
     a = c.matrix
     col = probs @ a
     live = col > 0.0

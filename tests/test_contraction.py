@@ -18,21 +18,18 @@ from sdpi import (
     correlated_layer_bound_leading,
     correlated_layer_channel,
     empirical_contraction,
-    entropy_hessian,
-    evans_schulman_bound,
     evans_schulman_raw,
     independent_layer_bound,
     independent_layer_channel,
     joint,
     matched_noise_slope,
     mutual_information,
-    pushforward_entropy_hessian,
     quadratic_decomposition_check,
     rayleigh_supremum,
     shared_noise_ordering_holds,
     shared_noise_slope,
-    shared_noise_slope_factored,
 )
+from sdpi.contraction import _entropy_hessians, _interior_probs, _pushforward_hessians
 
 
 def random_channel(rng, n, m):
@@ -195,10 +192,17 @@ class TestSlopes:
         assert expected == pytest.approx(1.829184, abs=1e-6)
 
     def test_factored_form_agrees(self):
+        # Cross-check form 4(4 xi2^2 - 4 xi2 + 1) sum_i u^(n-i) v^(i-1).
+        def factored(xi2, n):
+            u = 4.0 * xi2**2 - 4.0 * xi2 + 2.0
+            v = 4.0 * xi2 - 4.0 * xi2**2
+            series = sum(u ** (n - i) * v ** (i - 1) for i in range(1, n + 1))
+            return 4.0 * (4.0 * xi2**2 - 4.0 * xi2 + 1.0) * series
+
         for xi2 in np.arange(0.0, 0.501, 0.05):
             for n in range(1, 9):
                 assert shared_noise_slope(xi2, n) == pytest.approx(
-                    shared_noise_slope_factored(xi2, n), rel=1e-12, abs=1e-12
+                    factored(xi2, n), rel=1e-12, abs=1e-12
                 )
 
     def test_vanishes_at_half(self):
@@ -219,15 +223,16 @@ class TestSlopes:
 
 class TestEvansSchulman:
     def test_zero_eta(self):
-        assert evans_schulman_bound(0.0, 7) == 0.0
+        assert evans_schulman_raw(0.0, 7) == 0.0
 
     def test_quarter_noise_three_components(self):
         eta = 1 - (4 * 0.25 - 4 * 0.25**2)
         assert eta == pytest.approx(0.25, abs=1e-15)
-        assert evans_schulman_bound(eta, 3) == pytest.approx(0.75, abs=1e-15)
+        assert evans_schulman_raw(eta, 3) == pytest.approx(0.75, abs=1e-15)
 
     def test_clamped_at_one_raw_is_not(self):
-        assert evans_schulman_bound(0.9, 3) == 1.0
+        # A ratio bound above 1 is vacuous; fig 2 plots the raw n * eta
+        # unclamped, so callers clamp at 1 themselves.
         assert evans_schulman_raw(0.9, 3) == pytest.approx(2.7, abs=1e-15)
 
     def test_always_dominates_layer_form(self):
@@ -238,7 +243,7 @@ class TestEvansSchulman:
 
 class TestHessians:
     def test_entropy_hessian_scalar_case(self):
-        h = entropy_hessian(Distribution((0.5, 0.5)))
+        h = _entropy_hessians(_interior_probs(Distribution((0.5, 0.5)).probs))
         assert h.shape == (1, 1)
         assert h[0, 0] == pytest.approx(-4.0, abs=1e-12)
 
@@ -246,19 +251,20 @@ class TestHessians:
         rng = np.random.default_rng(12)
         for _ in range(20):
             p = interior_distribution(rng, int(rng.integers(2, 7)))
-            h = entropy_hessian(p)
+            h = _entropy_hessians(_interior_probs(p.probs))
             np.testing.assert_allclose(h, h.T, atol=0)
             c = rng.normal(size=h.shape[0])
             assert c @ h @ c < 0
 
     def test_boundary_rejected(self):
         with pytest.raises(ValidationError):
-            entropy_hessian(Distribution((1.0, 0.0)))
+            _interior_probs(Distribution((1.0, 0.0)).probs)
 
     def test_pushforward_hessian_constant_rows_is_zero(self):
         flat = Channel(np.tile([0.2, 0.3, 0.5], (3, 1)))
         p = Distribution((0.2, 0.3, 0.5))
-        np.testing.assert_allclose(pushforward_entropy_hessian(flat, p), 0.0, atol=1e-15)
+        h = _pushforward_hessians(flat.matrix, _interior_probs(p.probs, flat.matrix))
+        np.testing.assert_allclose(h, 0.0, atol=1e-15)
 
     def test_pushforward_hessian_identity_channel_matches_entropy(self):
         rng = np.random.default_rng(13)
@@ -266,8 +272,8 @@ class TestHessians:
             n = int(rng.integers(2, 6))
             p = interior_distribution(rng, n)
             np.testing.assert_allclose(
-                pushforward_entropy_hessian(Channel.identity(n), p),
-                entropy_hessian(p),
+                _pushforward_hessians(np.eye(n), _interior_probs(p.probs, np.eye(n))),
+                _entropy_hessians(_interior_probs(p.probs)),
                 atol=1e-9,
             )
 
@@ -278,7 +284,8 @@ class TestHessians:
             c = random_channel(rng, n, m)
             p = interior_distribution(rng, n)
             coeffs = rng.normal(size=n - 1)
-            assert coeffs @ pushforward_entropy_hessian(c, p) @ coeffs <= 1e-12
+            h = _pushforward_hessians(c.matrix, _interior_probs(p.probs, c.matrix))
+            assert coeffs @ h @ coeffs <= 1e-12
 
 
 class TestRayleigh:

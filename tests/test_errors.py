@@ -28,7 +28,6 @@ from sdpi import (
     parity_size_complexity,
     relaxation_upper_bound,
     shared_noise_slope,
-    shared_noise_slope_factored,
     simulate_memory,
 )
 from sdpi.errors import count, interval
@@ -90,7 +89,6 @@ def _spec(**kw):
     lambda: parity_size_complexity(INF, 3),
     lambda: evans_schulman_raw(0.5, NAN),
     lambda: shared_noise_slope(0.3, NAN),
-    lambda: shared_noise_slope_factored(0.3, INF),
     lambda: matched_noise_slope(NAN, 3),
     lambda: LayerNoiseSpec(0.1, INF),
     lambda: LayerNoiseSpec(NAN, 3),
@@ -112,8 +110,8 @@ def _spec(**kw):
     lambda: SearchConfig(samples=INF),
     lambda: ThresholdNeuron([1.0], INF),
 ], ids=[
-    "parity-nan-n", "parity-inf-n", "evans-schulman-nan-n", "slope-nan-n", "slope-factored-inf-n",
-    "matched-slope-nan-xi", "layer-spec-inf-n", "layer-spec-nan-xi", "correlated-spec-inf-n",
+    "parity-nan-n", "parity-inf-n", "evans-schulman-nan-n", "slope-nan-n", "matched-slope-nan-xi",
+    "layer-spec-inf-n", "layer-spec-nan-xi", "correlated-spec-inf-n",
     "memory-spec-inf-n", "memory-spec-inf-intervals", "memory-spec-nan-xi", "simulate-inf-trials",
     "tail-inf-n", "overhead-inf-intervals", "relax-inf-n", "capacity-nan-delta",
     "decay-inf-width", "min-neurons-inf-layers", "tradeoff-inf-n", "tradeoff-inf-depth",
@@ -150,13 +148,7 @@ def test_no_assert_statements_in_the_package():
 # Functions that may build an RNG themselves.  Monte Carlo trials draw from
 # the block streams of ``info.trial_blocks``; one generator per trial costs
 # about 20 us, more than the draws it serves.
-RNG_CONSTRUCTION_ALLOWED = {
-    "info.trial_blocks",
-    "verify._fuzz_draw",
-    "verify._identity_draw",
-    "contraction.empirical_contraction",
-    "network.random_network",
-}
+RNG_CONSTRUCTION_ALLOWED = {"info.trial_blocks", "network.random_network"}
 
 
 def test_rng_streams_come_from_the_block_helper():

@@ -9,17 +9,37 @@ from sdpi import (
     Channel,
     Distribution,
     JointDistribution,
+    LayerNoiseSpec,
+    ThresholdNeuron,
     ValidationError,
     compose,
     entropy,
+    independent_layer_channel,
     joint,
+    layer_channel,
     load_channel,
     load_distribution,
     mutual_information,
-    push_forward,
-    tensor,
 )
-from sdpi.info import bits_state, state_bits
+
+
+def push_forward(d, c):
+    """Output law of channel c on input law d: the Y marginal of the joint."""
+    return joint(d, c).marginal_y
+
+
+def flip_layer(xi, n):
+    return independent_layer_channel(LayerNoiseSpec(xi=xi, n=n))
+
+
+def copy_of(bit, width=2):
+    """Threshold neuron that fires when input bit ``bit`` is 1."""
+    return ThresholdNeuron(2.0 * np.eye(width)[bit], -1.0)
+
+
+def negate_of(bit, width=2):
+    """Threshold neuron that fires when input bit ``bit`` is 0."""
+    return ThresholdNeuron(-2.0 * np.eye(width)[bit], 1.0)
 
 
 def binary_entropy_bits(p):
@@ -226,40 +246,38 @@ class TestComposeTensor:
         with pytest.raises(ValidationError):
             compose(Channel.bsc(0.1), Channel.identity(3))
 
+    # A layer of n independent flips is the n-fold tensor power of bsc(xi).
     def test_tensor_identities(self):
-        got = tensor(Channel.identity(2), Channel.identity(2))
-        np.testing.assert_allclose(got.matrix, np.eye(4), atol=1e-15)
+        np.testing.assert_allclose(flip_layer(0.0, 2).matrix, np.eye(4), atol=1e-15)
 
     def test_tensor_bsc_independence(self):
-        got = tensor(Channel.bsc(0.1), Channel.bsc(0.1))
+        got = flip_layer(0.1, 2)
         assert got.matrix[0, 3] == pytest.approx(0.01, abs=1e-15)
         assert got.matrix[0, 0] == pytest.approx(0.81, abs=1e-15)
 
     def test_tensor_stay_probability(self):
-        c = Channel.bsc(0.1)
-        acc = c
-        for _ in range(3):
-            acc = tensor(acc, c)
-        assert acc.matrix[0, 0] == pytest.approx(0.9**4, abs=1e-12)
+        assert flip_layer(0.1, 4).matrix[0, 0] == pytest.approx(0.9**4, abs=1e-12)
 
     def test_tensor_first_factor_is_low_bit(self):
-        flip = Channel([[0.0, 1.0], [1.0, 0.0]])
-        got = tensor(flip, Channel.identity(2))
+        # Neuron i of a layer is bit i of its output state.
+        got = layer_channel((negate_of(0), copy_of(1)), xi=0.0)
         # input state 0 = (bit0=0, bit1=0) -> bit0 flips -> state 1
         assert got.matrix[0, 1] == 1.0
-        got = tensor(Channel.identity(2), flip)
+        got = layer_channel((copy_of(0), negate_of(1)), xi=0.0)
         # now the flip acts on bit1 -> state 2
         assert got.matrix[0, 2] == 1.0
 
 
 class TestStateIndexing:
+    # Bit i of a state is binary digit i of its index (neuron i of a layer).
     def test_round_trip(self):
-        for state in range(16):
-            assert bits_state(state_bits(state, 4)) == state
+        copier = tuple(copy_of(i, 4) for i in range(4))
+        np.testing.assert_array_equal(layer_channel(copier, xi=0.0).matrix, np.eye(16))
 
     def test_little_endian(self):
-        np.testing.assert_array_equal(state_bits(1, 3), [1, 0, 0])
-        np.testing.assert_array_equal(state_bits(4, 3), [0, 0, 1])
+        reads_bit_0 = layer_channel((copy_of(0, 3),), xi=0.0).matrix
+        assert reads_bit_0[1, 1] == 1.0  # state 1 = bits (1, 0, 0)
+        assert reads_bit_0[4, 0] == 1.0  # state 4 = bits (0, 0, 1)
 
 
 class TestLoaders:

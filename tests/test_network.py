@@ -1,5 +1,6 @@
 """Noisy threshold networks: exact information, decay bounds, size bounds."""
 
+import json
 import math
 
 import numpy as np
@@ -17,7 +18,6 @@ from sdpi import (
     delta_capacity,
     entropy,
     exact_io_mutual_information,
-    feasibility_check,
     independent_layer_channel,
     information_decay_bound,
     layer_channel,
@@ -25,11 +25,9 @@ from sdpi import (
     min_neurons_lower_bound,
     monte_carlo_io_mi,
     network_channel,
-    neuron_fire,
     optimal_depth_tradeoff,
     parity_size_complexity,
     random_network,
-    save_network,
 )
 
 
@@ -41,20 +39,27 @@ def copier_layer(width):
     )
 
 
+def neuron_fire(neuron, x):
+    """Pre-noise output sgn(w . x + bias), with sgn(0) = 1."""
+    return 1 if float(neuron.weights @ np.asarray(x, dtype=float)) + neuron.bias >= 0.0 else 0
+
+
 class TestNeuronFire:
+    # Noiseless one-neuron layers: row s of the channel is the point mass
+    # on the neuron's output for input state s (little-endian bits).
     def test_and_gate(self):
         gate = ThresholdNeuron(weights=[1.0, 1.0], bias=-1.5)
-        assert neuron_fire(gate, [1, 1]) == 1
-        assert neuron_fire(gate, [1, 0]) == 0
-        assert neuron_fire(gate, [0, 0]) == 0
+        fired = layer_channel((gate,), xi=0.0).matrix.argmax(axis=1)
+        np.testing.assert_array_equal(fired, [0, 0, 0, 1])
 
     def test_zero_activation_fires(self):
         gate = ThresholdNeuron(weights=[1.0, 1.0], bias=0.0)
-        assert neuron_fire(gate, [0, 0]) == 1
+        assert layer_channel((gate,), xi=0.0).matrix[0, 1] == 1.0
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValidationError):
-            neuron_fire(ThresholdNeuron(weights=[1.0], bias=0.0), [1, 0])
+        mixed = (ThresholdNeuron(weights=[1.0], bias=0.0), ThresholdNeuron([1.0, 1.0], 0.0))
+        with pytest.raises(ValidationError, match="share the same fan-in"):
+            layer_channel(mixed, xi=0.0)
 
 
 class TestLayerChannel:
@@ -114,7 +119,12 @@ class TestNetworkValidation:
     def test_json_round_trip(self, tmp_path):
         net = random_network(3, [4, 2], xi=0.25, seed=9)
         path = tmp_path / "net.json"
-        save_network(net, path)
+        layers = [
+            {"neurons": [{"weights": n.weights.tolist(), "bias": n.bias} for n in layer]}
+            for layer in net.layers
+        ]
+        doc = {"xi": net.xi, "input_width": net.input_width, "layers": layers}
+        path.write_text(json.dumps(doc))
         loaded = load_network(path)
         assert loaded.xi == net.xi
         assert loaded.widths == net.widths
@@ -209,29 +219,31 @@ class TestReliability:
 
 
 class TestFeasibility:
+    # Delta-reliable output needs the decay bound, with the single output
+    # neuron as a final width-1 layer, to reach delta_capacity(delta).
     def test_noiseless_always_feasible(self):
         for delta in (0.01, 0.2, 0.49):
-            assert feasibility_check([5, 5], 0.0, delta).feasible
+            assert information_decay_bound([5, 5, 1], 0.0, 1.0) >= delta_capacity(delta)
 
     def test_wide_layers_near_threshold(self):
         # (1 - 0.9324^20)^3 * 0.0676 = 0.028905 falls just short of the
         # 0.029049 threshold: infeasible by a hair.
-        result = feasibility_check([20, 20, 20], 0.37, 0.4)
-        assert not result.feasible
-        assert result.lhs == pytest.approx(0.02890495233, abs=1e-9)
-        assert result.margin == pytest.approx(-0.000144453215, abs=1e-9)
+        lhs = information_decay_bound([20, 20, 20, 1], 0.37, 1.0)
+        assert lhs == pytest.approx(0.02890495233, abs=1e-9)
+        assert lhs - delta_capacity(0.4) == pytest.approx(-0.000144453215, abs=1e-9)
 
     def test_feature_extractor_variant_drops_output_factor(self):
-        result = feasibility_check([20, 20, 20], 0.37, 0.4, feature_extractor=True)
-        assert result.feasible
-        assert result.lhs == pytest.approx(0.427588, abs=1e-5)
+        # A noiseless read-out of the whole last layer has no output factor.
+        lhs = information_decay_bound([20, 20, 20], 0.37, 1.0)
+        assert lhs >= delta_capacity(0.4)
+        assert lhs == pytest.approx(0.427588, abs=1e-5)
 
     def test_output_neuron_limits_everything(self):
         # If the last single-neuron factor is already below the threshold,
         # no hidden widths can help.
         xi, delta = 0.45, 0.1
         assert 1 - (4 * xi - 4 * xi**2) < delta_capacity(delta)
-        assert not feasibility_check([10**6] * 3, xi, delta).feasible
+        assert information_decay_bound([10**6] * 3 + [1], xi, 1.0) < delta_capacity(delta)
 
 
 class TestMinNeurons:

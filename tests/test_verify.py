@@ -1,5 +1,6 @@
-"""The randomized verify suites: their draws, block-size independence, and
-failure records against a one-sample-at-a-time reference."""
+"""The randomized verify suites and the contraction search: their block-stream
+draws, and their results against a one-sample-at-a-time reference that
+follows the documented draw order through the scalar API."""
 
 import numpy as np
 import pytest
@@ -7,88 +8,102 @@ import pytest
 from sdpi import (
     Channel,
     Distribution,
+    SearchConfig,
     compose,
     contraction_bound,
+    empirical_contraction,
     joint,
     mutual_information,
     quadratic_decomposition_check,
     rayleigh_supremum,
 )
-from sdpi import verify
-from sdpi.contraction import DEGENERATE_MI, _simplex_point
+from sdpi import contraction, verify
+from sdpi.info import BLOCK
 
-# 200 (seed, sample) RNG streams.
-STREAMS = [(seed, i) for seed in (0, 3, 1405303632, 2**63 + 5) for i in range(50)]
-
-
-def _rows(values, size):
-    return list(verify._simplex_rows(values[None], size)[0])
+# A budget that ends inside the second block.
+BUDGET = 1100
+SEEDS = (0, 3, 1405303632, 2**63 + 5)
 
 
-def test_fuzz_draws_equal_the_per_row_draws():
-    for seed, i in STREAMS:
-        (nx, ny, nz), values = verify._fuzz_draw(seed, i)
-        rng = np.random.default_rng((seed, i))
-        assert tuple(rng.integers(2, 5, size=3)) == (nx, ny, nz)
-        want = [_simplex_point(rng, nx)]
-        want += [_simplex_point(rng, ny) for _ in range(nx)]
-        want += [_simplex_point(rng, nz) for _ in range(ny)]
-        got = (_rows(values[:nx], nx) + _rows(values[nx:nx + nx * ny], ny)
-               + _rows(values[nx + nx * ny:], nz))
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            np.testing.assert_array_equal(g, w)
+def blocks(samples, seed):
+    """(generator, sample indices) of each documented block stream."""
+    for b, start in enumerate(range(0, samples, BLOCK)):
+        yield np.random.default_rng((seed, b)), range(start, min(start + BLOCK, samples))
 
 
-def test_identity_draws_equal_the_per_row_draws():
-    for seed, i in STREAMS:
-        (n, m), values = verify._identity_draw(seed, i)
-        rows, p, coeffs, flat = np.split(values, np.cumsum([n * m, n, n - 1]))
-        rng = np.random.default_rng((seed, i))
-        assert (int(rng.integers(2, 7)), int(rng.integers(2, 7))) == (n, m)
-        want = [_simplex_point(rng, m) for _ in range(n)]
-        np.testing.assert_array_equal(np.stack(_rows(rows, m)), np.stack(want))
-        np.testing.assert_array_equal(p, _simplex_point(rng, n, min_entry=1e-4))
-        np.testing.assert_array_equal(coeffs, rng.normal(size=n - 1))
-        np.testing.assert_array_equal(_rows(flat, m)[0], _simplex_point(rng, m))
+def simplex(values):
+    return values / values.sum()
+
+
+def simplex_rows(values, runs, size):
+    return np.vstack([simplex(values[r * size:(r + 1) * size]) for r in range(runs)])
+
+
+def fuzz_draws(samples, seed):
+    """(sample, p_X, X -> Y, Y -> Z) of each sdpi_fuzz sample."""
+    for rng, indices in blocks(samples, seed):
+        shapes = rng.integers(2, 5, size=(len(indices), 3))
+        values = rng.standard_exponential((len(indices), 36))
+        for i, (nx, ny, nz), row in zip(indices, shapes, values):
+            yield (i, Distribution(simplex(row[:nx])),
+                   Channel(simplex_rows(row[nx:], nx, ny)),
+                   Channel(simplex_rows(row[nx + nx * ny:], ny, nz)))
+
+
+def identity_draws(samples, seed, redrawn=None):
+    """(sample, channel, interior law, coefficients, equal-rows channel) of
+    each appendix_identity sample; appends redrawn laws' samples to ``redrawn``."""
+    for rng, indices in blocks(samples, seed):
+        k = len(indices)
+        shapes = rng.integers(2, 7, size=(k, 2))
+        rows = rng.standard_exponential((k, 36))
+        laws = rng.standard_exponential((k, 6))
+        while low := [j for j in range(k) if simplex(laws[j, :shapes[j, 0]]).min() < 1e-4]:
+            if redrawn is not None:
+                redrawn += [indices[j] for j in low]
+            laws[low] = rng.standard_exponential((len(low), 6))
+        coeffs = rng.normal(size=(k, 5))
+        flat = rng.standard_exponential((k, 6))
+        for j, i in enumerate(indices):
+            n, m = shapes[j]
+            yield (i, Channel(simplex_rows(rows[j], n, m)), Distribution(simplex(laws[j, :n])),
+                   coeffs[j, :n - 1], Channel(np.tile(simplex(flat[j, :m]), (n, 1))))
 
 
 def fuzz_reference(samples, seed):
-    """sdpi_fuzz one sample at a time through the scalar API: (failures, skipped)."""
-    failures, skipped = [], 0
-    for i in range(samples):
-        rng = np.random.default_rng((seed, i))
-        nx, ny, nz = rng.integers(2, 5, size=3)
-        px = Distribution(_simplex_point(rng, nx))
-        c_xy = Channel(np.vstack([_simplex_point(rng, ny) for _ in range(nx)]))
-        c_yz = Channel(np.vstack([_simplex_point(rng, nz) for _ in range(ny)]))
+    """sdpi_fuzz one sample at a time: (failures, skipped, worst)."""
+    failures, skipped, worst = [], 0, -np.inf
+    for i, px, c_xy, c_yz in fuzz_draws(samples, seed):
         i_xy = mutual_information(joint(px, c_xy))
-        if i_xy <= DEGENERATE_MI:
+        if i_xy <= contraction.DEGENERATE_MI:
             skipped += 1
             continue
         ratio = mutual_information(joint(px, compose(c_xy, c_yz))) / i_xy
         eta = contraction_bound(c_yz).eta
+        worst = max(worst, ratio - eta)
         if ratio - eta > verify.RATIO_SLACK:
             failures.append({"sample": i, "ratio": ratio, "eta": eta, "px": px.probs.tolist(),
                              "channel_xy": c_xy.matrix.tolist(),
                              "channel_yz": c_yz.matrix.tolist()})
-    return failures, skipped
+    return failures, skipped, {"max_ratio_minus_eta": worst}
 
 
 def identity_reference(samples, seed):
-    """appendix_identity's failures, one sample at a time through the scalar API."""
+    """appendix_identity one sample at a time: (failures, worst)."""
     failures = []
-    for i in range(samples):
-        rng = np.random.default_rng((seed, i))
-        n, m = int(rng.integers(2, 7)), int(rng.integers(2, 7))
-        chan = Channel(np.vstack([_simplex_point(rng, m) for _ in range(n)]))
-        p = Distribution(_simplex_point(rng, n, min_entry=1e-4))
-        coeffs = rng.normal(size=n - 1)
+    worst = {"identity_residual": 0.0, "sum_residual": 0.0, "min_square": np.inf,
+             "rayleigh_minus_eta": -np.inf}
+    for i, chan, p, coeffs, flat_chan in identity_draws(samples, seed):
         report = quadratic_decomposition_check(chan, p, coeffs)
-        flat = quadratic_decomposition_check(
-            Channel(np.tile(_simplex_point(rng, m), (n, 1))), p, coeffs)
+        flat = quadratic_decomposition_check(flat_chan, p, coeffs)
         sup = rayleigh_supremum(chan, p)
         eta = contraction_bound(chan).eta
+        worst = {
+            "identity_residual": max(worst["identity_residual"], report.identity_residual),
+            "sum_residual": max(worst["sum_residual"], report.sum_residual, flat.sum_residual),
+            "min_square": min(worst["min_square"], report.min_square_term),
+            "rayleigh_minus_eta": max(worst["rayleigh_minus_eta"], sup - eta),
+        }
         if (report.identity_residual > verify.RESIDUAL_TOL
                 or report.min_square_term < verify.SQUARE_TOL
                 or report.sum_residual > verify.RESIDUAL_TOL
@@ -100,41 +115,127 @@ def identity_reference(samples, seed):
                              "min_square": report.min_square_term, "rayleigh": sup, "eta": eta,
                              "channel": chan.matrix.tolist(), "p": p.probs.tolist(),
                              "coeffs": coeffs.tolist()})
-    return failures
+    return failures, worst
+
+
+def chain_ratio(px, c_xy, c_yz):
+    i_xy = mutual_information(joint(px, c_xy))
+    if i_xy <= contraction.DEGENERATE_MI:
+        return None
+    return mutual_information(joint(px, compose(c_xy, c_yz))) / i_xy
+
+
+def search_reference(c_yz, config):
+    """empirical_contraction one sample at a time: (ratio, p_X, X -> Y, samples)."""
+    nx, ny = config.alphabet_x, c_yz.n_inputs
+    ratio, px, c_xy, used = -1.0, None, None, 0
+    for rng, indices in blocks(config.samples, config.seed):
+        for row in rng.standard_exponential((len(indices), nx + nx * ny)):
+            cand = (Distribution(simplex(row[:nx])), Channel(simplex_rows(row[nx:], nx, ny)))
+            r = chain_ratio(*cand, c_yz)
+            if r is None:
+                continue
+            used += 1
+            if r > ratio:
+                ratio, (px, c_xy) = r, cand
+    scale = 0.5
+    for _ in range(config.refine_steps):
+        p, m = px.probs, c_xy.matrix
+        p2 = np.abs(p + scale * rng.normal(size=nx) * p.mean())
+        m2 = np.abs(m + scale * rng.normal(size=m.shape) * m.mean(axis=1, keepdims=True))
+        cand = (Distribution(p2 / p2.sum()), Channel(m2 / m2.sum(axis=1, keepdims=True)))
+        r = chain_ratio(*cand, c_yz)
+        if r is not None and r > ratio:
+            ratio, (px, c_xy) = r, cand
+        scale *= 0.99
+    return min(max(ratio, 0.0), 1.0), px.probs.tolist(), c_xy.matrix.tolist(), used
 
 
 @pytest.fixture
 def forced_failures(monkeypatch):
-    """Tolerances tight enough that some samples of every suite fail."""
+    """Tolerances tight enough that some samples of every suite fail, and
+    a mutual-information floor high enough that some chains are skipped."""
     monkeypatch.setattr(verify, "RATIO_SLACK", -0.05)
     monkeypatch.setattr(verify, "RESIDUAL_TOL", 1e-14)
+    monkeypatch.setattr(contraction, "DEGENERATE_MI", 0.01)
 
 
-@pytest.mark.parametrize("forced", [False, True], ids=["default", "forced-failures"])
-@pytest.mark.parametrize("budget", [60, 100])
-@pytest.mark.parametrize("block", [1, 7])
-@pytest.mark.parametrize("suite", [verify.sdpi_fuzz, verify.appendix_identity],
-                         ids=["sdpi-fuzz", "appendix-identity"])
-def test_results_do_not_depend_on_the_block_size(monkeypatch, request, suite, block, budget,
-                                                 forced):
-    if forced:
-        request.getfixturevalue("forced_failures")
-    want = suite(budget, seed=3).to_dict()
-    monkeypatch.setattr(verify, "SAMPLE_BLOCK", block)
-    assert suite(budget, seed=3).to_dict() == want
+def test_fuzz_draws_equal_the_per_row_draws(monkeypatch):
+    # With a slack below -1 every sample that is not skipped fails, so the
+    # failure records hold every such sample's law and channels.
+    monkeypatch.setattr(verify, "RATIO_SLACK", -2.0)
+    for seed in SEEDS:
+        result = verify.sdpi_fuzz(BUDGET, seed)
+        got = [(f["sample"], f["px"], f["channel_xy"], f["channel_yz"]) for f in result.failures]
+        want = [(i, px.probs.tolist(), c_xy.matrix.tolist(), c_yz.matrix.tolist())
+                for i, px, c_xy, c_yz in fuzz_draws(BUDGET, seed)
+                if mutual_information(joint(px, c_xy)) > contraction.DEGENERATE_MI]
+        assert len(got) == BUDGET - result.skipped
+        assert got == want
+
+
+def test_identity_draws_equal_the_per_row_draws(monkeypatch):
+    # A negative residual tolerance fails every sample, so the failure
+    # records hold every sample's channel, law and coefficients.
+    monkeypatch.setattr(verify, "RESIDUAL_TOL", -1.0)
+    redrawn = []
+    for seed in SEEDS:
+        got = [(f["sample"], f["channel"], f["p"], f["coeffs"])
+               for f in verify.appendix_identity(BUDGET, seed).failures]
+        want = [(i, chan.matrix.tolist(), p.probs.tolist(), coeffs.tolist())
+                for i, chan, p, coeffs, _ in identity_draws(BUDGET, seed, redrawn)]
+        assert got == want
+        assert min(min(p) for _, _, p, _ in got) >= 1e-4
+    # Some laws fell below the interior floor and were redrawn.
+    assert redrawn
 
 
 @pytest.mark.parametrize("seed", [0, 3])
 def test_fuzz_failures_equal_the_reference(forced_failures, seed):
-    result = verify.sdpi_fuzz(300, seed)
-    failures, skipped = fuzz_reference(300, seed)
-    assert 0 < len(failures) < 300 - skipped
-    assert result.failures == failures
-    assert result.skipped == skipped
+    result = verify.sdpi_fuzz(BUDGET, seed)
+    failures, skipped, worst = fuzz_reference(BUDGET, seed)
+    assert 0 < skipped and 0 < len(failures) < BUDGET - skipped
+    assert {f["sample"] // BLOCK for f in failures} == {0, 1}
+    assert (result.failures, result.skipped, result.worst) == (failures, skipped, worst)
 
 
 @pytest.mark.parametrize("seed", [0, 3])
 def test_identity_failures_equal_the_reference(forced_failures, seed):
-    failures = verify.appendix_identity(300, seed).failures
-    assert 0 < len(failures) < 300
-    assert failures == identity_reference(300, seed)
+    result = verify.appendix_identity(BUDGET, seed)
+    failures, worst = identity_reference(BUDGET, seed)
+    assert 0 < len(failures) < BUDGET
+    assert {f["sample"] // BLOCK for f in failures} == {0, 1}
+    assert (result.failures, result.skipped, result.worst) == (failures, 0, worst)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("suite", ["sdpi-fuzz", "appendix-identity"])
+def test_default_tolerances_equal_the_reference(suite, seed):
+    if suite == "sdpi-fuzz":
+        result = verify.sdpi_fuzz(BUDGET, seed)
+        want = fuzz_reference(BUDGET, seed)
+    else:
+        result = verify.appendix_identity(BUDGET, seed)
+        failures, worst = identity_reference(BUDGET, seed)
+        want = failures, 0, worst
+    assert result.passed
+    assert (result.failures, result.skipped, result.worst) == want
+
+
+@pytest.mark.parametrize("floor", [None, 0.01], ids=["default", "skipping"])
+@pytest.mark.parametrize("refine_steps", [0, 200])
+@pytest.mark.parametrize("c_yz,alphabet_x", [
+    (Channel.bsc(0.1), 2),
+    (Channel([[0.7, 0.2, 0.1, 0.0], [0.1, 0.3, 0.3, 0.3], [0.25, 0.25, 0.25, 0.25]]), 3),
+    (Channel(np.tile([0.5, 0.5], (2, 1))), 2),
+    (Channel.identity(3), 4),
+], ids=["bsc", "3x4", "constant-rows", "identity"])
+def test_search_equals_the_reference(monkeypatch, c_yz, alphabet_x, refine_steps, floor):
+    if floor is not None:
+        monkeypatch.setattr(contraction, "DEGENERATE_MI", floor)
+    config = SearchConfig(alphabet_x=alphabet_x, samples=BUDGET, seed=5, refine_steps=refine_steps)
+    got = empirical_contraction(c_yz, config)
+    ratio, px, c_xy, used = search_reference(c_yz, config)
+    assert (floor is None) == (used == BUDGET)
+    assert (got.achieved_ratio, got.best_px.probs.tolist(), got.best_channel_xy.matrix.tolist(),
+            got.samples) == (ratio, px, c_xy, used)
