@@ -392,14 +392,23 @@ def fig():
     """Reproduce the figure datasets as CSV."""
 
 
+# The figure datasets draw nothing at random; their --seed is checked
+# as every seed is and only echoed in the CSV header.
+_label_seed = click.option(
+    "--seed", type=int, default=0,
+    help="Only labels the CSV header; the dataset does not depend on it.",
+)
+
+
 @_csv_command(fig, "2")
 @click.option("--n", type=int, default=3, help="Components in the layer.")
 @click.option("--xi-min", type=float, default=0.0)
 @click.option("--xi-max", type=float, default=0.5)
 @click.option("--points", type=int, default=51)
-@click.option("--seed", type=int, default=0)
+@_label_seed
 def fig2(n, xi_min, xi_max, points, seed):
     """Layer bound versus per-component (Evans-Schulman) accounting."""
+    count(seed, "seed", minimum=0)
     xi_min = interval(xi_min, "xi-min", "[0, 0.5]")
     interval(xi_max, "xi-max", f"[{xi_min}, 0.5]")
     rows = []
@@ -415,9 +424,10 @@ def fig2(n, xi_min, xi_max, points, seed):
 @click.option("--xi1-min", type=float, default=0.0)
 @click.option("--xi1-max", type=float, default=0.07)
 @click.option("--points", type=int, default=15)
-@click.option("--seed", type=int, default=0)
+@_label_seed
 def fig3(xi2, n, xi1_min, xi1_max, points, seed):
     """Correlated-noise bounds against the matched independent bound."""
+    count(seed, "seed", minimum=0)
     xi1_min = interval(xi1_min, "xi1-min", "[0, 1]")
     interval(xi1_max, "xi1-max", f"[{xi1_min}, 1]")
     if xi1_max > 0.07:
@@ -442,9 +452,10 @@ def fig3(xi2, n, xi1_min, xi1_max, points, seed):
 @click.option("--points", type=int, default=49)
 @click.option("--delta", "deltas", type=float, multiple=True, default=(0.3, 0.4))
 @click.option("--layers", "layer_counts", type=int, multiple=True, default=(2, 4, 6))
-@click.option("--seed", type=int, default=0)
+@_label_seed
 def fig5(xi_min, xi_max, points, deltas, layer_counts, seed):
     """Hidden-neuron lower bound as a function of the noise level."""
+    count(seed, "seed", minimum=0)
     xi_min = interval(xi_min, "xi-min", "[0, 0.5)")
     interval(xi_max, "xi-max", f"[{xi_min}, 0.5)")
     grid = np.linspace(xi_min, xi_max, count(points, "points"))
@@ -462,9 +473,10 @@ def fig5(xi_min, xi_max, points, deltas, layer_counts, seed):
 @click.option("--xi", type=float, default=0.37)
 @click.option("--delta", type=float, default=0.4)
 @click.option("--max-depth", type=int, default=6)
-@click.option("--seed", type=int, default=0)
+@_label_seed
 def fig6(n, xi, delta, max_depth, seed):
     """Size requirements per depth with the binding regime and the optimum."""
+    count(seed, "seed", minimum=0)
     result = nn_mod.optimal_depth_tradeoff(n, xi, delta, max_depth)
     rows = [
         (r.depth, r.expressibility_bound, r.noise_bound, r.minimum_neurons)
@@ -481,9 +493,10 @@ def fig6(n, xi, delta, max_depth, seed):
 @click.option("--t-max", type=int, default=100)
 @click.option("--pair", "pairs", multiple=True, callback=_parse_pair,
               default=("0.3,0.2", "0.4,0.1"), help="delta,xi series (repeatable).")
-@click.option("--seed", type=int, default=0)
+@_label_seed
 def fig8(t_max, pairs, seed):
     """Error-correction overhead lower bound versus the interval count."""
+    count(seed, "seed", minimum=0)
     t_max = count(t_max, "t-max")
     rows = [
         (t, delta, xi, mem.overhead_lower_bound(delta, t, xi))

@@ -15,10 +15,11 @@ numerically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from math import comb, sqrt
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ValidationError, count, interval
 from .info import (
@@ -40,6 +41,11 @@ DEGENERATE_MI = 1e-10
 
 # Default memory guard for materialized 2^n x 2^n layer channels.
 MAX_LAYER_NEURONS = 12
+
+# Widest correlated layer: every binomial C(m, k) with m <= 1000 is a
+# finite float, the leading-order slope (at most 2 * 2^n) stays finite,
+# and the O(n^3) distance-class scan takes about 0.6 s at this width.
+MAX_CLASS_SCAN_WIDTH = 1000
 
 
 @dataclass(frozen=True)
@@ -113,7 +119,7 @@ class CorrelatedNoiseSpec:
     def __post_init__(self):
         interval(self.xi1, "shared flip probability", "[0, 1]")
         interval(self.xi2, "independent flip probability", "[0, 0.5)")
-        object.__setattr__(self, "n", count(self.n, "layer width"))
+        object.__setattr__(self, "n", count(self.n, "layer width", 1, MAX_CLASS_SCAN_WIDTH))
 
 
 def independent_layer_bound(spec: LayerNoiseSpec) -> float:
@@ -151,42 +157,79 @@ def correlated_layer_channel(spec: CorrelatedNoiseSpec, max_neurons: int = MAX_L
     return Channel(w[_hamming_grid(spec.n)])
 
 
-def _distance_class_sums(weights: np.ndarray, n: int) -> np.ndarray:
-    """Bhattacharyya sums between row pairs of a Hamming-structured channel.
+def _log_correlated_weights(spec: CorrelatedNoiseSpec) -> np.ndarray:
+    """log of ``_correlated_weights``: the two noise branches are added
+    with ``logaddexp``, and a term 0 * log 0 counts as 0."""
+    xi1, xi2, n = spec.xi1, spec.xi2, spec.n
+    d = np.arange(n + 1, dtype=float)
+    keep = math.log1p(-xi2)
+    flips = d * math.log(xi2) if xi2 > 0.0 else np.where(d > 0, -np.inf, 0.0)
+    own = (math.log1p(-xi1) if xi1 < 1.0 else -np.inf) + (n - d) * keep + flips
+    shared = (math.log(xi1) if xi1 > 0.0 else -np.inf) + flips[::-1] + d * keep
+    return np.logaddexp(own, shared)
 
-    For a 2^n x 2^n matrix whose entry (r, s) depends only on the Hamming
-    distance |r xor s| (value ``weights[d]``), the sum over outputs j of
-    sqrt(a_kj * a_lj) depends only on e = |k xor l|.  Fixing e bits where
-    the rows differ, an output at distance d1 from row k sits at distance
-    d2 = e + d1 - 2i from row l, where i counts the flipped coordinates
-    inside the differing set; there are C(e, i) * C(n-e, d1-i) such
-    outputs.  Returns the sums indexed by e = 0..n; O(n^3) instead of
-    O(4^n).
+
+def _log_binomial_rows(n: int) -> list[np.ndarray]:
+    """log C(m, k) for k = 0..m, one array per m = 0..n, each entry the
+    log of the correctly rounded float of the exact integer."""
+    rows, row = [], [1]
+    for _ in range(n + 1):
+        rows.append(np.log(np.array(row, dtype=float)))
+        row = [a + b for a, b in zip([0, *row], [*row, 0])]
+    return rows
+
+
+def _distance_class_sums(spec: CorrelatedNoiseSpec) -> np.ndarray:
+    """Logs of the Bhattacharyya sums between row pairs of the correlated
+    layer channel, indexed by their Hamming distance e = 0..n.
+
+    The channel's entry (r, s) depends only on d = |r xor s|, with value
+    w[d], so the sum over outputs of sqrt(a_kj * a_lj) depends only on
+    e = |k xor l|.  An output that flips i of the e bits where the rows
+    differ and j of the other n - e bits sits at distance i + j from row
+    k and e - i + j from row l, and C(e, i) C(n - e, j) outputs do so.
+    Class e is the log-sum-exp of the (e+1) x (n-e+1) grid
+    log C(e, i) + log C(n-e, j) + (log w[i+j] + log w[e-i+j]) / 2; rows i
+    and e - i are equal, so only i <= e/2 is formed, at double weight
+    below the middle.  O(n^3) terms in all, none of them a float
+    power or a big integer, so no term overflows up to
+    ``MAX_CLASS_SCAN_WIDTH``; a class with no nonzero term is -inf.
     """
-    sums = np.zeros(n + 1)
+    n = spec.n
+    half = 0.5 * _log_correlated_weights(spec)
+    log_comb = _log_binomial_rows(n)
+    log_sums = np.empty(n + 1)
     for e in range(n + 1):
-        total = 0.0
-        for d1 in range(n + 1):
-            for i in range(max(0, d1 - (n - e)), min(e, d1) + 1):
-                d2 = e + d1 - 2 * i
-                if 0 <= d2 <= n:
-                    total += comb(e, i) * comb(n - e, d1 - i) * sqrt(weights[d1] * weights[d2])
-        sums[e] = total
-    return sums
+        # window[i, j] = half[i + j]; reversed along i it is half[e - i + j].
+        window = sliding_window_view(half, n - e + 1)[: e + 1]
+        k = e // 2 + 1
+        doubled = np.where(2 * np.arange(k) < e, math.log(2.0), 0.0)
+        grid = np.add.outer(log_comb[e][:k] + doubled, log_comb[n - e])
+        grid += window[:k]
+        grid += window[::-1][:k]
+        top = grid.max()
+        if top == -np.inf:
+            log_sums[e] = -np.inf
+            continue
+        grid -= top
+        log_sums[e] = top + math.log(np.exp(grid, out=grid).sum())
+    return log_sums
 
 
 def correlated_layer_bound_exact(spec: CorrelatedNoiseSpec) -> ContractionBound:
     """Exact pair-scan bound for the correlated layer channel.
 
-    Uses the distance-class reduction, so it never materializes the
-    2^n x 2^n matrix and stays exact for widths beyond the cap.  The
-    witness is the lexicographically smallest pair in the best class.
+    Uses the distance-class reduction (``_distance_class_sums``), so it
+    never materializes the 2^n x 2^n matrix and stays exact for widths
+    beyond ``MAX_LAYER_NEURONS``, up to ``MAX_CLASS_SCAN_WIDTH``.  The
+    witness is the lexicographically smallest pair in the best class,
+    and the smallest distance among classes that tie.
     """
-    sums = _distance_class_sums(_correlated_weights(spec), spec.n)
-    e_star = int(np.argmin(sums[1:])) + 1
-    eta = 1.0 - float(sums[e_star]) ** 2
+    log_sums = _distance_class_sums(spec)
+    e_star = int(np.argmin(log_sums[1:])) + 1
+    eta = 1.0 - math.exp(2.0 * log_sums[e_star])
     return ContractionBound(
-        eta=float(min(max(eta, 0.0), 1.0)),
+        eta=min(max(eta, 0.0), 1.0),
         witness_pair=(0, (1 << e_star) - 1),
         method="distance-classes",
     )

@@ -110,19 +110,47 @@ class TestBoundCommands:
         assert json.loads(res.stdout)["witness"] == [0, (1 << 20) - 1]
 
     def test_internal_error_exits_3_with_one_line(self):
-        # The distance-class scan overflows a float at this width; whatever
-        # escapes the library is reported on one line, never as a traceback.
+        # A library failure that is not an input error (here an overflow
+        # patched into the class scan) is reported on one line, never as a
+        # traceback.
         env = dict(os.environ, PYTHONPATH=str(Path(sdpi.__file__).parents[1]))
+        code = (
+            "import sdpi.contraction, sdpi.cli\n"
+            "def overflow(spec):\n"
+            "    raise OverflowError('int too large to convert to float')\n"
+            "sdpi.contraction.correlated_layer_bound_exact = overflow\n"
+            "sdpi.cli.main(['bound', 'layer', '--n', '5', '--xi1', '0.01', '--xi2', '0.3'])\n"
+        )
         res = subprocess.run(
-            [sys.executable, "-m", "sdpi.cli", "bound", "layer", "--n", "1100",
-             "--xi1", "0.01", "--xi2", "0.3"],
-            capture_output=True, text=True, env=env, timeout=60,
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60,
         )
         assert res.returncode == 3
         assert res.stdout == ""
         assert res.stderr.count("\n") == 1
         assert res.stderr.startswith("error: internal: OverflowError: ")
         assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("command", [
+        ["bound", "layer", "--n", "1100", "--xi1", "0.01", "--xi2", "0.3"],
+        ["bound", "layer", "--n", "2000", "--xi1", "0.01", "--xi2", "0.3"],
+        ["fig", "3", "--n", "1100"],
+    ], ids=["layer-1100", "layer-2000", "fig3-1100"])
+    def test_correlated_width_above_cap_exits_2_naming_it(self, runner, command):
+        # Wider layers used to overflow a float in the class scan (exit 3).
+        res = runner.invoke(main, command)
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        width = command[command.index("--n") + 1]
+        assert res.stderr == f"error: layer width must be an integer in [1, 1000], got {width}\n"
+
+    def test_correlated_width_at_cap_answers(self, runner):
+        res = runner.invoke(
+            main, ["bound", "layer", "--n", "1000", "--xi1", "0.01", "--xi2", "0.3", "--format", "json"]
+        )
+        assert res.exit_code == 0
+        payload = json.loads(res.stdout)
+        assert 0.0 <= payload["eta"] <= 1.0
+        assert math.isfinite(payload["eta_leading"])
 
     def test_layer_flag_conflicts(self, runner):
         res = runner.invoke(main, ["bound", "layer", "--n", "3", "--xi1", "0.01"])
@@ -244,6 +272,22 @@ class TestMemoryCommands:
 
 
 class TestFigureCommands:
+    @pytest.mark.parametrize("figure", ["2", "3", "5", "6", "8"])
+    def test_negative_seed_exits_2_naming_the_seed(self, runner, figure):
+        res = runner.invoke(main, ["fig", figure, "--seed", "-5"])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr == "error: seed must be an integer of at least 0, got -5\n"
+
+    @pytest.mark.parametrize("figure", ["2", "3", "5", "6", "8"])
+    def test_seed_only_labels_the_header(self, runner, figure):
+        a = runner.invoke(main, ["fig", figure, "--seed", "0"]).stdout.split("\n", 1)
+        b = runner.invoke(main, ["fig", figure, "--seed", "99"]).stdout.split("\n", 1)
+        assert a[0].endswith("--seed 0") and b[0].endswith("--seed 99")
+        assert a[1] == b[1]
+        help_text = runner.invoke(main, ["fig", figure, "--help"]).stdout
+        assert "Only labels the CSV header" in " ".join(help_text.split())
+
     def test_fig2_header_and_tightness(self, runner):
         res = runner.invoke(main, ["fig", "2"])
         assert res.exit_code == 0

@@ -1,9 +1,11 @@
 """Contraction bounds, layer specializations, and the Hessian machinery."""
 
 import math
+from math import comb, sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sdpi import (
     Channel,
@@ -29,7 +31,14 @@ from sdpi import (
     shared_noise_ordering_holds,
     shared_noise_slope,
 )
-from sdpi.contraction import _entropy_hessians, _interior_probs, _pushforward_hessians
+from sdpi.contraction import (
+    MAX_CLASS_SCAN_WIDTH,
+    _correlated_weights,
+    _distance_class_sums,
+    _entropy_hessians,
+    _interior_probs,
+    _pushforward_hessians,
+)
 
 
 def random_channel(rng, n, m):
@@ -152,11 +161,12 @@ class TestCorrelatedLayer:
             np.testing.assert_allclose(sums, 1.0, atol=1e-12)
 
     def test_distance_class_scan_matches_brute_force(self):
-        for xi1 in (0.0, 0.01, 0.05, 0.07, 0.2):
-            spec = CorrelatedNoiseSpec(xi1=xi1, xi2=0.35, n=5)
-            fast = correlated_layer_bound_exact(spec).eta
-            brute = contraction_bound(correlated_layer_channel(spec)).eta
-            assert fast == pytest.approx(brute, abs=1e-12)
+        for n in range(1, 11):
+            for xi1 in (0.0, 0.01, 0.05, 0.07, 0.2):
+                spec = CorrelatedNoiseSpec(xi1=xi1, xi2=0.35, n=n)
+                fast = correlated_layer_bound_exact(spec).eta
+                brute = contraction_bound(correlated_layer_channel(spec)).eta
+                assert fast == pytest.approx(brute, abs=1e-12)
 
     def test_ordering_against_matched_independent(self):
         for xi1 in np.arange(0.005, 0.0701, 0.005):
@@ -182,6 +192,76 @@ class TestCorrelatedLayer:
         fast = correlated_layer_bound_exact(spec).eta
         brute = contraction_bound(correlated_layer_channel(spec)).eta
         assert fast == pytest.approx(brute, abs=1e-12)
+
+
+def big_int_class_sums(spec):
+    """Oracle: the Bhattacharyya sum of each distance class e, as a float
+    sum of exact big-integer binomials times sqrt(w[d1] w[d2]) over
+    every output distance d1 from row k and flip count i inside the e
+    differing bits.  It overflows a float from n of about 1030 on."""
+    w, n = _correlated_weights(spec), spec.n
+    sums = np.zeros(n + 1)
+    for e in range(n + 1):
+        total = 0.0
+        for d1 in range(n + 1):
+            for i in range(max(0, d1 - (n - e)), min(e, d1) + 1):
+                d2 = e + d1 - 2 * i
+                if 0 <= d2 <= n:
+                    total += comb(e, i) * comb(n - e, d1 - i) * sqrt(w[d1] * w[d2])
+        sums[e] = total
+    return sums
+
+
+def oracle_grid():
+    """Seeded (xi1, xi2, n) cases with n <= 120, and the edges xi1 in
+    {0, 1} and xi2 = 0."""
+    rng = np.random.default_rng(2718)
+    cases = [(float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.05, 0.5)), int(rng.integers(1, 121)))
+             for _ in range(8)]
+    edges = [(0.0, 0.3, 60), (1.0, 0.3, 60), (0.02, 0.0, 60), (0.0, 0.0, 30), (1.0, 0.0, 30),
+             (0.5, 0.0, 1), (0.01, 0.45, 120)]
+    return cases + edges
+
+
+class TestDistanceClassScan:
+    @pytest.mark.parametrize("xi1, xi2, n", oracle_grid())
+    def test_matches_big_int_oracle(self, xi1, xi2, n):
+        spec = CorrelatedNoiseSpec(xi1=xi1, xi2=xi2, n=n)
+        want = big_int_class_sums(spec)
+        got = np.exp(_distance_class_sums(spec))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        e = int(np.argmin(want[1:])) + 1
+        assert correlated_layer_bound_exact(spec).witness_pair == (0, (1 << e) - 1)
+
+    def test_pinned_class_at_width_400(self):
+        # Checked once against big_int_class_sums (about 44 s at this width).
+        log_sums = _distance_class_sums(CorrelatedNoiseSpec(xi1=0.01, xi2=0.3, n=400))
+        e = int(np.argmin(log_sums[1:])) + 1
+        assert e == 209
+        assert 2.0 * log_sums[e] == pytest.approx(-35.098, abs=1e-3)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 0.5, exclude_max=True),
+        st.integers(1, 300),
+    )
+    def test_finite_bounds_and_a_class_witness(self, xi1, xi2, n):
+        self.check_edges(CorrelatedNoiseSpec(xi1=xi1, xi2=xi2, n=n))
+
+    @pytest.mark.parametrize("xi1, xi2", [(1.0, 0.0), (1.0, 0.49)])
+    def test_finite_at_the_width_cap(self, xi1, xi2):
+        self.check_edges(CorrelatedNoiseSpec(xi1=xi1, xi2=xi2, n=MAX_CLASS_SCAN_WIDTH))
+
+    @staticmethod
+    def check_edges(spec):
+        bound = correlated_layer_bound_exact(spec)
+        # A NaN class sum would win the argmin and make eta NaN.
+        assert 0.0 <= bound.eta <= 1.0
+        assert math.isfinite(correlated_layer_bound_leading(spec))
+        k, l = bound.witness_pair
+        e = l.bit_length()
+        assert k == 0 and 1 <= e <= spec.n and l == (1 << e) - 1
 
 
 class TestSlopes:
