@@ -26,6 +26,8 @@ from .info import (
     Channel,
     Distribution,
     _validated_rows,
+    check_layer_bytes,
+    flip_bits,
     mutual_information_batch,
     trial_blocks,
 )
@@ -38,9 +40,6 @@ INTERIOR_MIN = 1e-9
 # Ratios with I(X;Y) below this are undefined and skipped by the search
 # oracle.
 DEGENERATE_MI = 1e-10
-
-# Default memory guard for materialized 2^n x 2^n layer channels.
-MAX_LAYER_NEURONS = 12
 
 # Widest correlated layer: every binomial C(m, k) with m <= 1000 is a
 # finite float, the leading-order slope (at most 2 * 2^n) stays finite,
@@ -127,39 +126,26 @@ def independent_layer_bound(spec: LayerNoiseSpec) -> float:
     return 1.0 - (4.0 * spec.xi - 4.0 * spec.xi**2) ** spec.n
 
 
-def _hamming_grid(n: int) -> np.ndarray:
-    idx = np.arange(1 << n, dtype=np.uint64)
-    return np.bitwise_count(idx[:, None] ^ idx[None, :]).astype(np.int64)
+def independent_layer_channel(spec: LayerNoiseSpec) -> Channel:
+    """The 2^n x 2^n channel of n independent bit flips, bsc(xi)^(tensor n):
+    entry (r, s) is xi^d (1-xi)^(n-d), d the Hamming distance of r and s."""
+    check_layer_bytes(spec.n, spec.n)
+    return Channel(flip_bits(np.eye(1 << spec.n), spec.xi))
 
 
-def independent_layer_channel(spec: LayerNoiseSpec, max_neurons: int = MAX_LAYER_NEURONS) -> Channel:
-    """The 2^n x 2^n channel of n independent bit flips.
-
-    Entry (r, s) is xi^d (1-xi)^(n-d) where d is the Hamming distance
-    between the states; equal to the n-fold tensor power of bsc(xi).
-    """
-    count(spec.n, "layer width within the materialization cap max_neurons", 1, max_neurons)
-    d = _hamming_grid(spec.n)
-    return Channel(spec.xi**d * (1.0 - spec.xi) ** (spec.n - d))
+def correlated_layer_channel(spec: CorrelatedNoiseSpec) -> Channel:
+    """The 2^n x 2^n channel of shared-plus-independent bit flips,
+    (1 - xi1) B + xi1 B[:, ::-1] with B the independent channel at xi2:
+    flipping every bit of a state reverses the order of the states."""
+    b = independent_layer_channel(LayerNoiseSpec(spec.xi2, spec.n)).matrix
+    return Channel((1.0 - spec.xi1) * b + spec.xi1 * b[:, ::-1])
 
 
-def _correlated_weights(spec: CorrelatedNoiseSpec) -> np.ndarray:
-    """Transition probability to a state at Hamming distance d, for d = 0..n."""
-    d = np.arange(spec.n + 1, dtype=float)
-    xi1, xi2, n = spec.xi1, spec.xi2, spec.n
-    return (1.0 - xi1) * (1.0 - xi2) ** (n - d) * xi2**d + xi1 * xi2 ** (n - d) * (1.0 - xi2) ** d
-
-
-def correlated_layer_channel(spec: CorrelatedNoiseSpec, max_neurons: int = MAX_LAYER_NEURONS) -> Channel:
-    """The 2^n x 2^n channel of shared-plus-independent bit flips."""
-    count(spec.n, "layer width within the materialization cap max_neurons", 1, max_neurons)
-    w = _correlated_weights(spec)
-    return Channel(w[_hamming_grid(spec.n)])
-
-
-def _log_correlated_weights(spec: CorrelatedNoiseSpec) -> np.ndarray:
-    """log of ``_correlated_weights``: the two noise branches are added
-    with ``logaddexp``, and a term 0 * log 0 counts as 0."""
+def _log_distance_weights(spec: CorrelatedNoiseSpec) -> np.ndarray:
+    """Log of the transition probability to a state at Hamming distance d,
+    (1-xi1) (1-xi2)^(n-d) xi2^d + xi1 xi2^(n-d) (1-xi2)^d, for d = 0..n:
+    the two noise branches are added with ``logaddexp``, and a term
+    0 * log 0 counts as 0."""
     xi1, xi2, n = spec.xi1, spec.xi2, spec.n
     d = np.arange(n + 1, dtype=float)
     keep = math.log1p(-xi2)
@@ -196,7 +182,7 @@ def _distance_class_sums(spec: CorrelatedNoiseSpec) -> np.ndarray:
     ``MAX_CLASS_SCAN_WIDTH``; a class with no nonzero term is -inf.
     """
     n = spec.n
-    half = 0.5 * _log_correlated_weights(spec)
+    half = 0.5 * _log_distance_weights(spec)
     log_comb = _log_binomial_rows(n)
     log_sums = np.empty(n + 1)
     for e in range(n + 1):
@@ -221,9 +207,10 @@ def correlated_layer_bound_exact(spec: CorrelatedNoiseSpec) -> ContractionBound:
 
     Uses the distance-class reduction (``_distance_class_sums``), so it
     never materializes the 2^n x 2^n matrix and stays exact for widths
-    beyond ``MAX_LAYER_NEURONS``, up to ``MAX_CLASS_SCAN_WIDTH``.  The
-    witness is the lexicographically smallest pair in the best class,
-    and the smallest distance among classes that tie.
+    beyond the n = 13 that ``info.MAX_LAYER_BYTES`` admits, up to
+    ``MAX_CLASS_SCAN_WIDTH``.  The witness is the lexicographically
+    smallest pair in the best class, and the smallest distance among
+    classes that tie.
     """
     log_sums = _distance_class_sums(spec)
     e_star = int(np.argmin(log_sums[1:])) + 1
@@ -244,8 +231,8 @@ def shared_noise_ordering_holds(spec: CorrelatedNoiseSpec) -> bool:
     threshold in xi1.  ``correlated_layer_bound_exact`` does not depend
     on it (it scans every distance class).
     """
-    w = _correlated_weights(spec)
-    return bool(np.all(np.diff(w) < 0.0))
+    # In log space, since the weights underflow to 0 at large n.
+    return bool(np.all(np.diff(_log_distance_weights(spec)) < 0.0))
 
 
 def shared_noise_slope(xi2: float, n: int) -> float:

@@ -32,6 +32,10 @@ NORMALIZE_TOLERANCE = 1e-9
 # Monte Carlo trials per RNG stream (see ``trial_blocks``).
 BLOCK = 1024
 
+# Largest matrix a noisy layer may materialize, checked before it allocates:
+# 512 MiB, a 2^12 x 2^14 or 2^13 x 2^13 float matrix.
+MAX_LAYER_BYTES = 1 << 29
+
 _LN2 = float(np.log(2.0))
 
 LogBase = Literal["nats", "bits"]
@@ -128,6 +132,31 @@ class Channel:
         """Binary symmetric channel flipping a bit with probability p."""
         p = interval(p, "flip probability", "[0, 1]")
         return Channel(np.array([[1.0 - p, p], [p, 1.0 - p]]))
+
+
+def check_layer_bytes(row_bits: int, col_bits: int) -> None:
+    """Refuse a 2^row_bits x 2^col_bits float matrix over ``MAX_LAYER_BYTES``."""
+    need = 8 << (row_bits + col_bits)
+    if need > MAX_LAYER_BYTES:
+        raise ValidationError(f"a 2^{row_bits} x 2^{col_bits} layer matrix needs {need} bytes, "
+                              f"above the cap of {MAX_LAYER_BYTES} bytes (512 MiB)")
+
+
+def flip_bits(m: np.ndarray, xi: float) -> np.ndarray:
+    """m (rows x 2^width) times bsc(xi)^(tensor width), the noise of a layer
+    of independent bit flips: one butterfly (1 - xi) v + xi v[flipped] per
+    bit, written alternately into m (overwritten) and one spare of its size.
+    """
+    m = np.ascontiguousarray(m, dtype=float)
+    spare = np.empty_like(m)
+    for k in range(m.shape[1].bit_length() - 1):
+        v = m.reshape(len(m), -1, 2, 1 << k)
+        out = spare.reshape(v.shape)
+        np.multiply(v, 1.0 - xi, out=out)
+        v *= xi
+        out += v[:, :, ::-1, :]
+        m, spare = spare, m
+    return m
 
 
 @dataclass(frozen=True, eq=False)

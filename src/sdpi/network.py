@@ -24,15 +24,12 @@ from .info import (
     JointDistribution,
     LogBase,
     _as_base,
+    check_layer_bytes,
+    flip_bits,
     joint,
     mutual_information,
     trial_blocks,
 )
-
-# Exact propagation materializes 2^width states per layer; widths beyond
-# this need the Monte Carlo estimator instead.
-MAX_EXACT_WIDTH = 14
-
 
 @dataclass(frozen=True, eq=False)
 class ThresholdNeuron:
@@ -117,66 +114,52 @@ def load_network(path) -> NoisyNetwork:
     return NoisyNetwork.from_dict(data)
 
 
-def _propagate(
-    m: np.ndarray | None, layer: Sequence[ThresholdNeuron], xi: float, max_width: int
-) -> np.ndarray:
-    """m times the channel matrix of one noisy layer, without forming that matrix.
-
-    The threshold map adds each column of m into the column of the state
-    it fires; the noise, the width-fold tensor power of bsc(xi), is then
-    one binary-symmetric butterfly per output bit.  A layer of width w
-    costs O(rows * w * 2^w) time and a few rows x 2^w arrays, instead of
-    a 2^w x 2^w noise matrix.  m = None stands for the identity.
+def _propagate(layers: Sequence[Sequence[ThresholdNeuron]], xi: float, in_bits: int) -> np.ndarray:
+    """Channel matrix of noisy layers in turn on 2^in_bits input states,
+    never forming a layer's own matrix: each threshold map adds every
+    column into the column of the state it fires, then ``info.flip_bits``
+    adds the noise.  Every layer first passes ``info.check_layer_bytes``;
+    past that cap ``monte_carlo_io_mi`` estimates the information instead.
     """
-    neurons = tuple(layer)
-    if not neurons:
-        raise ValidationError("layer must contain at least one neuron")
-    fan_in = neurons[0].fan_in
-    if any(n.fan_in != fan_in for n in neurons):
-        raise ValidationError("all neurons in a layer must share the same fan-in")
-    width = len(neurons)
-    count(max(fan_in, width), "layer size within the propagation cap max_width", 1, max_width)
-    states = np.arange(1 << fan_in)
-    bits = (states[:, None] >> np.arange(fan_in)) & 1
-    w = np.vstack([n.weights for n in neurons])
-    b = np.array([n.bias for n in neurons])
-    fired = (bits @ w.T + b >= 0.0).astype(np.int64)
-    out_states = fired @ (1 << np.arange(width))
-    if m is None:
-        m = np.eye(1 << fan_in)
-    rows = m.shape[0]
-    out = np.zeros((rows, 1 << width))
-    np.add.at(out.T, out_states, m.T)
-    for k in range(width):
-        v = out.reshape(rows, -1, 2, 1 << k)
-        out = ((1.0 - xi) * v + xi * v[:, :, ::-1, :]).reshape(rows, -1)
-    return out
+    for layer in layers:
+        check_layer_bytes(in_bits, max(layer[0].fan_in, len(layer)))
+    m = np.eye(1 << in_bits)
+    for layer in layers:
+        fan_in, width = layer[0].fan_in, len(layer)
+        bits = (np.arange(1 << fan_in)[:, None] >> np.arange(fan_in)) & 1
+        w = np.vstack([n.weights for n in layer])
+        b = np.array([n.bias for n in layer])
+        fired = (bits @ w.T + b >= 0.0).astype(np.int64) @ (1 << np.arange(width))
+        out = np.zeros((m.shape[0], 1 << width))
+        np.add.at(out.T, fired, m.T)
+        m = flip_bits(out, xi)
+    return m
 
 
-def layer_channel(layer: Sequence[ThresholdNeuron], xi: float, max_width: int = MAX_EXACT_WIDTH) -> Channel:
+def layer_channel(layer: Sequence[ThresholdNeuron], xi: float) -> Channel:
     """Channel of one noisy layer: threshold map followed by bit-flip noise.
 
     Rows index the 2^fan_in input states, columns the 2^width output
     states, both little-endian (neuron i is bit i).
     """
     xi = interval(xi, "flip probability", "[0, 0.5)")
-    return Channel(_propagate(None, layer, xi, max_width))
+    neurons = tuple(layer)
+    if not neurons:
+        raise ValidationError("layer must contain at least one neuron")
+    fan_in = neurons[0].fan_in
+    if any(n.fan_in != fan_in for n in neurons):
+        raise ValidationError("all neurons in a layer must share the same fan-in")
+    return Channel(_propagate([neurons], xi, fan_in))
 
 
-def network_channel(net: NoisyNetwork, max_width: int = MAX_EXACT_WIDTH) -> Channel:
+def network_channel(net: NoisyNetwork) -> Channel:
     """End-to-end channel from input states to last-layer output states,
     propagated layer by layer (see ``_propagate``)."""
-    m = None
-    for layer in net.layers:
-        m = _propagate(m, layer, net.xi, max_width)
-    return Channel(m)
+    return Channel(_propagate(net.layers, net.xi, net.input_width))
 
 
 def exact_io_mutual_information(
-    net: NoisyNetwork,
-    p_x: Distribution | None = None,
-    base: LogBase = "nats",
-    max_width: int = MAX_EXACT_WIDTH,
+    net: NoisyNetwork, p_x: Distribution | None = None, base: LogBase = "nats"
 ) -> float:
     """Exact I(input; output) of the network under input law p_x.
 
@@ -184,14 +167,12 @@ def exact_io_mutual_information(
     (``network_channel``) and evaluates the mutual information of the
     resulting joint; p_x defaults to uniform over the 2^input_width states.
     """
+    n_in = 1 << net.input_width
     if p_x is None:
-        p_x = Distribution.uniform(1 << net.input_width)
-    chan = network_channel(net, max_width)
-    if p_x.alphabet_size != chan.n_inputs:
-        raise ValidationError(
-            f"input law has {p_x.alphabet_size} states, network expects {chan.n_inputs}"
-        )
-    return mutual_information(joint(p_x, chan), base)
+        p_x = Distribution.uniform(n_in)
+    if p_x.alphabet_size != n_in:
+        raise ValidationError(f"input law has {p_x.alphabet_size} states, network expects {n_in}")
+    return mutual_information(joint(p_x, network_channel(net)), base)
 
 
 def _widths(widths: Sequence[int]) -> tuple[int, ...]:

@@ -176,6 +176,19 @@ class TestNetworkCommands:
         assert res.exit_code == 0
         assert "mutual information: 0" in res.stdout
 
+    def test_mi_over_the_byte_cap_exits_2(self, runner, tmp_path):
+        # A 14-input layer needs a 2^14 x 2^14 matrix (2 GiB), past the 512 MiB cap.
+        net = sdpi.random_network(14, [1], xi=0.1)
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(net.to_dict()))
+        res = runner.invoke(main, ["nn", "mi", str(path)])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr == (
+            "error: a 2^14 x 2^14 layer matrix needs 2147483648 bytes, "
+            "above the cap of 536870912 bytes (512 MiB)\n"
+        )
+
     def test_bound_command(self, runner):
         res = runner.invoke(
             main, ["nn", "bound", "--widths", "5,5,5", "--xi", "0.35", "--hx", "1", "--format", "json"]

@@ -1,6 +1,7 @@
 """Contraction bounds, layer specializations, and the Hessian machinery."""
 
 import math
+import tracemalloc
 from math import comb, sqrt
 
 import numpy as np
@@ -33,12 +34,13 @@ from sdpi import (
 )
 from sdpi.contraction import (
     MAX_CLASS_SCAN_WIDTH,
-    _correlated_weights,
     _distance_class_sums,
     _entropy_hessians,
     _interior_probs,
     _pushforward_hessians,
 )
+from sdpi.info import MAX_LAYER_BYTES, check_layer_bytes
+from noise_oracles import correlated_weights, hamming_channel, independent_weights
 
 
 def random_channel(rng, n, m):
@@ -121,11 +123,27 @@ class TestIndependentLayer:
         widths = [independent_layer_bound(LayerNoiseSpec(0.2, n)) for n in range(1, 9)]
         assert all(a < b for a, b in zip(widths, widths[1:]))
 
+    def test_channel_matches_hamming_oracle(self):
+        for n in range(1, 11):
+            for xi in (0.0, 0.05, 0.2, 0.45):
+                got = independent_layer_channel(LayerNoiseSpec(xi, n)).matrix
+                want = hamming_channel(independent_weights(xi, n))
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
+
     def test_width_cap(self):
-        with pytest.raises(ValidationError):
-            independent_layer_channel(LayerNoiseSpec(0.1, 13))
-        got = independent_layer_channel(LayerNoiseSpec(0.1, 13), max_neurons=13)
-        assert got.n_inputs == 1 << 13
+        # 2^13 x 2^13 floats are exactly the byte cap; 2^14 x 2^14 are 2 GiB,
+        # and the refusal comes before any of it is allocated.
+        check_layer_bytes(13, 13)
+        tracemalloc.start()
+        try:
+            for build, spec in ((independent_layer_channel, LayerNoiseSpec(0.1, 14)),
+                                (correlated_layer_channel, CorrelatedNoiseSpec(0.01, 0.1, 14))):
+                with pytest.raises(ValidationError, match=f"above the cap of {MAX_LAYER_BYTES} bytes"):
+                    build(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_invalid_noise_rejected(self):
         with pytest.raises(ValidationError):
@@ -138,8 +156,8 @@ class TestCorrelatedLayer:
     def test_no_shared_noise_reduces_to_independent(self):
         spec = CorrelatedNoiseSpec(0.0, 0.3, 4)
         got = correlated_layer_channel(spec)
-        want = independent_layer_channel(LayerNoiseSpec(0.3, 4))
-        np.testing.assert_allclose(got.matrix, want.matrix, atol=1e-15)
+        want = hamming_channel(independent_weights(0.3, 4))
+        np.testing.assert_allclose(got.matrix, want, atol=1e-15)
         assert correlated_layer_bound_exact(spec).eta == pytest.approx(
             independent_layer_bound(LayerNoiseSpec(0.3, 4)), abs=1e-12
         )
@@ -149,6 +167,14 @@ class TestCorrelatedLayer:
         assert got.matrix[0, 3] == pytest.approx(0.05, abs=1e-15)
         assert got.matrix[0, 1] == 0.0
         assert got.matrix[0, 0] == pytest.approx(0.95, abs=1e-15)
+
+    def test_channel_matches_hamming_oracle(self):
+        for n in range(1, 11):
+            for xi1, xi2 in ((0.0, 0.3), (0.05, 0.35), (0.5, 0.0), (1.0, 0.2), (0.3, 0.45)):
+                spec = CorrelatedNoiseSpec(xi1=xi1, xi2=xi2, n=n)
+                want = hamming_channel(correlated_weights(spec))
+                got = correlated_layer_channel(spec).matrix
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(11)
@@ -187,6 +213,9 @@ class TestCorrelatedLayer:
     def test_ordering_diagnostic_tracks_regime(self):
         assert shared_noise_ordering_holds(CorrelatedNoiseSpec(0.07, 0.35, 5))
         assert not shared_noise_ordering_holds(CorrelatedNoiseSpec(0.15, 0.35, 5))
+        # Without shared noise the weights 0.7^(n-d) 0.3^d decrease strictly;
+        # at n = 1000 they underflow to 0 and only their logs still show it.
+        assert shared_noise_ordering_holds(CorrelatedNoiseSpec(0.0, 0.3, 1000))
         # The exact scan stays correct either way.
         spec = CorrelatedNoiseSpec(0.15, 0.35, 5)
         fast = correlated_layer_bound_exact(spec).eta
@@ -199,7 +228,7 @@ def big_int_class_sums(spec):
     sum of exact big-integer binomials times sqrt(w[d1] w[d2]) over
     every output distance d1 from row k and flip count i inside the e
     differing bits.  It overflows a float from n of about 1030 on."""
-    w, n = _correlated_weights(spec), spec.n
+    w, n = correlated_weights(spec), spec.n
     sums = np.zeros(n + 1)
     for e in range(n + 1):
         total = 0.0

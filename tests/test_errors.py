@@ -161,3 +161,25 @@ def test_rng_streams_come_from_the_block_helper():
                     found.add(owner)
     assert found <= RNG_CONSTRUCTION_ALLOWED
     assert "info.trial_blocks" in found
+
+
+# Module-level MAX_* constants.  ``info.MAX_LAYER_BYTES`` is the one cap on
+# what a computation materializes, stated in bytes; the class-scan cap
+# bounds the O(n^3) work of a scan that holds O(n^2) floats.
+CAP_CONSTANTS_ALLOWED = {"info.MAX_LAYER_BYTES", "contraction.MAX_CLASS_SCAN_WIDTH"}
+
+
+def test_one_byte_cap_and_no_per_call_width_knobs():
+    caps, knobs = set(), set()
+    for path in sorted(Path(sdpi.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+                knobs |= {f"{path.stem}.{node.name}({n})" for n in names & {"max_width", "max_neurons"}}
+        for top in ast.parse(path.read_text()).body:
+            targets = top.targets if isinstance(top, ast.Assign) else [getattr(top, "target", None)]
+            caps |= {f"{path.stem}.{t.id}" for t in targets
+                     if isinstance(t, ast.Name) and t.id.startswith("MAX_")}
+    assert knobs == set()
+    assert caps == CAP_CONSTANTS_ALLOWED

@@ -2,15 +2,17 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import sdpi.network
+from noise_oracles import hamming_channel, independent_weights
 from sdpi import (
     Channel,
     Distribution,
     InfeasibleError,
-    LayerNoiseSpec,
     NoisyNetwork,
     ThresholdNeuron,
     ValidationError,
@@ -18,7 +20,6 @@ from sdpi import (
     delta_capacity,
     entropy,
     exact_io_mutual_information,
-    independent_layer_channel,
     information_decay_bound,
     layer_channel,
     load_network,
@@ -80,8 +81,17 @@ class TestLayerChannel:
             np.testing.assert_allclose(sums, 1.0, atol=1e-12)
 
     def test_width_cap(self):
-        with pytest.raises(ValidationError):
-            layer_channel(copier_layer(4), xi=0.1, max_width=3)
+        # A 14-input layer needs a 2^14 x 2^14 matrix, 2 GiB: refused before
+        # any of it is allocated.
+        layer = copier_layer(14)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=r"^a 2\^14 x 2\^14 layer matrix needs 2147483648 bytes"):
+                layer_channel(layer, xi=0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_network_channel_matches_dense_composition(self):
         # Threshold map as a 0/1 matrix, then the materialized 2^w x 2^w noise channel.
@@ -97,7 +107,7 @@ class TestLayerChannel:
                     sum(neuron_fire(n, (s >> np.arange(fan_in)) & 1) << i for i, n in enumerate(layer))
                     for s in range(1 << fan_in)
                 ]
-                noise = independent_layer_channel(LayerNoiseSpec(xi=xi, n=len(layer))).matrix
+                noise = hamming_channel(independent_weights(xi, len(layer)))
                 dense = dense @ noise[fired]
                 fan_in = len(layer)
             np.testing.assert_allclose(network_channel(net).matrix, dense, rtol=0.0, atol=1e-12)
@@ -140,6 +150,27 @@ class TestNetworkValidation:
 
 
 class TestExactMutualInformation:
+    def test_input_law_is_checked_before_propagating(self, monkeypatch):
+        def refuse(net):
+            raise AssertionError("network propagated before its input law was checked")
+
+        monkeypatch.setattr(sdpi.network, "network_channel", refuse)
+        with pytest.raises(ValidationError, match="^input law has 4 states, network expects 8$"):
+            exact_io_mutual_information(random_network(3, [2], xi=0.1), Distribution.uniform(4))
+
+    def test_every_layer_is_capped_before_any_is_propagated(self):
+        # The first layer fits (2^12 x 2^12 floats, 128 MiB); the second,
+        # 2^12 x 2^15, does not, and nothing is allocated before it is refused.
+        net = random_network(12, [1, 15], xi=0.1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=r"^a 2\^12 x 2\^15 layer matrix"):
+                exact_io_mutual_information(net)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_noiseless_injective_network_preserves_entropy(self):
         net = NoisyNetwork(layers=(copier_layer(3),), xi=0.0, input_width=3)
         p_x = Distribution(np.random.default_rng(21).dirichlet(np.ones(8)))
