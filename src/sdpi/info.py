@@ -138,8 +138,8 @@ def check_layer_bytes(row_bits: int, col_bits: int) -> None:
     """Refuse a 2^row_bits x 2^col_bits float matrix over ``MAX_LAYER_BYTES``."""
     need = 8 << (row_bits + col_bits)
     if need > MAX_LAYER_BYTES:
-        raise ValidationError(f"a 2^{row_bits} x 2^{col_bits} layer matrix needs {need} bytes, "
-                              f"above the cap of {MAX_LAYER_BYTES} bytes (512 MiB)")
+        raise ValidationError(f"a 2^{row_bits} x 2^{col_bits} layer matrix needs {need} bytes, above "
+                              f"the cap of {MAX_LAYER_BYTES} bytes ({MAX_LAYER_BYTES >> 20} MiB)")
 
 
 def flip_bits(m: np.ndarray, xi: float) -> np.ndarray:

@@ -114,22 +114,26 @@ def load_network(path) -> NoisyNetwork:
     return NoisyNetwork.from_dict(data)
 
 
-def _propagate(layers: Sequence[Sequence[ThresholdNeuron]], xi: float, in_bits: int) -> np.ndarray:
-    """Channel matrix of noisy layers in turn on 2^in_bits input states,
-    never forming a layer's own matrix: each threshold map adds every
-    column into the column of the state it fires, then ``info.flip_bits``
-    adds the noise.  Every layer first passes ``info.check_layer_bytes``;
-    past that cap ``monte_carlo_io_mi`` estimates the information instead.
+def _propagate(layers: Sequence[Sequence[ThresholdNeuron]], xi: float) -> np.ndarray:
+    """Channel matrix of noisy layers in turn on the first one's input
+    states: each threshold map adds every column into the column of the
+    state it fires, then ``info.flip_bits`` adds the noise.  Every layer
+    first passes ``info.check_layer_bytes`` and builds no larger array.
     """
+    in_bits = layers[0][0].fan_in
     for layer in layers:
         check_layer_bytes(in_bits, max(layer[0].fan_in, len(layer)))
     m = np.eye(1 << in_bits)
     for layer in layers:
         fan_in, width = layer[0].fan_in, len(layer)
-        bits = (np.arange(1 << fan_in)[:, None] >> np.arange(fan_in)) & 1
-        w = np.vstack([n.weights for n in layer])
-        b = np.array([n.bias for n in layer])
-        fired = (bits @ w.T + b >= 0.0).astype(np.int64) @ (1 << np.arange(width))
+        # Input state s fires state fired[s]; pre[s] = bias + weights . bits(s).
+        fired = np.zeros(1 << fan_in, dtype=np.int64)
+        pre = np.empty(1 << fan_in)
+        for j, neuron in enumerate(layer):
+            pre[0] = neuron.bias
+            for i, w in enumerate(neuron.weights):
+                np.add(pre[: 1 << i], w, out=pre[1 << i : 2 << i])
+            np.add(fired, 1 << j, out=fired, where=pre >= 0.0)
         out = np.zeros((m.shape[0], 1 << width))
         np.add.at(out.T, fired, m.T)
         m = flip_bits(out, xi)
@@ -149,24 +153,20 @@ def layer_channel(layer: Sequence[ThresholdNeuron], xi: float) -> Channel:
     fan_in = neurons[0].fan_in
     if any(n.fan_in != fan_in for n in neurons):
         raise ValidationError("all neurons in a layer must share the same fan-in")
-    return Channel(_propagate([neurons], xi, fan_in))
+    return Channel(_propagate([neurons], xi))
 
 
 def network_channel(net: NoisyNetwork) -> Channel:
     """End-to-end channel from input states to last-layer output states,
     propagated layer by layer (see ``_propagate``)."""
-    return Channel(_propagate(net.layers, net.xi, net.input_width))
+    return Channel(_propagate(net.layers, net.xi))
 
 
 def exact_io_mutual_information(
     net: NoisyNetwork, p_x: Distribution | None = None, base: LogBase = "nats"
 ) -> float:
-    """Exact I(input; output) of the network under input law p_x.
-
-    Propagates the input states layer by layer to the end-to-end channel
-    (``network_channel``) and evaluates the mutual information of the
-    resulting joint; p_x defaults to uniform over the 2^input_width states.
-    """
+    """Exact I(input; output) under input law p_x (uniform over the
+    2^input_width states by default), through ``network_channel``."""
     n_in = 1 << net.input_width
     if p_x is None:
         p_x = Distribution.uniform(n_in)

@@ -189,6 +189,20 @@ class TestNetworkCommands:
             "above the cap of 536870912 bytes (512 MiB)\n"
         )
 
+    def test_mi_with_a_later_layer_over_the_byte_cap_exits_2(self, runner, tmp_path):
+        # The second layer, 2^1 x 2^26 floats (1 GiB), is refused before the
+        # first is propagated.
+        net = sdpi.random_network(1, [1, 26], xi=0.1)
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(net.to_dict()))
+        res = runner.invoke(main, ["nn", "mi", str(path)])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr == (
+            "error: a 2^1 x 2^26 layer matrix needs 1073741824 bytes, "
+            "above the cap of 536870912 bytes (512 MiB)\n"
+        )
+
     def test_bound_command(self, runner):
         res = runner.invoke(
             main, ["nn", "bound", "--widths", "5,5,5", "--xi", "0.35", "--hx", "1", "--format", "json"]

@@ -6,6 +6,7 @@ from math import comb, sqrt
 
 import numpy as np
 import pytest
+import sdpi.contraction
 from hypothesis import given, settings, strategies as st
 
 from sdpi import (
@@ -144,6 +145,25 @@ class TestIndependentLayer:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_builders_check_the_cap_at_their_width(self, monkeypatch):
+        # Record what each dense builder asks the cap for, and stop it there,
+        # so the n = 13 channels (512 MiB each) are never built.
+        class Checked(Exception):
+            pass
+
+        asked = []
+
+        def record(row_bits, col_bits):
+            asked.append((row_bits, col_bits))
+            raise Checked
+
+        monkeypatch.setattr(sdpi.contraction, "check_layer_bytes", record)
+        for build, spec in ((independent_layer_channel, LayerNoiseSpec(0.1, 13)),
+                            (correlated_layer_channel, CorrelatedNoiseSpec(0.01, 0.1, 13))):
+            with pytest.raises(Checked):
+                build(spec)
+        assert asked == [(13, 13), (13, 13)]
 
     def test_invalid_noise_rejected(self):
         with pytest.raises(ValidationError):

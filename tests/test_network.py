@@ -171,6 +171,21 @@ class TestExactMutualInformation:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("input_width, widths", [(1, [16, 1]), (2, [16, 2]), (1, [1, 16])])
+    def test_no_layer_builds_more_than_its_capped_matrix(self, input_width, widths):
+        # The cap counts 2^input_width x 2^max(fan_in, width) floats per layer;
+        # a wide fan-in must not add a 2^fan_in x fan_in table on top of that.
+        net = random_network(input_width, widths, xi=0.1)
+        fan_ins = [input_width, *widths[:-1]]
+        largest = max(8 << (input_width + max(f, w)) for f, w in zip(fan_ins, widths))
+        tracemalloc.start()
+        try:
+            exact_io_mutual_information(net)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * largest
+
     def test_noiseless_injective_network_preserves_entropy(self):
         net = NoisyNetwork(layers=(copier_layer(3),), xi=0.0, input_width=3)
         p_x = Distribution(np.random.default_rng(21).dirichlet(np.ones(8)))
