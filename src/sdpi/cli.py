@@ -7,6 +7,11 @@ and the seed, numbers are printed with 9 significant digits, and output
 bytes depend only on the command, flags, and seed.  Exit codes: 0 on
 success, 1 on domain infeasibility, 2 on input error, 3 on an internal
 error (one ``error: internal:`` line on stderr, no traceback).
+
+The closed forms come from ``closed_form``, which needs no numpy; the
+modules that do (``contraction``, ``info``, ``memory``, ``network``,
+``verify``) are imported inside the commands that use them, so a
+closed-form command never loads numpy.
 """
 
 from __future__ import annotations
@@ -14,27 +19,55 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 import sys
 from pathlib import Path
 
 import click
-import numpy as np
 
+from . import closed_form as cf
 from .errors import InfeasibleError, ValidationError, count, interval
-from . import contraction as ctr
-from . import memory as mem
-from . import network as nn_mod
-from .info import load_channel, load_distribution
-from .verify import SUITES, run_suite
+
+# The names of ``verify.SUITES``, sorted, so that the command's choices
+# need no import of ``verify``.
+VERIFY_SUITES = ("appendix-identity", "layer-equality", "memory-sandwich", "sdpi-fuzz")
+
+# Largest shared flip probability xi1 for which the weight ordering that
+# the leading-order correlated bound rests on was checked numerically.
+VERIFIED_XI1 = 0.07
 
 
 def _num(x) -> str:
-    if isinstance(x, (int, np.integer)):
+    if isinstance(x, numbers.Integral):
         return str(int(x))
     x = float(x)
     if math.isinf(x):
         return "inf"
     return f"{x:.9g}"
+
+
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """``np.linspace(start, stop, num)`` as floats, with its arithmetic:
+    point i is i * step + start, or (i / div) * delta + start when the
+    step underflows to 0, and the last point is ``stop`` itself."""
+    div, delta = num - 1, stop - start
+    if div > 0 and delta / div == 0.0:
+        points = [(i / div) * delta for i in range(num)]
+    else:
+        step = delta / div if div > 0 else delta
+        points = [i * step for i in range(num)]
+    points = [p + start for p in points]
+    if num > 1:
+        points[-1] = stop
+    return points
+
+
+def _warn_if_unverified(xi1: float) -> None:
+    if xi1 > VERIFIED_XI1:
+        click.echo(
+            f"warning: xi1 above {VERIFIED_XI1:g} leaves the numerically verified ordering range",
+            err=True,
+        )
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -208,7 +241,10 @@ def bound():
 @click.argument("path", type=click.Path())
 def bound_channel(path):
     """Pair bound of a channel read from a JSON or CSV file."""
-    result = ctr.contraction_bound(load_channel(path))
+    from .contraction import contraction_bound
+    from .info import load_channel
+
+    result = contraction_bound(load_channel(path))
     k, l = result.witness_pair
     text = f"eta: {_num(result.eta)}\nwitness: ({k}, {l})\nmethod: {result.method}\n"
     return result.to_json(), text, 0
@@ -235,7 +271,10 @@ def bound_layer(n, xi, xi1, xi2):
         raise ValidationError("independent mode needs --xi")
 
     if correlated:
+        from . import contraction as ctr
+
         spec = ctr.CorrelatedNoiseSpec(xi1=xi1, xi2=xi2, n=n)
+        _warn_if_unverified(xi1)
         exact = ctr.correlated_layer_bound_exact(spec)
         leading = ctr.correlated_layer_bound_leading(spec)
         k, l = exact.witness_pair
@@ -244,7 +283,7 @@ def bound_layer(n, xi, xi1, xi2):
             f"eta_leading: {_num(leading)}\n"
         )
         return dict(exact.to_json(), eta_leading=leading), text, 0
-    eta = ctr.independent_layer_bound(ctr.LayerNoiseSpec(xi=xi, n=n))
+    eta = cf.independent_layer_bound(cf.LayerNoiseSpec(xi=xi, n=n))
     payload = {"eta": eta, "witness": None, "method": "closed-form"}
     return payload, f"eta: {_num(eta)}\nmethod: closed-form\n", 0
 
@@ -263,9 +302,12 @@ def nn():
 @click.option("--base", type=click.Choice(["bits", "nats"]), default="bits")
 def nn_mi(netfile, px, base):
     """Exact input-output mutual information of a network file."""
-    net = nn_mod.load_network(netfile)
+    from .info import load_distribution
+    from .network import exact_io_mutual_information, load_network
+
+    net = load_network(netfile)
     p_x = load_distribution(px) if px else None
-    value = nn_mod.exact_io_mutual_information(net, p_x, base=base)
+    value = exact_io_mutual_information(net, p_x, base=base)
     payload = {"mutual_information": value, "base": base}
     return payload, f"mutual information: {_num(value)} {base}\n", 0
 
@@ -276,7 +318,7 @@ def nn_mi(netfile, px, base):
 @click.option("--hx", type=float, default=1.0, help="Input entropy H(X).")
 def nn_bound(widths, xi, hx):
     """Information decay bound through layers of the given widths."""
-    value = nn_mod.information_decay_bound(widths, xi, hx)
+    value = cf.information_decay_bound(widths, xi, hx)
     return {"bound": value}, f"decay bound: {_num(value)}\n", 0
 
 
@@ -286,7 +328,7 @@ def nn_bound(widths, xi, hx):
 @click.option("--layers", type=int, required=True)
 def nn_min_neurons(xi, delta, layers):
     """Hidden-neuron lower bound for delta-reliable computation."""
-    value = nn_mod.min_neurons_lower_bound(xi, delta, layers)
+    value = cf.min_neurons_lower_bound(xi, delta, layers)
     infeasible = math.isinf(value)
     payload = {"n_s": None if infeasible else value}
     return payload, f"minimum hidden neurons: {_num(value)}\n", 1 if infeasible else 0
@@ -299,7 +341,7 @@ def nn_min_neurons(xi, delta, layers):
 @click.option("--max-depth", type=int, required=True)
 def nn_tradeoff(n, xi, delta, max_depth):
     """Depth sweep of max(expressibility, noise) size requirements."""
-    result = nn_mod.optimal_depth_tradeoff(n, xi, delta, max_depth)
+    result = cf.optimal_depth_tradeoff(n, xi, delta, max_depth)
     payload = {
         "per_depth": [
             {
@@ -338,7 +380,7 @@ def mem_group():
 @click.option("--xi", type=float, required=True)
 def mem_overhead(delta, intervals, xi):
     """Physical-bit lower bound for any correction rule."""
-    value = mem.overhead_lower_bound(delta, intervals, xi)
+    value = cf.overhead_lower_bound(delta, intervals, xi)
     return {"n_lower": value}, f"overhead lower bound: {_num(value)} bits\n", 0
 
 
@@ -348,7 +390,7 @@ def mem_overhead(delta, intervals, xi):
 @click.option("--delta", type=float, required=True)
 def mem_relax(n, xi, delta):
     """Relaxation-time upper bound for any correction rule."""
-    result = mem.relaxation_upper_bound(n, xi, delta)
+    result = cf.relaxation_upper_bound(n, xi, delta)
     text = (
         f"relaxation upper bound: {_num(result.time)} intervals "
         f"(asymptotic {_num(result.asymptotic)})\n"
@@ -362,7 +404,9 @@ def mem_relax(n, xi, delta):
 @click.option("--delta", type=float, required=True)
 def mem_reptime(n, xi, delta):
     """Repetition-code relaxation time (exact tail probability)."""
-    result = mem.repetition_relaxation_time(n, xi, delta)
+    from .memory import repetition_relaxation_time
+
+    result = repetition_relaxation_time(n, xi, delta)
     extra = "" if result.chernoff_lower is None else f" (chernoff lower {_num(result.chernoff_lower)})"
     text = f"repetition relaxation time: {_num(result.time)} intervals{extra}\n"
     return {"time": result.time, "chernoff_lower": result.chernoff_lower}, text, 0
@@ -377,8 +421,10 @@ def mem_reptime(n, xi, delta):
 @click.option("--seed", type=int, default=0)
 def mem_simulate(n, xi, delta, intervals, trials, seed):
     """Monte Carlo repetition-code memory; emits a CSV success curve."""
-    spec = mem.MemorySpec(n=n, xi=xi, delta=delta, intervals=intervals)
-    report = mem.simulate_memory(spec, trials=trials, seed=seed)
+    from .memory import MemorySpec, simulate_memory
+
+    spec = MemorySpec(n=n, xi=xi, delta=delta, intervals=intervals)
+    report = simulate_memory(spec, trials=trials, seed=seed)
     meta = dict(spec.to_dict(), trials=trials, seed=seed)
     rows = zip(range(1, intervals + 1), report.success_prob, report.stderr())
     _write_csv(["t", "success_prob", "stderr"], rows, note="# " + json.dumps(meta, sort_keys=True))
@@ -412,9 +458,9 @@ def fig2(n, xi_min, xi_max, points, seed):
     xi_min = interval(xi_min, "xi-min", "[0, 0.5]")
     interval(xi_max, "xi-max", f"[{xi_min}, 0.5]")
     rows = []
-    for xi in np.linspace(xi_min, xi_max, count(points, "points")):
+    for xi in _linspace(xi_min, xi_max, count(points, "points")):
         eta = 1.0 - (4.0 * xi - 4.0 * xi**2)
-        rows.append((xi, ctr.evans_schulman_raw(eta, n), 1.0 - (1.0 - eta) ** n))
+        rows.append((xi, cf.evans_schulman_raw(eta, n), 1.0 - (1.0 - eta) ** n))
     _write_csv(["xi", "evans_schulman", "ours"], rows)
 
 
@@ -422,24 +468,22 @@ def fig2(n, xi_min, xi_max, points, seed):
 @click.option("--xi2", type=float, default=0.35)
 @click.option("--n", type=int, default=5)
 @click.option("--xi1-min", type=float, default=0.0)
-@click.option("--xi1-max", type=float, default=0.07)
+@click.option("--xi1-max", type=float, default=VERIFIED_XI1)
 @click.option("--points", type=int, default=15)
 @_label_seed
 def fig3(xi2, n, xi1_min, xi1_max, points, seed):
     """Correlated-noise bounds against the matched independent bound."""
+    from . import contraction as ctr
+
     count(seed, "seed", minimum=0)
     xi1_min = interval(xi1_min, "xi1-min", "[0, 1]")
     interval(xi1_max, "xi1-max", f"[{xi1_min}, 1]")
-    if xi1_max > 0.07:
-        click.echo(
-            "warning: xi1 above 0.07 leaves the numerically verified ordering range",
-            err=True,
-        )
+    _warn_if_unverified(xi1_max)
     rows = []
-    for xi1 in np.linspace(xi1_min, xi1_max, count(points, "points")):
+    for xi1 in _linspace(xi1_min, xi1_max, count(points, "points")):
         spec = ctr.CorrelatedNoiseSpec(xi1=xi1, xi2=xi2, n=n)
         matched = xi1 * (1.0 - xi2) + (1.0 - xi1) * xi2
-        eta_ind = ctr.independent_layer_bound(ctr.LayerNoiseSpec(xi=matched, n=n))
+        eta_ind = cf.independent_layer_bound(cf.LayerNoiseSpec(xi=matched, n=n))
         leading = ctr.correlated_layer_bound_leading(spec)
         exact = ctr.correlated_layer_bound_exact(spec).eta
         rows.append((xi1, eta_ind, leading, exact))
@@ -458,9 +502,9 @@ def fig5(xi_min, xi_max, points, deltas, layer_counts, seed):
     count(seed, "seed", minimum=0)
     xi_min = interval(xi_min, "xi-min", "[0, 0.5)")
     interval(xi_max, "xi-max", f"[{xi_min}, 0.5)")
-    grid = np.linspace(xi_min, xi_max, count(points, "points"))
+    grid = _linspace(xi_min, xi_max, count(points, "points"))
     rows = [
-        (xi, delta, depth, nn_mod.min_neurons_lower_bound(xi, delta, depth))
+        (xi, delta, depth, cf.min_neurons_lower_bound(xi, delta, depth))
         for delta in deltas
         for depth in layer_counts
         for xi in grid
@@ -477,7 +521,7 @@ def fig5(xi_min, xi_max, points, deltas, layer_counts, seed):
 def fig6(n, xi, delta, max_depth, seed):
     """Size requirements per depth with the binding regime and the optimum."""
     count(seed, "seed", minimum=0)
-    result = nn_mod.optimal_depth_tradeoff(n, xi, delta, max_depth)
+    result = cf.optimal_depth_tradeoff(n, xi, delta, max_depth)
     rows = [
         (r.depth, r.expressibility_bound, r.noise_bound, r.minimum_neurons)
         for r in result.per_depth
@@ -499,7 +543,7 @@ def fig8(t_max, pairs, seed):
     count(seed, "seed", minimum=0)
     t_max = count(t_max, "t-max")
     rows = [
-        (t, delta, xi, mem.overhead_lower_bound(delta, t, xi))
+        (t, delta, xi, cf.overhead_lower_bound(delta, t, xi))
         for delta, xi in pairs
         for t in range(1, t_max + 1)
     ]
@@ -510,12 +554,14 @@ def fig8(t_max, pairs, seed):
 
 
 @_command(main, "verify")
-@click.argument("suite", type=click.Choice([*sorted(SUITES), "all"]))
+@click.argument("suite", type=click.Choice([*VERIFY_SUITES, "all"]))
 @click.option("--seed", type=int, default=0)
 @click.option("--budget", type=int, default=None, help="Sample count for randomized suites.")
 def verify(suite, seed, budget):
     """Run a verification suite; exit 0 iff every check passes."""
-    names = sorted(SUITES) if suite == "all" else [suite]
+    from .verify import run_suite
+
+    names = VERIFY_SUITES if suite == "all" else [suite]
     results = [run_suite(name, seed=seed, budget=budget) for name in names]
     lines = []
     for r in results:

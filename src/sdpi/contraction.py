@@ -7,9 +7,10 @@ with row-stochastic matrix A,
 
 upper-bounds I(X;Z)/I(X;Y) over every Markov chain X -> Y -> Z whose
 second step is the channel.  The module also provides the noisy-layer
-specializations (independent and weakly-correlated per-neuron noise),
-a brute-force search oracle for the bound, and the Hessian /
-quadratic-form machinery that verifies the bound's derivation
+specializations (the materialized layer channels and the bounds for
+weakly-correlated noise; the independent-noise closed form is in
+``closed_form``), a brute-force search oracle for the bound, and the
+Hessian / quadratic-form machinery that verifies the bound's derivation
 numerically.
 """
 
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .closed_form import LayerNoiseSpec, shared_noise_slope
 from .errors import ValidationError, count, interval
 from .info import (
     Channel,
@@ -90,18 +92,6 @@ def pair_bound_batch(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class LayerNoiseSpec:
-    """A layer of n components whose outputs flip independently with probability xi."""
-
-    xi: float
-    n: int
-
-    def __post_init__(self):
-        interval(self.xi, "flip probability", "[0, 0.5)")
-        object.__setattr__(self, "n", count(self.n, "layer width"))
-
-
-@dataclass(frozen=True)
 class CorrelatedNoiseSpec:
     """Layer noise with a shared all-flip probability xi1 on top of independent xi2.
 
@@ -119,11 +109,6 @@ class CorrelatedNoiseSpec:
         interval(self.xi1, "shared flip probability", "[0, 1]")
         interval(self.xi2, "independent flip probability", "[0, 0.5)")
         object.__setattr__(self, "n", count(self.n, "layer width", 1, MAX_CLASS_SCAN_WIDTH))
-
-
-def independent_layer_bound(spec: LayerNoiseSpec) -> float:
-    """Closed-form contraction bound 1 - (4 xi - 4 xi^2)^n for independent noise."""
-    return 1.0 - (4.0 * spec.xi - 4.0 * spec.xi**2) ** spec.n
 
 
 def independent_layer_channel(spec: LayerNoiseSpec) -> Channel:
@@ -235,25 +220,6 @@ def shared_noise_ordering_holds(spec: CorrelatedNoiseSpec) -> bool:
     return bool(np.all(np.diff(_log_distance_weights(spec)) < 0.0))
 
 
-def shared_noise_slope(xi2: float, n: int) -> float:
-    """First-order drop of the correlated-layer bound per unit of shared noise.
-
-    Equals 2[(4 xi2^2 - 4 xi2 + 2)^n - (4 xi2 - 4 xi2^2)^n].
-    """
-    xi2 = interval(xi2, "independent flip probability", "[0, 0.5]")
-    n = count(n, "layer width")
-    return 2.0 * ((4.0 * xi2**2 - 4.0 * xi2 + 2.0) ** n - (4.0 * xi2 - 4.0 * xi2**2) ** n)
-
-
-def matched_noise_slope(xi2: float, n: int) -> float:
-    """Slope 4n(2 xi2 - 1)^2 (4 xi2 - 4 xi2^2)^(n-1) of the independent bound
-    at the matched per-component noise level; never exceeds
-    ``shared_noise_slope``."""
-    xi2 = interval(xi2, "independent flip probability", "[0, 0.5]")
-    n = count(n, "layer width")
-    return 4.0 * n * (2.0 * xi2 - 1.0) ** 2 * (4.0 * xi2 - 4.0 * xi2**2) ** (n - 1)
-
-
 def correlated_layer_bound_leading(spec: CorrelatedNoiseSpec) -> float:
     """Leading-order (in xi1) contraction bound for weakly-correlated noise.
 
@@ -263,11 +229,6 @@ def correlated_layer_bound_leading(spec: CorrelatedNoiseSpec) -> float:
     """
     base = (4.0 * spec.xi2 - 4.0 * spec.xi2**2) ** spec.n
     return 1.0 - (base + shared_noise_slope(spec.xi2, spec.n) * spec.xi1)
-
-
-def evans_schulman_raw(eta_single: float, n: int) -> float:
-    """Per-component accounting bound n * eta, unclamped (can exceed 1)."""
-    return count(n, "component count") * interval(eta_single, "single-component eta", "[0, 1]")
 
 
 @dataclass(frozen=True)

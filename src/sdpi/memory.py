@@ -1,12 +1,13 @@
-"""Fault-tolerant memory bounds and a repetition-code simulator.
+"""Repetition-code memories: catastrophic-event probabilities, the
+relaxation time, and a Monte Carlo simulator.
 
 One logical bit lives in n noisy physical bits; every interval each bit
 flips independently with probability xi and an error-correction step
 rewrites the array.  The relaxation time is the number of intervals over
 which the bit stays delta-reliably decodable.  The contraction bound
 yields a scheme-independent overhead lower bound / relaxation upper
-bound; majority-vote repetition coding gives the matching achievable
-side up to a factor of 2 in the exponent.
+bound (``closed_form``); majority-vote repetition coding, here, gives
+the matching achievable side up to a factor of 2 in the exponent.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import numpy as np
 
 from .errors import InfeasibleError, count, interval
 from .info import trial_blocks
-from .network import delta_capacity
 
 # Largest chunk of int64 flip counts that simulate_memory holds at once.
 SIMULATION_BLOCK_BYTES = 8 << 20
@@ -42,38 +42,6 @@ class MemorySpec:
 
     def to_dict(self) -> dict:
         return {"n": self.n, "xi": self.xi, "delta": self.delta, "intervals": self.intervals}
-
-
-def overhead_lower_bound(delta: float, intervals: int, xi: float) -> float:
-    """Minimum physical bits log(1 - D^(1/T)) / log(4 xi - 4 xi^2) to hold one
-    bit delta-reliably for T intervals, for any correction rule."""
-    xi = interval(xi, "flip probability", "(0, 0.5)")
-    cap = delta_capacity(interval(delta, "failure budget", "(0, 0.5)"))
-    intervals = count(intervals, "interval count")
-    a = 4.0 * xi - 4.0 * xi**2
-    # 1 - cap^(1/T) via expm1 keeps precision for large T.
-    return math.log(-math.expm1(math.log(cap) / intervals)) / math.log(a)
-
-
-@dataclass(frozen=True)
-class RelaxationBound:
-    """Relaxation-time upper bound with its large-n exponential form."""
-
-    time: float
-    asymptotic: float
-
-
-def relaxation_upper_bound(n: int, xi: float, delta: float) -> RelaxationBound:
-    """No correction rule retains the bit past log(D) / log(1 - (4xi-4xi^2)^n)
-    intervals; grows exponentially in n with rate log(1/(4xi-4xi^2))."""
-    xi = interval(xi, "flip probability", "(0, 0.5)")
-    cap = delta_capacity(interval(delta, "failure budget", "(0, 0.5)"))
-    n = count(n, "bit count")
-    a = 4.0 * xi - 4.0 * xi**2
-    a_n = a**n
-    asymptotic = math.inf if a_n == 0.0 else -math.log(cap) / a_n
-    time = math.inf if a_n == 0.0 else math.log(cap) / math.log1p(-a_n)
-    return RelaxationBound(time=time, asymptotic=asymptotic)
 
 
 def _majority_fail_threshold(n: int) -> int:

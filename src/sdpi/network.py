@@ -1,4 +1,6 @@
-"""Noisy binary threshold networks and their size/information bounds.
+"""Noisy binary threshold networks: their exact and sampled input-output
+mutual information.  The size and information bounds on such networks
+are closed forms, in ``closed_form``.
 
 A network is simply layered: every synaptic connection joins adjacent
 layers and inputs enter only at layer 0.  Each neuron computes
@@ -13,11 +15,11 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Literal, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import InfeasibleError, ValidationError, count, interval
+from .errors import ValidationError, count, interval
 from .info import (
     Channel,
     Distribution,
@@ -173,142 +175,6 @@ def exact_io_mutual_information(
     if p_x.alphabet_size != n_in:
         raise ValidationError(f"input law has {p_x.alphabet_size} states, network expects {n_in}")
     return mutual_information(joint(p_x, network_channel(net)), base)
-
-
-def _widths(widths: Sequence[int]) -> tuple[int, ...]:
-    widths = tuple(count(w, "layer width") for w in widths)
-    count(len(widths), "number of layer widths")
-    return widths
-
-
-def information_decay_bound(widths: Sequence[int], xi: float, h_x: float) -> float:
-    """Upper bound h_x * prod_l (1 - (4 xi - 4 xi^2)^(n_l)) on end-to-end
-    mutual information through layers of the given widths."""
-    widths = _widths(widths)
-    xi = interval(xi, "flip probability", "[0, 0.5)")
-    h_x = interval(h_x, "input entropy", "[0, inf)")
-    a = 4.0 * xi - 4.0 * xi**2
-    factor = 1.0
-    for w in widths:
-        factor *= 1.0 - a**w
-    return h_x * factor
-
-
-def delta_capacity(delta: float) -> float:
-    """Minimum mutual information (bits) to decode one bit delta-reliably.
-
-    1 + delta log2 delta + (1 - delta) log2(1 - delta); equals 1 at
-    delta = 0 and decreases to 0 as delta -> 1/2.
-    """
-    if interval(delta, "reliability level", "[0, 0.5)") == 0.0:
-        return 1.0
-    return 1.0 + delta * math.log2(delta) + (1.0 - delta) * math.log2(1.0 - delta)
-
-
-def min_neurons_lower_bound(xi: float, delta: float, layers: int) -> float:
-    """Lower bound on total hidden neurons for delta-reliable computation.
-
-    (L-1) log(1 - (D/(1-a))^(1/(L-1))) / log(a) with a = 4 xi - 4 xi^2 and
-    D the delta threshold; diverges (returns inf) once D/(1-a) >= 1, where
-    the last output neuron alone caps the information flow.  L = 1 has no
-    hidden neurons: returns 0 when feasible (1 - a >= D), inf otherwise.
-    """
-    layers = count(layers, "layer count")
-    xi = interval(xi, "flip probability", "[0, 0.5)")
-    delta = interval(delta, "reliability level", "(0, 0.5)")
-    a = 4.0 * xi - 4.0 * xi**2
-    if a == 0.0:
-        return 0.0
-    ratio = delta_capacity(delta) / (1.0 - a)
-    if layers == 1:
-        return 0.0 if ratio <= 1.0 else math.inf
-    if ratio >= 1.0:
-        return math.inf
-    return (layers - 1) * math.log(1.0 - ratio ** (1.0 / (layers - 1))) / math.log(a)
-
-
-@dataclass(frozen=True)
-class AmGmBound:
-    """Product of (1 - a^w) terms against its equal-split upper bound."""
-
-    product: float
-    bound: float
-    tight: bool
-
-
-def amgm_product_bound(a: float, widths: Sequence[int]) -> AmGmBound:
-    """prod_l (1 - a^(n_l)) <= (1 - a^mean)^L, with equality for equal widths."""
-    a = interval(a, "base", "[0, 1]")
-    widths = _widths(widths)
-    product = 1.0
-    for w in widths:
-        product *= 1.0 - a**w
-    mean = sum(widths) / len(widths)
-    bound = (1.0 - a**mean) ** len(widths)
-    if not product <= bound + 1e-12:
-        raise ArithmeticError(f"AM-GM violated: product {product!r} exceeds bound {bound!r}")
-    return AmGmBound(product=product, bound=bound, tight=len(set(widths)) == 1)
-
-
-def parity_size_complexity(n: int, d: int) -> float:
-    """Gate-count lower bound (n/2)^(1/(2(d-1))) for depth-d threshold
-    circuits computing the n-bit parity (Impagliazzo-Paturi-Saks)."""
-    n, d = count(n, "input count", 2), count(d, "depth", 2)
-    return (n / 2.0) ** (1.0 / (2.0 * (d - 1)))
-
-
-@dataclass(frozen=True)
-class SizeBoundResult:
-    """Both size requirements at one depth; the larger one binds."""
-
-    depth: int
-    expressibility_bound: float
-    noise_bound: float
-    binding: Literal["expressibility", "noise"]
-
-    @property
-    def minimum_neurons(self) -> float:
-        return max(self.expressibility_bound, self.noise_bound)
-
-
-@dataclass(frozen=True)
-class DepthTradeoff:
-    per_depth: tuple[SizeBoundResult, ...]
-    best: SizeBoundResult
-
-
-def optimal_depth_tradeoff(n: int, xi: float, delta: float, max_depth: int) -> DepthTradeoff:
-    """Size requirement max(expressibility, noise robustness) per depth.
-
-    The expressibility bound is the parity gate-count lower bound and
-    decreases with depth; the noise bound is the hidden-neuron lower
-    bound plus the output neuron and increases with depth.  Returns all
-    depths 2..max_depth and the one minimizing the max (ties go to the
-    smaller depth).
-    """
-    max_depth = count(max_depth, "max depth", 2)
-    results = []
-    for d in range(2, max_depth + 1):
-        omega = parity_size_complexity(n, d)
-        noise = min_neurons_lower_bound(xi, delta, d) + 1.0
-        binding = "expressibility" if omega >= noise else "noise"
-        results.append(
-            SizeBoundResult(
-                depth=d, expressibility_bound=omega, noise_bound=noise, binding=binding
-            )
-        )
-    best = None
-    for r in results:
-        if math.isinf(r.minimum_neurons):
-            continue
-        if best is None or r.minimum_neurons < best.minimum_neurons:
-            best = r
-    if best is None:
-        raise InfeasibleError(
-            "every depth up to the cap is infeasible at this noise level; "
-            "the output neuron alone loses too much information"
-        )
-    return DepthTradeoff(per_depth=tuple(results), best=best)
 
 
 @dataclass(frozen=True)

@@ -18,20 +18,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError, count
+from .closed_form import LayerNoiseSpec, independent_layer_bound, relaxation_upper_bound
 from .contraction import (
-    LayerNoiseSpec,
     _chain_ratios,
     _channels,
     _simplex_rows,
     contraction_bound,
-    independent_layer_bound,
     independent_layer_channel,
     pair_bound_batch,
     quadratic_decomposition_batch,
     rayleigh_supremum_batch,
 )
 from .info import _validated_rows, trial_blocks
-from .memory import relaxation_upper_bound, repetition_relaxation_time
+from .memory import repetition_relaxation_time
 
 RATIO_SLACK = 1e-9
 RESIDUAL_TOL = 1e-9

@@ -1,5 +1,6 @@
 """Command-line surface: formats, exit codes, determinism."""
 
+import ast
 import json
 import math
 import os
@@ -13,7 +14,8 @@ import pytest
 from click.testing import CliRunner
 
 import sdpi
-from sdpi.cli import main
+from sdpi import verify
+from sdpi.cli import VERIFY_SUITES, VERIFIED_XI1, _linspace, main
 
 
 @pytest.fixture
@@ -151,6 +153,25 @@ class TestBoundCommands:
         payload = json.loads(res.stdout)
         assert 0.0 <= payload["eta"] <= 1.0
         assert math.isfinite(payload["eta_leading"])
+
+    def test_leading_order_outside_the_verified_range_warns(self, runner):
+        # At xi1 = 1 the first-order value is no bound at all (-63 here):
+        # stdout keeps it, stderr says so, as fig 3 does.
+        args = ["bound", "layer", "--n", "5", "--xi1", "1", "--xi2", "0", "--format", "json"]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0
+        assert json.loads(res.stdout)["eta_leading"] == pytest.approx(-63.0)
+        assert res.stderr == (
+            "warning: xi1 above 0.07 leaves the numerically verified ordering range\n"
+        )
+        fig = runner.invoke(main, ["fig", "3", "--points", "2", "--xi1-max", "0.08"])
+        assert fig.stderr == res.stderr
+
+    @pytest.mark.parametrize("xi1", ["0.02", str(VERIFIED_XI1)])
+    def test_leading_order_inside_the_verified_range_is_quiet(self, runner, xi1):
+        res = runner.invoke(main, ["bound", "layer", "--n", "5", "--xi1", xi1, "--xi2", "0.35"])
+        assert res.exit_code == 0
+        assert res.stderr == ""
 
     def test_layer_flag_conflicts(self, runner):
         res = runner.invoke(main, ["bound", "layer", "--n", "3", "--xi1", "0.01"])
@@ -352,6 +373,24 @@ class TestFigureCommands:
         assert res.exit_code == 0
         assert "warning" in res.stderr
 
+    @pytest.mark.parametrize("start,stop,num", [
+        (0.0, 0.5, 51), (0.01, 0.49, 49), (0.0, 0.07, 15),  # fig 2, 5 and 3 defaults
+        (0.25, 0.25, 1), (0.3, 0.1, 1), (0.2, 0.2, 7),
+        (0.0, 5e-324, 4),  # the step underflows to 0
+    ])
+    def test_grid_repeats_numpy_linspace(self, start, stop, num):
+        want = [float(x).hex() for x in np.linspace(start, stop, num)]
+        assert [x.hex() for x in _linspace(start, stop, num)] == want
+
+    def test_grid_repeats_numpy_linspace_on_random_grids(self):
+        rng = np.random.default_rng(9)
+        for _ in range(2000):
+            scale = 10.0 ** rng.integers(-3, 4)
+            start, stop = sorted(rng.uniform(-scale, scale, size=2))
+            num = int(rng.integers(1, 120))
+            want = [float(x).hex() for x in np.linspace(start, stop, num)]
+            assert [x.hex() for x in _linspace(start, stop, num)] == want, (start, stop, num)
+
     def test_fig5_reference_cell(self, runner):
         res = runner.invoke(
             main,
@@ -544,3 +583,73 @@ def test_edge_values_never_escape_as_exceptions(runner, path, option, value):
     res = runner.invoke(main, args)
     assert res.exception is None or isinstance(res.exception, SystemExit), res.exception
     assert res.exit_code in (0, 1, 2)
+
+
+# The closed-form commands, which must run without numpy.
+NUMPY_FREE_COMMANDS = [
+    "bound layer --n 5 --xi 0.1",
+    "nn bound --widths 3,4 --xi 0.1",
+    "nn min-neurons --xi 0.1 --delta 0.3 --layers 3",
+    "nn tradeoff --n 5e8 --xi 0.37 --delta 0.4 --max-depth 6",
+    "mem overhead --delta 0.3 --intervals 5 --xi 0.1",
+    "mem relax --n 5 --xi 0.1 --delta 0.3",
+    "fig 2",
+    "fig 5",
+    "fig 6",
+    "fig 8",
+]
+REPORT_NUMPY = "import sys\nsys.stderr.write(f'numpy loaded: {\"numpy\" in sys.modules}\\n')\n"
+
+
+@pytest.mark.parametrize("code", [
+    "import sdpi\n",
+    "import sdpi.cli\n",
+    *(
+        "import sys, sdpi.cli\n"
+        "try:\n"
+        f"    sdpi.cli.main({command.split()!r})\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        for command in NUMPY_FREE_COMMANDS
+    ),
+], ids=["import-sdpi", "import-sdpi-cli", *NUMPY_FREE_COMMANDS])
+def test_closed_forms_never_load_numpy(code):
+    env = dict(os.environ, PYTHONPATH=str(Path(sdpi.__file__).parents[1]))
+    res = subprocess.run(
+        [sys.executable, "-c", code + REPORT_NUMPY], capture_output=True, text=True, env=env,
+        timeout=60,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stderr == "numpy loaded: False\n"
+
+
+def test_closed_form_imports_only_the_stdlib_and_errors():
+    tree = ast.parse(Path(sdpi.__file__).with_name("closed_form.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    outside = {
+        name for name in imported
+        if name != ".errors" and name.split(".")[0] not in sys.stdlib_module_names
+    }
+    assert outside == set()
+
+
+def test_every_public_name_resolves_to_its_defining_module():
+    for name in sdpi.__all__:
+        obj = sdpi.__getattr__(name)
+        assert getattr(sdpi, name) is obj
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+        assert obj.__module__.startswith("sdpi."), name
+
+
+def test_unknown_public_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        sdpi.no_such_name
+
+
+def test_verify_choices_match_the_suites():
+    assert VERIFY_SUITES == tuple(sorted(verify.SUITES))
