@@ -43,13 +43,10 @@ _EXPORTS = {
     "contraction": (
         "ContractionBound",
         "CorrelatedNoiseSpec",
-        "EmpiricalContraction",
-        "SearchConfig",
         "contraction_bound",
         "correlated_layer_bound_exact",
         "correlated_layer_bound_leading",
         "correlated_layer_channel",
-        "empirical_contraction",
         "independent_layer_channel",
         "quadratic_decomposition_check",
         "rayleigh_supremum",
@@ -75,6 +72,7 @@ _EXPORTS = {
         "repetition_relaxation_time",
         "simulate_memory",
     ),
+    "verify": ("EmpiricalContraction", "SearchConfig", "empirical_contraction"),
 }
 
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

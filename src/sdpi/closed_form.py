@@ -72,17 +72,18 @@ def _widths(widths: Sequence[int]) -> tuple[int, ...]:
     return widths
 
 
+def _layer_bound_product(a: float, widths: tuple[int, ...]) -> float:
+    """prod_l (1 - a^(n_l)), multiplied left to right from 1.0."""
+    return math.prod((1.0 - a**w for w in widths), start=1.0)
+
+
 def information_decay_bound(widths: Sequence[int], xi: float, h_x: float) -> float:
     """Upper bound h_x * prod_l (1 - (4 xi - 4 xi^2)^(n_l)) on end-to-end
     mutual information through layers of the given widths."""
     widths = _widths(widths)
     xi = interval(xi, "flip probability", "[0, 0.5)")
     h_x = interval(h_x, "input entropy", "[0, inf)")
-    a = 4.0 * xi - 4.0 * xi**2
-    factor = 1.0
-    for w in widths:
-        factor *= 1.0 - a**w
-    return h_x * factor
+    return h_x * _layer_bound_product(4.0 * xi - 4.0 * xi**2, widths)
 
 
 def delta_capacity(delta: float) -> float:
@@ -131,9 +132,7 @@ def amgm_product_bound(a: float, widths: Sequence[int]) -> AmGmBound:
     """prod_l (1 - a^(n_l)) <= (1 - a^mean)^L, with equality for equal widths."""
     a = interval(a, "base", "[0, 1]")
     widths = _widths(widths)
-    product = 1.0
-    for w in widths:
-        product *= 1.0 - a**w
+    product = _layer_bound_product(a, widths)
     mean = sum(widths) / len(widths)
     bound = (1.0 - a**mean) ** len(widths)
     if not product <= bound + 1e-12:

@@ -9,9 +9,9 @@ upper-bounds I(X;Z)/I(X;Y) over every Markov chain X -> Y -> Z whose
 second step is the channel.  The module also provides the noisy-layer
 specializations (the materialized layer channels and the bounds for
 weakly-correlated noise; the independent-noise closed form is in
-``closed_form``), a brute-force search oracle for the bound, and the
-Hessian / quadratic-form machinery that verifies the bound's derivation
-numerically.
+``closed_form``) and the Hessian / quadratic-form machinery that
+verifies the bound's derivation numerically.  The random search that
+tries to break the bound is ``verify.empirical_contraction``.
 """
 
 from __future__ import annotations
@@ -24,24 +24,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .closed_form import LayerNoiseSpec, shared_noise_slope
 from .errors import ValidationError, count, interval
-from .info import (
-    Channel,
-    Distribution,
-    _validated_rows,
-    check_layer_bytes,
-    flip_bits,
-    mutual_information_batch,
-    trial_blocks,
-)
+from .info import Channel, Distribution, check_layer_bytes, flip_bits
 
 # Hessian-based operations require p bounded away from the simplex
 # boundary; degenerate p corresponds to a smaller alphabet and callers
 # should reduce it explicitly.
 INTERIOR_MIN = 1e-9
-
-# Ratios with I(X;Y) below this are undefined and skipped by the search
-# oracle.
-DEGENERATE_MI = 1e-10
 
 # Widest correlated layer: every binomial C(m, k) with m <= 1000 is a
 # finite float, the leading-order slope (at most 2 * 2^n) stays finite,
@@ -229,131 +217,6 @@ def correlated_layer_bound_leading(spec: CorrelatedNoiseSpec) -> float:
     """
     base = (4.0 * spec.xi2 - 4.0 * spec.xi2**2) ** spec.n
     return 1.0 - (base + shared_noise_slope(spec.xi2, spec.n) * spec.xi1)
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    """Parameters of the random contraction search."""
-
-    alphabet_x: int = 2
-    samples: int = 1000
-    seed: int = 0
-    refine_steps: int = 200
-
-    def __post_init__(self):
-        object.__setattr__(self, "alphabet_x", count(self.alphabet_x, "alphabet_x", 2, 4))
-        object.__setattr__(self, "samples", count(self.samples, "sample count"))
-        object.__setattr__(self, "seed", count(self.seed, "seed", 0))
-        object.__setattr__(self, "refine_steps", count(self.refine_steps, "refine step count", 0))
-
-
-@dataclass(frozen=True)
-class EmpiricalContraction:
-    """Best observed I(X;Z)/I(X;Y) ratio from the random search."""
-
-    achieved_ratio: float
-    best_px: Distribution | None
-    best_channel_xy: Channel | None
-    samples: int
-    seed: int
-
-    def to_json(self) -> dict:
-        return {
-            "achieved_ratio": self.achieved_ratio,
-            "samples": self.samples,
-            "seed": self.seed,
-            "best_px": None if self.best_px is None else self.best_px.probs.tolist(),
-            "best_channel_xy": (
-                None if self.best_channel_xy is None else self.best_channel_xy.matrix.tolist()
-            ),
-        }
-
-
-def _simplex_rows(values: np.ndarray, size: int) -> np.ndarray:
-    """Each sample's exponentials, in runs of ``size``, normalized to sum 1
-    (flat Dirichlet rows): shape (samples, runs, size)."""
-    rows = values.reshape(len(values), -1, size)
-    return rows / rows.sum(axis=-1, keepdims=True)
-
-
-def _channels(matrices: np.ndarray) -> np.ndarray:
-    """A (samples, n, m) stack, each matrix validated as ``Channel`` does."""
-    g, n, m = matrices.shape
-    return _validated_rows(matrices.reshape(g * n, m), "channel row {}").reshape(g, n, m)
-
-
-def _joints(px: np.ndarray, channels: np.ndarray) -> np.ndarray:
-    """Joint tables px(x) c(y|x), each validated as ``JointDistribution`` does."""
-    tables = px[:, :, None] * channels
-    return _validated_rows(tables.reshape(len(tables), -1), "joint table").reshape(tables.shape)
-
-
-def _chain_ratios(
-    px: np.ndarray, c_xy: np.ndarray, c_yz: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """I(X;Z)/I(X;Y) of each chain of a stack of validated laws (k, nx),
-    channels (k, nx, ny) and second channels (ny, nz) or (k, ny, nz), and
-    whether I(X;Y) exceeds ``DEGENERATE_MI``; the ratio is -inf where it
-    does not, since it is undefined there."""
-    i_xy = mutual_information_batch(_joints(px, c_xy))
-    live = i_xy > DEGENERATE_MI
-    i_xz = mutual_information_batch(_joints(px, _channels(c_xy @ c_yz)))
-    return np.where(live, i_xz / np.where(live, i_xy, 1.0), -np.inf), live
-
-
-def empirical_contraction(c_yz: Channel, config: SearchConfig = SearchConfig()) -> EmpiricalContraction:
-    """Random search maximizing I(X;Z)/I(X;Y) over (p_X, X -> Y channel).
-
-    The samples are drawn in the blocks of ``info.trial_blocks``: a block
-    of k samples makes one ``standard_exponential((k, nx + nx * ny))``
-    draw from its generator, and each row is p_X (its first nx entries)
-    and the nx rows of the X -> Y channel, each run normalized to sum 1.
-    So re-running with the same seed and sample count reproduces the
-    identical result.  Samples with I(X;Y) at most ``DEGENERATE_MI`` have
-    an undefined ratio and are skipped; on ties the first best sample
-    wins.  The best candidate is then optionally refined by coordinate
-    perturbation, drawn from the last block's generator.
-    """
-    nx, ny = config.alphabet_x, c_yz.n_inputs
-    best_ratio = -1.0
-    best_px = best_cxy = None
-    used = 0
-    for start, stop, rng in trial_blocks(config.samples, config.seed):
-        values = rng.standard_exponential((stop - start, nx + nx * ny))
-        px = _simplex_rows(values[:, :nx], nx)[:, 0]
-        cxy = _simplex_rows(values[:, nx:], ny)
-        laws = _validated_rows(px, "distribution")
-        ratio, live = _chain_ratios(laws, _channels(cxy), c_yz.matrix)
-        used += int(live.sum())
-        j = int(np.argmax(ratio))
-        # Distribution(px[j]) validates px[j] as laws[j] was; validating
-        # laws[j] again could move its last bits.
-        if ratio[j] > best_ratio:
-            best_ratio, best_px, best_cxy = float(ratio[j]), Distribution(px[j]), Channel(cxy[j])
-
-    if best_px is None:
-        return EmpiricalContraction(0.0, None, None, 0, config.seed)
-
-    scale = 0.5
-    p, m = best_px.probs, best_cxy.matrix
-    for _ in range(config.refine_steps):
-        p2 = np.abs(p + scale * rng.normal(size=nx) * p.mean())
-        m2 = np.abs(m + scale * rng.normal(size=m.shape) * m.mean(axis=1, keepdims=True))
-        cand_px = Distribution(p2 / p2.sum())
-        cand_cxy = Channel(m2 / m2.sum(axis=1, keepdims=True))
-        ratio, _ = _chain_ratios(cand_px.probs[None], cand_cxy.matrix[None], c_yz.matrix)
-        if ratio[0] > best_ratio:
-            best_ratio, best_px, best_cxy = float(ratio[0]), cand_px, cand_cxy
-            p, m = best_px.probs, best_cxy.matrix
-        scale *= 0.99
-
-    return EmpiricalContraction(
-        achieved_ratio=float(min(max(best_ratio, 0.0), 1.0)),
-        best_px=best_px,
-        best_channel_xy=best_cxy,
-        samples=used,
-        seed=config.seed,
-    )
 
 
 def _interior_probs(probs: np.ndarray, matrices: np.ndarray | None = None) -> np.ndarray:

@@ -257,17 +257,7 @@ def trial_blocks(total: int, seed: int):
 
 def load_channel(path) -> Channel:
     """Read a channel file: JSON ``{"rows": [[...], ...]}`` or CSV, one row per line."""
-    text = Path(path).read_text()
-    if text.lstrip().startswith("{"):
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid JSON ({exc})") from None
-        if not isinstance(data, dict) or "rows" not in data:
-            raise ValidationError(f'{path}: JSON channel must be an object with a "rows" key')
-        rows = data["rows"]
-    else:
-        rows = _parse_csv_rows(text, path)
+    rows, _ = _read_data(path, "rows", "channel")
     try:
         matrix = np.array(rows, dtype=float)
     except ValueError:
@@ -279,22 +269,27 @@ def load_channel(path) -> Channel:
 
 def load_distribution(path) -> Distribution:
     """Read a distribution file: JSON ``{"probs": [...]}`` or a single CSV line."""
+    probs, from_csv = _read_data(path, "probs", "distribution")
+    if from_csv:
+        if len(probs) != 1:
+            raise ValidationError(f"{path}: expected a single CSV line, found {len(probs)}")
+        probs = probs[0]
+    return Distribution(np.asarray(probs, dtype=float))
+
+
+def _read_data(path, key: str, kind: str) -> tuple[object, bool]:
+    """(the ``key`` entry, False) of a file holding a JSON object, or (its
+    rows of comma-separated decimals, True) of any other file; blank lines
+    and ``#`` comments are skipped."""
     text = Path(path).read_text()
     if text.lstrip().startswith("{"):
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: invalid JSON ({exc})") from None
-        if not isinstance(data, dict) or "probs" not in data:
-            raise ValidationError(f'{path}: JSON distribution must be an object with a "probs" key')
-        return Distribution(np.asarray(data["probs"], dtype=float))
-    rows = _parse_csv_rows(text, path)
-    if len(rows) != 1:
-        raise ValidationError(f"{path}: expected a single CSV line, found {len(rows)}")
-    return Distribution(np.asarray(rows[0], dtype=float))
-
-
-def _parse_csv_rows(text: str, path) -> list:
+        if not isinstance(data, dict) or key not in data:
+            raise ValidationError(f'{path}: JSON {kind} must be an object with a "{key}" key')
+        return data[key], False
     rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -306,4 +301,4 @@ def _parse_csv_rows(text: str, path) -> list:
             raise ValidationError(f"{path}: line {lineno} is not comma-separated decimals") from None
     if not rows:
         raise ValidationError(f"{path}: no data rows found")
-    return rows
+    return rows, True

@@ -116,16 +116,39 @@ def load_network(path) -> NoisyNetwork:
     return NoisyNetwork.from_dict(data)
 
 
+def _layer_bits(layers: Sequence[Sequence[ThresholdNeuron]]) -> list[tuple[int, int]]:
+    """(row bits, column bits) of the largest matrix each layer builds: the
+    first layer's input states by the wider of its fan-in and width."""
+    in_bits = layers[0][0].fan_in
+    return [(in_bits, max(layer[0].fan_in, len(layer))) for layer in layers]
+
+
+def _input_law(
+    net: NoisyNetwork, p_x: Distribution | None, matrices: Sequence[tuple[int, int]]
+) -> Distribution:
+    """p_x, or by default the uniform law on the 2^input_width input states,
+    once every (row bits, column bits) matrix in ``matrices`` has passed
+    ``info.check_layer_bytes``: a network too wide to evaluate is refused
+    before its input law is built."""
+    for bits in matrices:
+        check_layer_bytes(*bits)
+    n_in = 1 << net.input_width
+    if p_x is None:
+        p_x = Distribution.uniform(n_in)
+    if p_x.alphabet_size != n_in:
+        raise ValidationError(f"input law has {p_x.alphabet_size} states, network expects {n_in}")
+    return p_x
+
+
 def _propagate(layers: Sequence[Sequence[ThresholdNeuron]], xi: float) -> np.ndarray:
     """Channel matrix of noisy layers in turn on the first one's input
     states: each threshold map adds every column into the column of the
     state it fires, then ``info.flip_bits`` adds the noise.  Every layer
     first passes ``info.check_layer_bytes`` and builds no larger array.
     """
-    in_bits = layers[0][0].fan_in
-    for layer in layers:
-        check_layer_bytes(in_bits, max(layer[0].fan_in, len(layer)))
-    m = np.eye(1 << in_bits)
+    for bits in _layer_bits(layers):
+        check_layer_bytes(*bits)
+    m = np.eye(1 << layers[0][0].fan_in)
     for layer in layers:
         fan_in, width = layer[0].fan_in, len(layer)
         # Input state s fires state fired[s]; pre[s] = bias + weights . bits(s).
@@ -169,11 +192,7 @@ def exact_io_mutual_information(
 ) -> float:
     """Exact I(input; output) under input law p_x (uniform over the
     2^input_width states by default), through ``network_channel``."""
-    n_in = 1 << net.input_width
-    if p_x is None:
-        p_x = Distribution.uniform(n_in)
-    if p_x.alphabet_size != n_in:
-        raise ValidationError(f"input law has {p_x.alphabet_size} states, network expects {n_in}")
+    p_x = _input_law(net, p_x, _layer_bits(net.layers))
     return mutual_information(joint(p_x, network_channel(net)), base)
 
 
@@ -208,11 +227,9 @@ def monte_carlo_io_mi(
     reproducible and order-independent.
     """
     trials = count(trials, "trial count")
+    # The count table holds 2^input_width x 2^output_width cells.
+    p_x = _input_law(net, p_x, [(net.input_width, net.widths[-1])])
     n_in = 1 << net.input_width
-    if p_x is None:
-        p_x = Distribution.uniform(n_in)
-    if p_x.alphabet_size != n_in:
-        raise ValidationError(f"input law has {p_x.alphabet_size} states, expected {n_in}")
 
     draws = np.empty((trials, 1 + sum(net.widths)))
     for start, stop, rng in trial_blocks(trials, seed):

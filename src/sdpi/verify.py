@@ -1,4 +1,5 @@
-"""Randomized verification suites behind the ``verify`` CLI command.
+"""Randomized checking of the library's bounds: the suites behind the
+``verify`` CLI command and the random contraction search.
 
 Each randomized suite draws its cases in the blocks of
 ``info.trial_blocks``: block b covers samples [b * BLOCK, (b + 1) * BLOCK)
@@ -9,52 +10,89 @@ are evaluated one stack per alphabet shape.  Each suite checks an
 inequality or identity the library guarantees, and reports pass/fail
 with counterexamples.  A failure here means a bug (or a float-tolerance
 breach), never a sampling artifact.
+
+``empirical_contraction`` searches the same chains for the largest
+ratio I(X;Z)/I(X;Y) through a given channel, a lower estimate of the
+contraction coefficient that the pair bound caps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import ValidationError, count
 from .closed_form import LayerNoiseSpec, independent_layer_bound, relaxation_upper_bound
 from .contraction import (
-    _chain_ratios,
-    _channels,
-    _simplex_rows,
     contraction_bound,
     independent_layer_channel,
     pair_bound_batch,
     quadratic_decomposition_batch,
     rayleigh_supremum_batch,
 )
-from .info import _validated_rows, trial_blocks
+from .info import Channel, Distribution, _validated_rows, mutual_information_batch, trial_blocks
 from .memory import repetition_relaxation_time
 
 RATIO_SLACK = 1e-9
 RESIDUAL_TOL = 1e-9
 SQUARE_TOL = -1e-12
 
+# Ratios with I(X;Y) below this are undefined: the suites and the search
+# skip those chains.
+DEGENERATE_MI = 1e-10
+
 
 @dataclass
 class SuiteResult:
     suite: str
-    passed: bool
     checks: int
-    skipped: int
+    skipped: int = 0
     failures: list = field(default_factory=list)
     worst: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        # Randomized suites find failures one shape group at a time.
+        self.failures.sort(key=lambda f: f.get("sample", 0))
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
+
     def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "passed": self.passed,
-            "checks": self.checks,
-            "skipped": self.skipped,
-            "failures": self.failures,
-            "worst": self.worst,
-        }
+        return dict(asdict(self), passed=self.passed)
+
+
+def _simplex_rows(values: np.ndarray, size: int) -> np.ndarray:
+    """Each sample's exponentials, in runs of ``size``, normalized to sum 1
+    (flat Dirichlet rows): shape (samples, runs, size)."""
+    rows = values.reshape(len(values), -1, size)
+    return rows / rows.sum(axis=-1, keepdims=True)
+
+
+def _channels(matrices: np.ndarray) -> np.ndarray:
+    """A (samples, n, m) stack, each matrix validated as ``Channel`` does."""
+    g, n, m = matrices.shape
+    return _validated_rows(matrices.reshape(g * n, m), "channel row {}").reshape(g, n, m)
+
+
+def _joints(px: np.ndarray, channels: np.ndarray) -> np.ndarray:
+    """Joint tables px(x) c(y|x), each validated as ``JointDistribution`` does."""
+    tables = px[:, :, None] * channels
+    return _validated_rows(tables.reshape(len(tables), -1), "joint table").reshape(tables.shape)
+
+
+def _chain_ratios(
+    px: np.ndarray, c_xy: np.ndarray, c_yz: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """I(X;Z)/I(X;Y) of each chain of a stack of validated laws (k, nx),
+    channels (k, nx, ny) and second channels (ny, nz) or (k, ny, nz), and
+    whether I(X;Y) exceeds ``DEGENERATE_MI``; the ratio is -inf where it
+    does not, since it is undefined there."""
+    i_xy = mutual_information_batch(_joints(px, c_xy))
+    live = i_xy > DEGENERATE_MI
+    i_xz = mutual_information_batch(_joints(px, _channels(c_xy @ c_yz)))
+    return np.where(live, i_xz / np.where(live, i_xy, 1.0), -np.inf), live
 
 
 def sdpi_fuzz(samples: int = 10000, seed: int = 0) -> SuiteResult:
@@ -95,10 +133,8 @@ def sdpi_fuzz(samples: int = 10000, seed: int = 0) -> SuiteResult:
                         "channel_yz": c_yz[j].tolist(),
                     }
                 )
-    failures.sort(key=lambda f: f["sample"])
     return SuiteResult(
         suite="sdpi-fuzz",
-        passed=not failures,
         checks=samples - skipped,
         skipped=skipped,
         failures=failures,
@@ -185,70 +221,51 @@ def appendix_identity(samples: int = 1000, seed: int = 0) -> SuiteResult:
                         "coeffs": coeffs[j].tolist(),
                     }
                 )
-    failures.sort(key=lambda f: f["sample"])
     worst = {k: float(v) for k, v in worst.items()}
     return SuiteResult(
         suite="appendix-identity",
-        passed=not failures,
         checks=samples,
-        skipped=0,
         failures=failures,
         worst=worst,
     )
+
+
+def _grid_result(
+    suite: str, cases: list[dict], errors: list[float], limit: float, worst: str
+) -> SuiteResult:
+    """Result of a deterministic grid: case i fails when errors[i] exceeds
+    ``limit``, and ``worst`` names the largest error."""
+    failures = [case for case, error in zip(cases, errors) if error > limit]
+    return SuiteResult(suite, len(cases), failures=failures, worst={worst: float(max(errors))})
 
 
 def layer_equality(samples: int = 0, seed: int = 0) -> SuiteResult:
     """Pair scan of the materialized independent-noise layer channel equals
     the closed form 1 - (4 xi - 4 xi^2)^n.  Deterministic grid; the sample
     and seed arguments are accepted for interface uniformity."""
-    failures = []
-    worst_err = 0.0
-    checks = 0
+    cases = []
     for n in range(1, 9):
         for xi in (0.05, 0.15, 0.25, 0.35, 0.45):
             spec = LayerNoiseSpec(xi=xi, n=n)
             scanned = contraction_bound(independent_layer_channel(spec)).eta
             closed = independent_layer_bound(spec)
-            err = abs(scanned - closed)
-            worst_err = max(worst_err, err)
-            checks += 1
-            if err > RESIDUAL_TOL:
-                failures.append({"xi": xi, "n": n, "scanned": scanned, "closed": closed})
-    return SuiteResult(
-        suite="layer-equality",
-        passed=not failures,
-        checks=checks,
-        skipped=0,
-        failures=failures,
-        worst={"max_abs_error": float(worst_err)},
-    )
+            cases.append({"xi": xi, "n": n, "scanned": scanned, "closed": closed})
+    errors = [abs(case["scanned"] - case["closed"]) for case in cases]
+    return _grid_result("layer-equality", cases, errors, RESIDUAL_TOL, "max_abs_error")
 
 
 def memory_sandwich(samples: int = 0, seed: int = 0) -> SuiteResult:
     """Repetition-code relaxation time never exceeds the scheme-independent
     upper bound.  Deterministic grid over odd n, xi, delta."""
-    failures = []
-    worst_excess = -np.inf
-    checks = 0
-    for n in range(5, 26, 2):
-        for xi in (0.1, 0.2, 0.3, 0.4):
-            for delta in (0.3, 0.4):
-                lower = repetition_relaxation_time(n, xi, delta).time
-                upper = relaxation_upper_bound(n, xi, delta).time
-                excess = lower - upper
-                worst_excess = max(worst_excess, excess)
-                checks += 1
-                if excess > RATIO_SLACK:
-                    failures.append({"n": n, "xi": xi, "delta": delta,
-                                     "lower": lower, "upper": upper})
-    return SuiteResult(
-        suite="memory-sandwich",
-        passed=not failures,
-        checks=checks,
-        skipped=0,
-        failures=failures,
-        worst={"max_lower_minus_upper": float(worst_excess)},
-    )
+    cases = [
+        {"n": n, "xi": xi, "delta": delta, "lower": repetition_relaxation_time(n, xi, delta).time,
+         "upper": relaxation_upper_bound(n, xi, delta).time}
+        for n in range(5, 26, 2)
+        for xi in (0.1, 0.2, 0.3, 0.4)
+        for delta in (0.3, 0.4)
+    ]
+    errors = [case["lower"] - case["upper"] for case in cases]
+    return _grid_result("memory-sandwich", cases, errors, RATIO_SLACK, "max_lower_minus_upper")
 
 
 SUITES = {
@@ -258,16 +275,102 @@ SUITES = {
     "memory-sandwich": memory_sandwich,
 }
 
-DEFAULT_BUDGETS = {
-    "sdpi-fuzz": 10000,
-    "appendix-identity": 1000,
-    "layer-equality": 0,
-    "memory-sandwich": 0,
-}
-
 
 def run_suite(name: str, seed: int = 0, budget: int | None = None) -> SuiteResult:
     if name not in SUITES:
         raise ValidationError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
-    samples = DEFAULT_BUDGETS[name] if budget is None else count(budget, "budget")
-    return SUITES[name](samples, count(seed, "seed", 0))
+    samples = {} if budget is None else {"samples": count(budget, "budget")}
+    return SUITES[name](seed=count(seed, "seed", 0), **samples)
+
+
+@dataclass(frozen=True)
+class SearchConfig:
+    """Parameters of the random contraction search."""
+
+    alphabet_x: int = 2
+    samples: int = 1000
+    seed: int = 0
+    refine_steps: int = 200
+
+    def __post_init__(self):
+        object.__setattr__(self, "alphabet_x", count(self.alphabet_x, "alphabet_x", 2, 4))
+        object.__setattr__(self, "samples", count(self.samples, "sample count"))
+        object.__setattr__(self, "seed", count(self.seed, "seed", 0))
+        object.__setattr__(self, "refine_steps", count(self.refine_steps, "refine step count", 0))
+
+
+@dataclass(frozen=True)
+class EmpiricalContraction:
+    """Best observed I(X;Z)/I(X;Y) ratio from the random search."""
+
+    achieved_ratio: float
+    best_px: Distribution | None
+    best_channel_xy: Channel | None
+    samples: int
+    seed: int
+
+    def to_json(self) -> dict:
+        return {
+            "achieved_ratio": self.achieved_ratio,
+            "samples": self.samples,
+            "seed": self.seed,
+            "best_px": None if self.best_px is None else self.best_px.probs.tolist(),
+            "best_channel_xy": (
+                None if self.best_channel_xy is None else self.best_channel_xy.matrix.tolist()
+            ),
+        }
+
+
+def empirical_contraction(c_yz: Channel, config: SearchConfig = SearchConfig()) -> EmpiricalContraction:
+    """Random search maximizing I(X;Z)/I(X;Y) over (p_X, X -> Y channel).
+
+    The samples are drawn in the blocks of ``info.trial_blocks``: a block
+    of k samples makes one ``standard_exponential((k, nx + nx * ny))``
+    draw from its generator, and each row is p_X (its first nx entries)
+    and the nx rows of the X -> Y channel, each run normalized to sum 1.
+    So re-running with the same seed and sample count reproduces the
+    identical result.  Samples with I(X;Y) at most ``DEGENERATE_MI`` have
+    an undefined ratio and are skipped; on ties the first best sample
+    wins.  The best candidate is then optionally refined by coordinate
+    perturbation, drawn from the last block's generator.
+    """
+    nx, ny = config.alphabet_x, c_yz.n_inputs
+    best_ratio = -1.0
+    best_px = best_cxy = None
+    used = 0
+    for start, stop, rng in trial_blocks(config.samples, config.seed):
+        values = rng.standard_exponential((stop - start, nx + nx * ny))
+        px = _simplex_rows(values[:, :nx], nx)[:, 0]
+        cxy = _simplex_rows(values[:, nx:], ny)
+        laws = _validated_rows(px, "distribution")
+        ratio, live = _chain_ratios(laws, _channels(cxy), c_yz.matrix)
+        used += int(live.sum())
+        j = int(np.argmax(ratio))
+        # Distribution(px[j]) validates px[j] as laws[j] was; validating
+        # laws[j] again could move its last bits.
+        if ratio[j] > best_ratio:
+            best_ratio, best_px, best_cxy = float(ratio[j]), Distribution(px[j]), Channel(cxy[j])
+
+    if best_px is None:
+        return EmpiricalContraction(0.0, None, None, 0, config.seed)
+
+    scale = 0.5
+    p, m = best_px.probs, best_cxy.matrix
+    for _ in range(config.refine_steps):
+        p2 = np.abs(p + scale * rng.normal(size=nx) * p.mean())
+        m2 = np.abs(m + scale * rng.normal(size=m.shape) * m.mean(axis=1, keepdims=True))
+        cand_px = Distribution(p2 / p2.sum())
+        cand_cxy = Channel(m2 / m2.sum(axis=1, keepdims=True))
+        ratio, _ = _chain_ratios(cand_px.probs[None], cand_cxy.matrix[None], c_yz.matrix)
+        if ratio[0] > best_ratio:
+            best_ratio, best_px, best_cxy = float(ratio[0]), cand_px, cand_cxy
+            p, m = best_px.probs, best_cxy.matrix
+        scale *= 0.99
+
+    return EmpiricalContraction(
+        achieved_ratio=float(min(max(best_ratio, 0.0), 1.0)),
+        best_px=best_px,
+        best_channel_xy=best_cxy,
+        samples=used,
+        seed=config.seed,
+    )

@@ -224,6 +224,20 @@ class TestNetworkCommands:
             "above the cap of 536870912 bytes (512 MiB)\n"
         )
 
+    def test_mi_with_a_huge_input_width_exits_2(self, runner, tmp_path):
+        # 2^40 input states: the byte cap refuses the network before any
+        # 2^40-entry input law is built.
+        net = sdpi.random_network(40, [1], xi=0.1)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(net.to_dict()))
+        res = runner.invoke(main, ["nn", "mi", str(path)])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr == (
+            f"error: a 2^40 x 2^40 layer matrix needs {8 << 80} bytes, "
+            "above the cap of 536870912 bytes (512 MiB)\n"
+        )
+
     def test_bound_command(self, runner):
         res = runner.invoke(
             main, ["nn", "bound", "--widths", "5,5,5", "--xi", "0.35", "--hx", "1", "--format", "json"]

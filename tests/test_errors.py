@@ -163,6 +163,29 @@ def test_rng_streams_come_from_the_block_helper():
     assert "info.trial_blocks" in found
 
 
+# Underscore names that one module may import from another: the row
+# validator behind every constructor, which the verify suites apply to whole
+# stacks, and the nats-to-bits conversion.  Any other helper two modules
+# share is either public or belongs in the one module that uses it.
+PRIVATE_IMPORTS_ALLOWED = {"verify <- info._validated_rows", "network <- info._as_base"}
+
+
+def test_no_module_imports_a_private_name_of_another():
+    found = set()
+    for path in sorted(Path(sdpi.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            module = node.module or ""
+            if node.level == 0 and module.split(".")[0] != "sdpi":
+                continue
+            source = module.removeprefix("sdpi").lstrip(".") or "sdpi"
+            found |= {f"{path.stem} <- {source}.{alias.name}"
+                      for alias in node.names if alias.name.startswith("_")}
+    assert found <= PRIVATE_IMPORTS_ALLOWED
+    assert "verify <- info._validated_rows" in found
+
+
 # Module-level MAX_* constants.  ``info.MAX_LAYER_BYTES`` is the one cap on
 # what a computation materializes, stated in bytes; the class-scan cap
 # bounds the O(n^3) work of a scan that holds O(n^2) floats.

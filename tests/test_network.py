@@ -171,6 +171,23 @@ class TestExactMutualInformation:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("estimate, matrix", [
+        (exact_io_mutual_information, r"2\^27 x 2\^27"),
+        (lambda net: monte_carlo_io_mi(net, trials=10), r"2\^27 x 2\^1"),
+    ], ids=["exact", "monte-carlo"])
+    def test_byte_cap_is_checked_before_the_input_law_is_built(self, estimate, matrix):
+        # The default uniform law on 2^27 input states alone is 1 GiB; the
+        # layer (exact) or the count table (Monte Carlo) is refused first.
+        net = random_network(27, [1], xi=0.1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=rf"^a {matrix} layer matrix"):
+                estimate(net)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     @pytest.mark.parametrize("input_width, widths", [(1, [16, 1]), (2, [16, 2]), (1, [1, 16])])
     def test_no_layer_builds_more_than_its_capped_matrix(self, input_width, widths):
         # The cap counts 2^input_width x 2^max(fan_in, width) floats per layer;

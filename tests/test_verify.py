@@ -17,7 +17,7 @@ from sdpi import (
     quadratic_decomposition_check,
     rayleigh_supremum,
 )
-from sdpi import contraction, verify
+from sdpi import verify
 from sdpi.info import BLOCK
 
 # A budget that ends inside the second block.
@@ -75,7 +75,7 @@ def fuzz_reference(samples, seed):
     failures, skipped, worst = [], 0, -np.inf
     for i, px, c_xy, c_yz in fuzz_draws(samples, seed):
         i_xy = mutual_information(joint(px, c_xy))
-        if i_xy <= contraction.DEGENERATE_MI:
+        if i_xy <= verify.DEGENERATE_MI:
             skipped += 1
             continue
         ratio = mutual_information(joint(px, compose(c_xy, c_yz))) / i_xy
@@ -120,7 +120,7 @@ def identity_reference(samples, seed):
 
 def chain_ratio(px, c_xy, c_yz):
     i_xy = mutual_information(joint(px, c_xy))
-    if i_xy <= contraction.DEGENERATE_MI:
+    if i_xy <= verify.DEGENERATE_MI:
         return None
     return mutual_information(joint(px, compose(c_xy, c_yz))) / i_xy
 
@@ -157,7 +157,7 @@ def forced_failures(monkeypatch):
     a mutual-information floor high enough that some chains are skipped."""
     monkeypatch.setattr(verify, "RATIO_SLACK", -0.05)
     monkeypatch.setattr(verify, "RESIDUAL_TOL", 1e-14)
-    monkeypatch.setattr(contraction, "DEGENERATE_MI", 0.01)
+    monkeypatch.setattr(verify, "DEGENERATE_MI", 0.01)
 
 
 def test_fuzz_draws_equal_the_per_row_draws(monkeypatch):
@@ -169,7 +169,7 @@ def test_fuzz_draws_equal_the_per_row_draws(monkeypatch):
         got = [(f["sample"], f["px"], f["channel_xy"], f["channel_yz"]) for f in result.failures]
         want = [(i, px.probs.tolist(), c_xy.matrix.tolist(), c_yz.matrix.tolist())
                 for i, px, c_xy, c_yz in fuzz_draws(BUDGET, seed)
-                if mutual_information(joint(px, c_xy)) > contraction.DEGENERATE_MI]
+                if mutual_information(joint(px, c_xy)) > verify.DEGENERATE_MI]
         assert len(got) == BUDGET - result.skipped
         assert got == want
 
@@ -222,6 +222,21 @@ def test_default_tolerances_equal_the_reference(suite, seed):
     assert (result.failures, result.skipped, result.worst) == want
 
 
+def test_grid_suites_report_each_failing_case_in_grid_order(monkeypatch):
+    monkeypatch.setattr(verify, "RESIDUAL_TOL", -1.0)
+    monkeypatch.setattr(verify, "RATIO_SLACK", -1e300)
+    layer, memory = verify.run_suite("layer-equality"), verify.run_suite("memory-sandwich")
+    assert [(f["n"], f["xi"]) for f in layer.failures] == [
+        (n, xi) for n in range(1, 9) for xi in (0.05, 0.15, 0.25, 0.35, 0.45)]
+    assert [(f["n"], f["xi"], f["delta"]) for f in memory.failures] == [
+        (n, xi, delta) for n in range(5, 26, 2) for xi in (0.1, 0.2, 0.3, 0.4)
+        for delta in (0.3, 0.4)]
+    for result in (layer, memory):
+        assert not result.passed and result.skipped == 0
+        assert result.checks == len(result.failures)
+        assert result.to_dict()["passed"] is False
+
+
 @pytest.mark.parametrize("floor", [None, 0.01], ids=["default", "skipping"])
 @pytest.mark.parametrize("refine_steps", [0, 200])
 @pytest.mark.parametrize("c_yz,alphabet_x", [
@@ -232,7 +247,7 @@ def test_default_tolerances_equal_the_reference(suite, seed):
 ], ids=["bsc", "3x4", "constant-rows", "identity"])
 def test_search_equals_the_reference(monkeypatch, c_yz, alphabet_x, refine_steps, floor):
     if floor is not None:
-        monkeypatch.setattr(contraction, "DEGENERATE_MI", floor)
+        monkeypatch.setattr(verify, "DEGENERATE_MI", floor)
     config = SearchConfig(alphabet_x=alphabet_x, samples=BUDGET, seed=5, refine_steps=refine_steps)
     got = empirical_contraction(c_yz, config)
     ratio, px, c_xy, used = search_reference(c_yz, config)
