@@ -277,6 +277,9 @@ def bound_layer(n, xi, xi1, xi2):
         _warn_if_unverified(xi1)
         exact = ctr.correlated_layer_bound_exact(spec)
         leading = ctr.correlated_layer_bound_leading(spec)
+        if xi1 <= VERIFIED_XI1 and cf.shared_noise_slope(xi2, n) * xi1 >= (4 * xi2 - 4 * xi2**2) ** n:
+            click.echo("warning: slope*xi1 reaches (4 xi2 - 4 xi2^2)^n, where the first-order "
+                       "eta_leading says nothing", err=True)
         k, l = exact.witness_pair
         text = (
             f"eta: {_num(exact.eta)}\nwitness: ({k}, {l})\nmethod: {exact.method}\n"

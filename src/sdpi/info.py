@@ -219,20 +219,24 @@ def mutual_information_batch(tables: np.ndarray, base: LogBase = "nats") -> np.n
     if t.ndim < 2:
         raise ValidationError("joint tables must have at least 2 dimensions")
     px, py = t.sum(axis=-1), t.sum(axis=-2)
-    # Empty rows and columns have zero weight; dividing them by 1 keeps them finite.
-    ratio = t / np.where(px > 0.0, px, 1.0)[..., :, None]
-    ratio /= np.where(py > 0.0, py, 1.0)[..., None, :]
-    # Worked in place, so ratio and phi are the only table-sized temporaries
-    # alive together.  Zero cells come out as 0 * log(0) = nan; phi(-1) = 1.
-    phi = np.subtract(ratio, 1.0)
+    # Empty rows have zero weight; dividing them by 1 keeps them finite.
+    return _as_base(phi_information(t / np.where(px > 0.0, px, 1.0)[..., :, None], px, py), base)
+
+
+def phi_information(rows: np.ndarray, px: np.ndarray, py: np.ndarray) -> np.ndarray:
+    """sum_xy p(x) p(y) phi(d) of ``mutual_information_batch`` over the last
+    two axes of ``rows``, a (..., nx, ny) stack of p(y | x) that is
+    overwritten.  The sum adds over blocks of rows, so it can run a block at a time."""
+    # Empty columns have zero weight; zero cells come out as 0 * log(0) = nan, and phi(-1) = 1.
+    rows /= np.where(py > 0.0, py, 1.0)[..., None, :]
+    phi = np.subtract(rows, 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         np.log1p(phi, out=phi)
-        phi *= ratio
-    ratio -= 1.0
-    phi -= ratio
-    del ratio
+        phi *= rows
+    rows -= 1.0
+    phi -= rows
     phi[np.isnan(phi)] = 1.0
-    return _as_base((px[..., None, :] @ phi @ py[..., :, None])[..., 0, 0], base)
+    return (px[..., None, :] @ phi @ py[..., :, None])[..., 0, 0]
 
 
 def compose(c1: Channel, c2: Channel) -> Channel:

@@ -23,13 +23,11 @@ from .errors import ValidationError, count, interval
 from .info import (
     Channel,
     Distribution,
-    JointDistribution,
     LogBase,
     _as_base,
     check_layer_bytes,
     flip_bits,
-    joint,
-    mutual_information,
+    phi_information,
     trial_blocks,
 )
 
@@ -116,39 +114,24 @@ def load_network(path) -> NoisyNetwork:
     return NoisyNetwork.from_dict(data)
 
 
-def _layer_bits(layers: Sequence[Sequence[ThresholdNeuron]]) -> list[tuple[int, int]]:
-    """(row bits, column bits) of the largest matrix each layer builds: the
-    first layer's input states by the wider of its fan-in and width."""
-    in_bits = layers[0][0].fan_in
-    return [(in_bits, max(layer[0].fan_in, len(layer))) for layer in layers]
-
-
-def _input_law(
-    net: NoisyNetwork, p_x: Distribution | None, matrices: Sequence[tuple[int, int]]
-) -> Distribution:
-    """p_x, or by default the uniform law on the 2^input_width input states,
-    once every (row bits, column bits) matrix in ``matrices`` has passed
-    ``info.check_layer_bytes``: a network too wide to evaluate is refused
-    before its input law is built."""
-    for bits in matrices:
-        check_layer_bytes(*bits)
+def _check_input_law(net: NoisyNetwork, p_x: Distribution | None) -> None:
     n_in = 1 << net.input_width
-    if p_x is None:
-        p_x = Distribution.uniform(n_in)
-    if p_x.alphabet_size != n_in:
+    if p_x is not None and p_x.alphabet_size != n_in:
         raise ValidationError(f"input law has {p_x.alphabet_size} states, network expects {n_in}")
-    return p_x
 
 
 def _propagate(layers: Sequence[Sequence[ThresholdNeuron]], xi: float) -> np.ndarray:
     """Channel matrix of noisy layers in turn on the first one's input
-    states: each threshold map adds every column into the column of the
-    state it fires, then ``info.flip_bits`` adds the noise.  Every layer
-    first passes ``info.check_layer_bytes`` and builds no larger array.
+    states: the first threshold map puts a 1 in the column of the state
+    each input state fires, a later one adds every column into that
+    column, then ``info.flip_bits`` adds the noise.  Every layer first
+    passes ``info.check_layer_bytes`` and builds no larger array.
     """
-    for bits in _layer_bits(layers):
-        check_layer_bytes(*bits)
-    m = np.eye(1 << layers[0][0].fan_in)
+    # The largest matrix a layer builds: the first layer's input states by
+    # the wider of its fan-in and width.
+    for layer in layers:
+        check_layer_bytes(layers[0][0].fan_in, max(layer[0].fan_in, len(layer)))
+    m = None
     for layer in layers:
         fan_in, width = layer[0].fan_in, len(layer)
         # Input state s fires state fired[s]; pre[s] = bias + weights . bits(s).
@@ -159,9 +142,13 @@ def _propagate(layers: Sequence[Sequence[ThresholdNeuron]], xi: float) -> np.nda
             for i, w in enumerate(neuron.weights):
                 np.add(pre[: 1 << i], w, out=pre[1 << i : 2 << i])
             np.add(fired, 1 << j, out=fired, where=pre >= 0.0)
-        out = np.zeros((m.shape[0], 1 << width))
-        np.add.at(out.T, fired, m.T)
-        m = flip_bits(out, xi)
+        prev, m = m, np.zeros((1 << fan_in if m is None else len(m), 1 << width))
+        if prev is None:
+            m[np.arange(1 << fan_in), fired] = 1.0
+        else:
+            np.add.at(m.T, fired, prev.T)
+        del prev  # before flip_bits allocates its spare
+        m = flip_bits(m, xi)
     return m
 
 
@@ -191,9 +178,16 @@ def exact_io_mutual_information(
     net: NoisyNetwork, p_x: Distribution | None = None, base: LogBase = "nats"
 ) -> float:
     """Exact I(input; output) under input law p_x (uniform over the
-    2^input_width states by default), through ``network_channel``."""
-    p_x = _input_law(net, p_x, _layer_bits(net.layers))
-    return mutual_information(joint(p_x, network_channel(net)), base)
+    2^input_width states by default): ``info.phi_information`` summed in
+    place over blocks of about sqrt(rows) rows of ``_propagate``'s matrix."""
+    _check_input_law(net, p_x)
+    m = _propagate(net.layers, net.xi)
+    px = Distribution.uniform(len(m)).probs if p_x is None else p_x.probs
+    py = px @ m
+    step = math.isqrt(len(m))
+    mi = sum(float(phi_information(m[a : a + step], px[a : a + step], py))
+             for a in range(0, len(m), step))
+    return _as_base(mi, base)
 
 
 @dataclass(frozen=True)
@@ -221,45 +215,44 @@ def monte_carlo_io_mi(
 
     Each trial takes a row of uniforms, drawn row-major, block b of
     ``BLOCK`` trials from ``default_rng((seed, b))`` (``info.trial_blocks``):
-    the first selects the input state from p_x, then one per neuron (layer
-    by layer, neuron order within a layer) decides its flip.  Counts
-    accumulate into an empirical joint table, so the result is
-    reproducible and order-independent.
+    the first, u, selects the input state from p_x (under the default
+    uniform law floor(u 2^input_width), the state a search of its
+    cumulative sums finds), then one per neuron (layer by layer, neuron
+    order within a layer) decides its flip.  A trial keeps only its
+    (input, output) state pair, as an int64 code of input plus output
+    width bits, at most 53, all that u resolves.  The plug-in estimate
+    and its delta-method stderr sum over the occupied cells.
     """
     trials = count(trials, "trial count")
-    # The count table holds 2^input_width x 2^output_width cells.
-    p_x = _input_law(net, p_x, [(net.input_width, net.widths[-1])])
-    n_in = 1 << net.input_width
-
-    draws = np.empty((trials, 1 + sum(net.widths)))
+    n_in, n_out = net.input_width, net.widths[-1]
+    count(n_in + n_out, "input plus output width of a Monte Carlo estimate", maximum=53)
+    _check_input_law(net, p_x)
+    cum = None if p_x is None else np.cumsum(p_x.probs)
+    codes = np.empty(trials, dtype=np.int64)
     for start, stop, rng in trial_blocks(trials, seed):
-        rng.random(out=draws[start:stop])
+        draws = rng.random((stop - start, 1 + sum(net.widths)))
+        x_states = ((draws[:, 0] * (1 << n_in)).astype(np.int64) if cum is None else
+                    np.minimum(np.searchsorted(cum, draws[:, 0], side="right"), cum.size - 1))
+        bits = (x_states[:, None] >> np.arange(n_in)) & 1
+        offset = 1
+        for layer in net.layers:
+            w = np.vstack([n.weights for n in layer])
+            b = np.array([n.bias for n in layer])
+            fired = bits @ w.T + b >= 0.0
+            flips = draws[:, offset : offset + len(layer)] < net.xi
+            bits = (fired ^ flips).astype(np.int64)
+            offset += len(layer)
+        codes[start:stop] = (x_states << n_out) | (bits @ (1 << np.arange(n_out)))
 
-    cum = np.cumsum(p_x.probs)
-    x_states = np.minimum(np.searchsorted(cum, draws[:, 0], side="right"), n_in - 1)
-    bits = (x_states[:, None] >> np.arange(net.input_width)) & 1
-    offset = 1
-    for layer in net.layers:
-        w = np.vstack([n.weights for n in layer])
-        b = np.array([n.bias for n in layer])
-        fired = bits @ w.T + b >= 0.0
-        flips = draws[:, offset : offset + len(layer)] < net.xi
-        bits = (fired ^ flips).astype(np.int64)
-        offset += len(layer)
-    y_states = bits @ (1 << np.arange(len(net.layers[-1])))
-
-    n_out = 1 << len(net.layers[-1])
-    counts = np.bincount(x_states * n_out + y_states, minlength=n_in * n_out)
-    p_hat = (counts / trials).reshape(n_in, n_out)
-
-    px_hat = p_hat.sum(axis=1)
-    py_hat = p_hat.sum(axis=0)
-    mi = mutual_information(JointDistribution(p_hat))
+    cells, n_xy = np.unique(codes, return_counts=True)
+    n_x, n_y = (np.bincount(inv, n_xy)[inv] for inv in (
+        np.unique(cells >> n_out, return_inverse=True)[1],
+        np.unique(cells & ((1 << n_out) - 1), return_inverse=True)[1]))
+    p_hat = n_xy / trials
+    log_ratio = np.log(n_xy * float(trials) / (n_x * n_y))
+    mi = float(p_hat @ log_ratio)
     # Asymptotic (delta-method) variance of the plug-in estimate.
-    nz = p_hat > 0.0
-    log_ratio = np.zeros_like(p_hat)
-    log_ratio[nz] = np.log(p_hat[nz] / (px_hat[:, None] * py_hat[None, :])[nz])
-    var = float(np.sum(p_hat * log_ratio**2) - mi**2)
+    var = float(p_hat @ log_ratio**2) - mi**2
     stderr = math.sqrt(max(var, 0.0) / trials)
     return MiEstimate(
         estimate=_as_base(mi, base), stderr=_as_base(stderr, base), trials=trials, seed=seed

@@ -173,6 +173,16 @@ class TestBoundCommands:
         assert res.exit_code == 0
         assert res.stderr == ""
 
+    def test_leading_order_past_its_zeroth_order_term_warns(self, runner):
+        # Inside the verified xi1 range, slope * xi1 (1.2e24 here) can still
+        # swamp the retention (4 xi2 - 4 xi2^2)^n (5.6e-31): the first-order
+        # value is -1.2e24.  stdout keeps it, stderr says so.
+        res = runner.invoke(main, ["bound", "layer", "--n", "400", "--xi1", "0.01", "--xi2", "0.3"])
+        assert res.exit_code == 0
+        assert res.stdout.endswith("\neta_leading: -1.21401957e+24\n")
+        assert res.stderr == ("warning: slope*xi1 reaches (4 xi2 - 4 xi2^2)^n, where the "
+                              "first-order eta_leading says nothing\n")
+
     def test_layer_flag_conflicts(self, runner):
         res = runner.invoke(main, ["bound", "layer", "--n", "3", "--xi1", "0.01"])
         assert res.exit_code == 2

@@ -13,6 +13,7 @@ from sdpi import (
     Channel,
     Distribution,
     InfeasibleError,
+    JointDistribution,
     NoisyNetwork,
     ThresholdNeuron,
     ValidationError,
@@ -21,15 +22,18 @@ from sdpi import (
     entropy,
     exact_io_mutual_information,
     information_decay_bound,
+    joint,
     layer_channel,
     load_network,
     min_neurons_lower_bound,
     monte_carlo_io_mi,
+    mutual_information,
     network_channel,
     optimal_depth_tradeoff,
     parity_size_complexity,
     random_network,
 )
+from sdpi.info import trial_blocks
 
 
 def copier_layer(width):
@@ -151,10 +155,10 @@ class TestNetworkValidation:
 
 class TestExactMutualInformation:
     def test_input_law_is_checked_before_propagating(self, monkeypatch):
-        def refuse(net):
+        def refuse(layers, xi):
             raise AssertionError("network propagated before its input law was checked")
 
-        monkeypatch.setattr(sdpi.network, "network_channel", refuse)
+        monkeypatch.setattr(sdpi.network, "_propagate", refuse)
         with pytest.raises(ValidationError, match="^input law has 4 states, network expects 8$"):
             exact_io_mutual_information(random_network(3, [2], xi=0.1), Distribution.uniform(4))
 
@@ -171,22 +175,42 @@ class TestExactMutualInformation:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    @pytest.mark.parametrize("estimate, matrix", [
-        (exact_io_mutual_information, r"2\^27 x 2\^27"),
-        (lambda net: monte_carlo_io_mi(net, trials=10), r"2\^27 x 2\^1"),
+    @pytest.mark.parametrize("estimate, refusal", [
+        (exact_io_mutual_information, r"^a 2\^27 x 2\^27 layer matrix"),
+        (lambda net: monte_carlo_io_mi(net, trials=10), None),
     ], ids=["exact", "monte-carlo"])
-    def test_byte_cap_is_checked_before_the_input_law_is_built(self, estimate, matrix):
-        # The default uniform law on 2^27 input states alone is 1 GiB; the
-        # layer (exact) or the count table (Monte Carlo) is refused first.
+    def test_byte_cap_is_checked_before_the_input_law_is_built(self, estimate, refusal):
+        # The default uniform law on 2^27 input states alone is 1 GiB.  The
+        # exact layer is refused first; Monte Carlo never builds the law (it
+        # draws the input state from its uniform) and runs in under 1 MiB.
         net = random_network(27, [1], xi=0.1)
         tracemalloc.start()
         try:
-            with pytest.raises(ValidationError, match=rf"^a {matrix} layer matrix"):
+            if refusal is None:
                 estimate(net)
+            else:
+                with pytest.raises(ValidationError, match=refusal):
+                    estimate(net)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("widths", [[12], [12, 12]], ids=["8-12", "8-12-12"])
+    def test_mutual_information_is_summed_in_the_propagated_matrix(self, widths):
+        # Propagation holds the matrix and the spare of ``flip_bits``; the
+        # information is summed in place, a block of rows at a time, so it
+        # adds no copy of the matrix on top (summed as one block, it would
+        # add 1.125 matrices: its phi and nan mask).
+        net = random_network(8, widths, xi=0.1)
+        largest = 8 << (8 + 12)
+        tracemalloc.start()
+        try:
+            exact_io_mutual_information(net)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * largest
 
     @pytest.mark.parametrize("input_width, widths", [(1, [16, 1]), (2, [16, 2]), (1, [1, 16])])
     def test_no_layer_builds_more_than_its_capped_matrix(self, input_width, widths):
@@ -202,6 +226,18 @@ class TestExactMutualInformation:
         finally:
             tracemalloc.stop()
         assert peak < 4 * largest
+
+    def test_matches_the_joint_law_of_the_network_channel(self):
+        # Reference: the validated channel, its joint law with p_x, and the
+        # mutual information of that table, each a copy of the matrix.
+        rng = np.random.default_rng(31)
+        for _ in range(30):
+            widths = [int(w) for w in rng.integers(1, 7, size=int(rng.integers(1, 4)))]
+            net = random_network(int(rng.integers(1, 7)), widths, float(rng.uniform(0.0, 0.49)),
+                                 seed=int(rng.integers(1e6)))
+            p_x = Distribution(rng.dirichlet(np.full(1 << net.input_width, 0.5)))
+            want = mutual_information(joint(p_x, network_channel(net)))
+            assert abs(exact_io_mutual_information(net, p_x) - want) <= 1e-12 * want + 1e-15
 
     def test_noiseless_injective_network_preserves_entropy(self):
         net = NoisyNetwork(layers=(copier_layer(3),), xi=0.0, input_width=3)
@@ -429,3 +465,70 @@ class TestMonteCarlo:
         a = monte_carlo_io_mi(net, trials=2000, seed=42)
         b = monte_carlo_io_mi(net, trials=2000, seed=42)
         assert a.estimate == b.estimate and a.stderr == b.stderr
+
+
+def dense_plug_in(net, trials, seed):
+    """Plug-in estimate and delta-method variance from the full 2^in x 2^out
+    count table of the trials ``monte_carlo_io_mi`` documents."""
+    draws = np.vstack([rng.random((stop - start, 1 + sum(net.widths)))
+                       for start, stop, rng in trial_blocks(trials, seed)])
+    x = (draws[:, 0] * (1 << net.input_width)).astype(np.int64)
+    bits, offset = (x[:, None] >> np.arange(net.input_width)) & 1, 1
+    for layer in net.layers:
+        fired = bits @ np.vstack([n.weights for n in layer]).T + [n.bias for n in layer] >= 0.0
+        bits = fired ^ (draws[:, offset : offset + len(layer)] < net.xi)
+        offset += len(layer)
+    y = bits @ (1 << np.arange(net.widths[-1]))
+    table = np.zeros((1 << net.input_width, 1 << net.widths[-1]))
+    np.add.at(table, (x, y), 1.0 / trials)
+    mi = mutual_information(JointDistribution(table))
+    occupied = table > 0.0
+    log_ratio = np.zeros_like(table)
+    log_ratio[occupied] = np.log(
+        table[occupied] / np.outer(table.sum(axis=1), table.sum(axis=0))[occupied])
+    return mi, float(np.sum(table * log_ratio**2)) - mi**2
+
+
+class TestMonteCarloCodes:
+    def test_occupied_cells_give_the_dense_table_estimate(self):
+        rng = np.random.default_rng(32)
+        for _ in range(20):
+            widths = [int(w) for w in rng.integers(1, 5, size=int(rng.integers(1, 4)))]
+            net = random_network(int(rng.integers(1, 7)), widths, float(rng.uniform(0.0, 0.49)),
+                                 seed=int(rng.integers(1e6)))
+            trials, seed = int(rng.integers(1, 3000)), int(rng.integers(100))
+            got = monte_carlo_io_mi(net, trials=trials, seed=seed)
+            mi, var = dense_plug_in(net, trials, seed)
+            assert got.estimate == pytest.approx(mi, rel=1e-12, abs=1e-14)
+            # The variance is a difference of O(1) sums, so it is compared in absolute terms.
+            assert got.stderr**2 * trials == pytest.approx(max(var, 0.0), abs=1e-12)
+
+    def test_wide_input_needs_no_table(self):
+        # A 2^30 x 2^1 count table would be 16 GiB; only the trials' codes are kept.
+        net = random_network(30, [1], xi=0.1)
+        tracemalloc.start()
+        try:
+            got = monte_carlo_io_mi(net, trials=100_000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
+        assert 0.0 <= got.estimate <= math.log(2.0) + 1e-12
+
+    @pytest.mark.parametrize("input_width, widths", [(40, [30]), (70, [1])])
+    def test_codes_wider_than_53_bits_are_refused(self, input_width, widths):
+        net = random_network(input_width, widths, xi=0.1)
+        refusal = r"^input plus output width .* in \[1, 53\], got 7[01]$"
+        with pytest.raises(ValidationError, match=refusal):
+            monte_carlo_io_mi(net, trials=10)
+
+    @pytest.mark.parametrize("input_width", [1, 2, 5, 9, 13, 16])
+    def test_default_law_draws_as_the_explicit_uniform_law(self, input_width):
+        # floor(u 2^n) is the state a search of the uniform law's cumulative
+        # sums (i + 1) / 2^n finds, so the two draws agree bit for bit.
+        for seed in range(3):
+            net = random_network(input_width, [3, 2], xi=0.2, seed=seed)
+            implicit = monte_carlo_io_mi(net, trials=3000, seed=seed)
+            explicit = monte_carlo_io_mi(net, Distribution.uniform(1 << input_width),
+                                         trials=3000, seed=seed)
+            assert (implicit.estimate, implicit.stderr) == (explicit.estimate, explicit.stderr)
