@@ -11,7 +11,8 @@ error (one ``error: internal:`` line on stderr, no traceback).
 The closed forms come from ``closed_form``, which needs no numpy; the
 modules that do (``contraction``, ``info``, ``memory``, ``network``,
 ``verify``) are imported inside the commands that use them, so a
-closed-form command never loads numpy.
+closed-form command never loads numpy.  Before numpy can load, the
+CLI sets ``OPENBLAS_NUM_THREADS`` to 1 unless the environment sets it.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import functools
 import json
 import math
 import numbers
+import os
 import sys
 from pathlib import Path
 
@@ -27,6 +29,12 @@ import click
 
 from . import closed_form as cf
 from .errors import InfeasibleError, ValidationError, count, interval
+
+# After a batched matmul, numpy's bundled OpenBLAS keeps a second thread
+# spin-waiting for the rest of the process, which nearly doubles the CPU
+# time of ``verify all`` and gains no wall time at this package's sizes.
+# None of the imports above loads numpy, so this is read when it loads.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 # The names of ``verify.SUITES``, sorted, so that the command's choices
 # need no import of ``verify``.

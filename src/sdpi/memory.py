@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError, count, interval
-from .info import trial_blocks
+from .errors import InfeasibleError, ValidationError, count, interval
+from .info import MAX_LAYER_BYTES, trial_blocks
 
 # Largest chunk of int64 flip counts that simulate_memory holds at once.
 SIMULATION_BLOCK_BYTES = 8 << 20
@@ -139,12 +139,17 @@ def simulate_memory(spec: MemorySpec, trials: int, seed: int) -> SimulationRepor
     from ``default_rng((seed, b))`` (``info.trial_blocks``), in chunks of at
     most ``SIMULATION_BLOCK_BYTES`` (at least one trial) taken in turn from
     the block's one generator; with integer aggregation the result is
-    exactly reproducible whatever the byte cap.  ``estimated_relaxation``
-    is the first interval at which the success probability drops below
-    1 - delta, or None if it never does.
+    exactly reproducible whatever the byte cap.  One trial's counts, its
+    largest buffer, must fit in ``info.MAX_LAYER_BYTES``; that is checked
+    before anything is allocated.  ``estimated_relaxation`` is the first
+    interval at which the success probability drops below 1 - delta, or
+    None if it never does.
     """
     trials = count(trials, "trial count")
     steps = spec.intervals
+    if 8 * steps > MAX_LAYER_BYTES:
+        raise ValidationError(f"{steps} intervals need {8 * steps} bytes of counts per trial, above "
+                              f"the cap of {MAX_LAYER_BYTES} bytes ({MAX_LAYER_BYTES >> 20} MiB)")
     threshold = _majority_fail_threshold(spec.n)
     rows = max(1, SIMULATION_BLOCK_BYTES // (steps * 8))
     wrong_counts = np.zeros(steps, dtype=np.int64)

@@ -6,10 +6,11 @@ Each randomized suite draws its cases in the blocks of
 and draws from ``default_rng((seed, b))``, first every sample's alphabet
 sizes in one ``integers`` call, then one fixed-width array per kind of
 value, of which each sample uses the prefix its sizes need.  The samples
-are evaluated one stack per alphabet shape.  Each suite checks an
-inequality or identity the library guarantees, and reports pass/fail
-with counterexamples.  A failure here means a bug (or a float-tolerance
-breach), never a sampling artifact.
+are evaluated a pass at a time, one stack per alphabet shape: a pass is
+as many whole blocks as fit in ``PASS_BYTES`` of draws, at least one.
+Each suite checks an inequality or identity the library guarantees, and
+reports pass/fail with counterexamples.  A failure here means a bug (or
+a float-tolerance breach), never a sampling artifact.
 
 ``empirical_contraction`` searches the same chains for the largest
 ratio I(X;Z)/I(X;Y) through a given channel, a lower estimate of the
@@ -19,6 +20,7 @@ contraction coefficient that the pair bound caps.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -31,7 +33,7 @@ from .contraction import (
     quadratic_decomposition_batch,
     rayleigh_supremum_batch,
 )
-from .info import Channel, Distribution, _validated_rows, mutual_information_batch, trial_blocks
+from .info import BLOCK, Channel, Distribution, _validated_rows, mutual_information_batch, trial_blocks
 from .memory import repetition_relaxation_time
 
 RATIO_SLACK = 1e-9
@@ -41,6 +43,10 @@ SQUARE_TOL = -1e-12
 # Ratios with I(X;Y) below this are undefined: the suites and the search
 # skip those chains.
 DEGENERATE_MI = 1e-10
+
+# Bytes of draws a randomized suite holds at once (4 MiB): a pass of whole
+# blocks, at least one, is evaluated one stack per alphabet shape.
+PASS_BYTES = 1 << 22
 
 
 @dataclass
@@ -95,44 +101,66 @@ def _chain_ratios(
     return np.where(live, i_xz / np.where(live, i_xy, 1.0), -np.inf), live
 
 
+def _shape_groups(samples: int, seed: int, high: int, dims: int, widths: list[int], draw):
+    """(sample indices, alphabet sizes, one array per width) of each
+    alphabet shape of each pass over the samples.
+
+    Block b of ``trial_blocks(samples, seed)`` draws its k samples' sizes
+    as ``integers(2, high, size=(k, dims))``, then ``draw(rng, sizes,
+    *arrays)`` fills one (k, width) array per entry of ``widths`` in
+    place.  A pass takes as many whole blocks from the generator as fit in
+    ``PASS_BYTES`` (at least one), into arrays allocated once, and splits
+    them by one integer key per sample; a group lists its samples in
+    order.  The batch kernels give an item the same bits whatever stack
+    surrounds it, so the pass size cannot change a result.
+    """
+    grid = (high,) * dims
+    per_pass = max(1, PASS_BYTES // (8 * (1 + sum(widths)) * BLOCK)) * BLOCK
+    keys = np.empty(min(per_pass, samples), dtype=np.int64)
+    arrays = [np.empty((len(keys), width)) for width in widths]
+    blocks = trial_blocks(samples, seed)
+    for first in range(0, samples, per_pass):
+        for start, stop, rng in islice(blocks, per_pass // BLOCK):
+            here = slice(start - first, stop - first)
+            sizes = rng.integers(2, high, size=(stop - start, dims))
+            keys[here] = np.ravel_multi_index(sizes.T, grid)
+            draw(rng, sizes, *(a[here] for a in arrays))
+        order = np.argsort(keys[: min(per_pass, samples - first)], kind="stable")
+        for rows in np.split(order, np.flatnonzero(np.diff(keys[order])) + 1):
+            sizes = [int(n) for n in np.unravel_index(keys[rows[0]], grid)]
+            yield first + rows, sizes, [a[rows] for a in arrays]
+
+
+def _fuzz_draws(rng, sizes, values) -> None:
+    rng.standard_exponential(out=values)
+
+
 def sdpi_fuzz(samples: int = 10000, seed: int = 0) -> SuiteResult:
     """Random chains X -> Y -> Z: the MI ratio never exceeds the pair bound.
 
     A block of k samples draws ``integers(2, 5, size=(k, 3))`` for the
     alphabet sizes (nx, ny, nz), then ``standard_exponential((k, 36))``:
     row i holds p_X, the nx rows of X -> Y and the ny rows of Y -> Z in
-    that order, each run normalized to sum 1.
+    that order, each run normalized to sum 1 (36 entries for the largest
+    shape, nx = ny = nz = 4).
     """
     failures = []
     skipped = 0
     worst_excess = -np.inf
-    for start, stop, rng in trial_blocks(samples, seed):
-        shapes = rng.integers(2, 5, size=(stop - start, 3))
-        # The largest draw has nx = ny = nz = 4.
-        values = rng.standard_exponential((stop - start, 36))
-        kinds, which = np.unique(shapes, axis=0, return_inverse=True)
-        for g, (nx, ny, nz) in enumerate(kinds):
-            rows = np.flatnonzero(which.reshape(-1) == g)
-            px, xy, yz, _ = np.split(values[rows], np.cumsum([nx, nx * ny, ny * nz]), axis=1)
-            px = _validated_rows(_simplex_rows(px, nx)[:, 0], "distribution")
-            c_xy = _channels(_simplex_rows(xy, ny))
-            c_yz = _channels(_simplex_rows(yz, nz))
-            ratio, live = _chain_ratios(px, c_xy, c_yz)
-            skipped += len(rows) - int(live.sum())
-            eta, _ = pair_bound_batch(c_yz)
-            excess = ratio - eta
-            worst_excess = max(worst_excess, float(excess.max()))
-            for j in np.flatnonzero(excess > RATIO_SLACK):
-                failures.append(
-                    {
-                        "sample": start + int(rows[j]),
-                        "ratio": float(ratio[j]),
-                        "eta": float(eta[j]),
-                        "px": px[j].tolist(),
-                        "channel_xy": c_xy[j].tolist(),
-                        "channel_yz": c_yz[j].tolist(),
-                    }
-                )
+    for ids, (nx, ny, nz), (values,) in _shape_groups(samples, seed, 5, 3, [36], _fuzz_draws):
+        px, xy, yz, _ = np.split(values, np.cumsum([nx, nx * ny, ny * nz]), axis=1)
+        px = _validated_rows(_simplex_rows(px, nx)[:, 0], "distribution")
+        c_xy = _channels(_simplex_rows(xy, ny))
+        c_yz = _channels(_simplex_rows(yz, nz))
+        ratio, live = _chain_ratios(px, c_xy, c_yz)
+        skipped += len(ids) - int(live.sum())
+        eta, _ = pair_bound_batch(c_yz)
+        excess = ratio - eta
+        worst_excess = max(worst_excess, float(excess.max()))
+        failures += [{"sample": int(ids[j]), "ratio": float(ratio[j]), "eta": float(eta[j]),
+                      "px": px[j].tolist(), "channel_xy": c_xy[j].tolist(),
+                      "channel_yz": c_yz[j].tolist()}
+                     for j in np.flatnonzero(excess > RATIO_SLACK)]
     return SuiteResult(
         suite="sdpi-fuzz",
         checks=samples - skipped,
@@ -142,20 +170,27 @@ def sdpi_fuzz(samples: int = 10000, seed: int = 0) -> SuiteResult:
     )
 
 
-def _interior_laws(rng: np.random.Generator, sizes: np.ndarray) -> np.ndarray:
-    """``standard_exponential((k, 6))`` whose row i, cut to its first
-    sizes[i] entries and normalized, has every entry at least 1e-4; the
-    rows that do not are redrawn together, in sample order, from the same
-    generator until none remain."""
+def _interior_laws(rng: np.random.Generator, sizes: np.ndarray, law: np.ndarray) -> None:
+    """Fills ``law`` (k, 6) with ``standard_exponential`` draws whose row
+    i, cut to its first sizes[i] entries and normalized, has every entry
+    at least 1e-4; the rows that do not are redrawn together, in sample
+    order, from the same generator until none remain."""
     used = np.arange(6) < sizes[:, None]
-    law = rng.standard_exponential(used.shape)
+    rng.standard_exponential(out=law)
     while True:
         head = np.where(used, law, 0.0)
         head /= head.sum(axis=1, keepdims=True)
         low = np.flatnonzero(np.where(used, head, 1.0).min(axis=1) < 1e-4)
         if not low.size:
-            return law
+            return
         law[low] = rng.standard_exponential((low.size, 6))
+
+
+def _identity_draws(rng, sizes, chan_rows, laws, coeffs, flat_rows) -> None:
+    rng.standard_exponential(out=chan_rows)
+    _interior_laws(rng, sizes[:, 0], laws)
+    coeffs[:] = rng.normal(size=coeffs.shape)
+    rng.standard_exponential(out=flat_rows)
 
 
 def appendix_identity(samples: int = 1000, seed: int = 0) -> SuiteResult:
@@ -170,57 +205,35 @@ def appendix_identity(samples: int = 1000, seed: int = 0) -> SuiteResult:
     channel rows ``standard_exponential((k, 36))``, the interior laws of
     ``_interior_laws``, the coefficients ``normal(size=(k, 5))`` and the
     row shared by the equal-rows channel ``standard_exponential((k, 6))``.
+    The largest draw has n = m = 6.
     """
     failures = []
     worst = {"identity_residual": 0.0, "sum_residual": 0.0, "min_square": np.inf,
              "rayleigh_minus_eta": -np.inf}
-    for start, stop, rng in trial_blocks(samples, seed):
-        k = stop - start
-        shapes = rng.integers(2, 7, size=(k, 2))
-        # The largest draw has n = m = 6.
-        chan_rows = rng.standard_exponential((k, 36))
-        laws = _interior_laws(rng, shapes[:, 0])
-        all_coeffs = rng.normal(size=(k, 5))
-        flat_rows = rng.standard_exponential((k, 6))
-        kinds, which = np.unique(shapes, axis=0, return_inverse=True)
-        for g, (n, m) in enumerate(kinds):
-            rows = np.flatnonzero(which.reshape(-1) == g)
-            chan = _channels(_simplex_rows(chan_rows[rows, : n * m], m))
-            p = _validated_rows(_simplex_rows(laws[rows, :n], n)[:, 0], "distribution")
-            coeffs = all_coeffs[rows, : n - 1]
-            flat = _channels(np.repeat(_simplex_rows(flat_rows[rows, :m], m), n, axis=1))
-            identity, min_square, sum_residual = quadratic_decomposition_batch(chan, p, coeffs)
-            flat_identity, _, flat_sum = quadratic_decomposition_batch(flat, p, coeffs)
-            sup = rayleigh_supremum_batch(chan, p)
-            eta, _ = pair_bound_batch(chan)
+    groups = _shape_groups(samples, seed, 7, 2, [36, 6, 5, 6], _identity_draws)
+    for ids, (n, m), (chan_rows, laws, all_coeffs, flat_rows) in groups:
+        chan = _channels(_simplex_rows(chan_rows[:, : n * m], m))
+        p = _validated_rows(_simplex_rows(laws[:, :n], n)[:, 0], "distribution")
+        coeffs = all_coeffs[:, : n - 1]
+        flat = _channels(np.repeat(_simplex_rows(flat_rows[:, :m], m), n, axis=1))
+        identity, min_square, sum_residual = quadratic_decomposition_batch(chan, p, coeffs)
+        flat_identity, _, flat_sum = quadratic_decomposition_batch(flat, p, coeffs)
+        sup = rayleigh_supremum_batch(chan, p)
+        eta, _ = pair_bound_batch(chan)
 
-            worst["identity_residual"] = max(worst["identity_residual"], identity.max())
-            worst["sum_residual"] = max(worst["sum_residual"], sum_residual.max(), flat_sum.max())
-            worst["min_square"] = min(worst["min_square"], min_square.min())
-            worst["rayleigh_minus_eta"] = max(worst["rayleigh_minus_eta"], (sup - eta).max())
+        worst["identity_residual"] = max(worst["identity_residual"], identity.max())
+        worst["sum_residual"] = max(worst["sum_residual"], sum_residual.max(), flat_sum.max())
+        worst["min_square"] = min(worst["min_square"], min_square.min())
+        worst["rayleigh_minus_eta"] = max(worst["rayleigh_minus_eta"], (sup - eta).max())
 
-            bad = (
-                (identity > RESIDUAL_TOL)
-                | (min_square < SQUARE_TOL)
-                | (sum_residual > RESIDUAL_TOL)
-                | (flat_identity > RESIDUAL_TOL)
-                | (flat_sum > RESIDUAL_TOL)
-                | (sup > eta + RATIO_SLACK)
-            )
-            for j in np.flatnonzero(bad):
-                failures.append(
-                    {
-                        "sample": start + int(rows[j]),
-                        "identity_residual": float(identity[j]),
-                        "sum_residual": float(sum_residual[j]),
-                        "min_square": float(min_square[j]),
-                        "rayleigh": float(sup[j]),
-                        "eta": float(eta[j]),
-                        "channel": chan[j].tolist(),
-                        "p": p[j].tolist(),
-                        "coeffs": coeffs[j].tolist(),
-                    }
-                )
+        bad = ((identity > RESIDUAL_TOL) | (min_square < SQUARE_TOL) | (sum_residual > RESIDUAL_TOL)
+               | (flat_identity > RESIDUAL_TOL) | (flat_sum > RESIDUAL_TOL)
+               | (sup > eta + RATIO_SLACK))
+        failures += [{"sample": int(ids[j]), "identity_residual": float(identity[j]),
+                      "sum_residual": float(sum_residual[j]), "min_square": float(min_square[j]),
+                      "rayleigh": float(sup[j]), "eta": float(eta[j]),
+                      "channel": chan[j].tolist(), "p": p[j].tolist(), "coeffs": coeffs[j].tolist()}
+                     for j in np.flatnonzero(bad)]
     worst = {k: float(v) for k, v in worst.items()}
     return SuiteResult(
         suite="appendix-identity",

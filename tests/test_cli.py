@@ -647,6 +647,35 @@ def test_closed_forms_never_load_numpy(code):
     assert res.stderr == "numpy loaded: False\n"
 
 
+THREADS_AFTER_MATMUL = (
+    "import os, sdpi.cli\n"
+    "try:\n"
+    "    sdpi.cli.main(['verify', 'sdpi-fuzz', '--budget', '50'])\n"
+    "except SystemExit as exc:\n"
+    "    assert exc.code == 0, exc.code\n"
+    "tasks = len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else 1\n"
+    "print(os.environ['OPENBLAS_NUM_THREADS'], tasks)\n"
+)
+
+
+@pytest.mark.parametrize("preset", [None, "2"], ids=["default", "user-set"])
+def test_cli_runs_openblas_on_one_thread_unless_the_user_says_otherwise(preset):
+    env = dict(os.environ, PYTHONPATH=str(Path(sdpi.__file__).parents[1]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    res = subprocess.run(
+        [sys.executable, "-c", THREADS_AFTER_MATMUL], capture_output=True, text=True, env=env,
+        timeout=60,
+    )
+    assert res.returncode == 0, res.stderr
+    value, tasks = res.stdout.split("\n")[-2].split()
+    assert value == (preset or "1")
+    # With the default, no BLAS thread outlives the suite's batched matmuls.
+    if preset is None:
+        assert tasks == "1"
+
+
 def test_closed_form_imports_only_the_stdlib_and_errors():
     tree = ast.parse(Path(sdpi.__file__).with_name("closed_form.py").read_text())
     imported = set()

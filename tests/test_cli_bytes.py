@@ -74,6 +74,7 @@ CASES = [
     *TEXT_JSON,
     *(case + " --format json" for case in TEXT_JSON),
     "nn bound --format json --xi 0.2 --widths 3,1 --hx 2.5",
+    "verify sdpi-fuzz --budget 3000 --seed 1405303632 --format json",
     "mem simulate --n 5 --xi 0.2 --delta 0.3 --intervals 4 --trials 500 --seed 9",
     "mem simulate --seed 3 --trials 200 --intervals 3 --delta 0.25 --xi 0.15 --n 6",
     "fig 2",

@@ -5,6 +5,7 @@ import math
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
 import sdpi
 
@@ -30,6 +31,8 @@ from sdpi import (
     shared_noise_slope,
     simulate_memory,
 )
+from sdpi import memory
+from sdpi.cli import main
 from sdpi.errors import count, interval
 from sdpi.network import monte_carlo_io_mi, random_network
 from sdpi.verify import run_suite
@@ -120,6 +123,31 @@ def _spec(**kw):
 def test_non_finite_inputs_raise_validation_error(call):
     with pytest.raises(ValidationError):
         call()
+
+
+class TestSimulationByteCap:
+    """One trial's int64 counts, the simulator's largest buffer, are
+    checked against the byte cap before anything is allocated."""
+
+    def test_intervals_past_the_cap_are_refused(self):
+        # 8e12 bytes: an input error, never numpy's MemoryError.
+        with pytest.raises(ValidationError, match=r"^1000000000000 intervals need 8000000000000 "
+                           r"bytes of counts per trial, above the cap of 536870912 bytes \(512 MiB\)$"):
+            simulate_memory(_spec(intervals=10**12), trials=1, seed=0)
+
+    def test_the_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(memory, "MAX_LAYER_BYTES", 8 * 10)
+        assert len(simulate_memory(_spec(intervals=10), trials=3, seed=0).success_prob) == 10
+        with pytest.raises(ValidationError, match=r"^11 intervals need 88 bytes "):
+            simulate_memory(_spec(intervals=11), trials=3, seed=0)
+
+    def test_cli_exits_2_with_one_error_line(self):
+        res = CliRunner().invoke(main, ["mem", "simulate", "--n", "5", "--xi", "0.1", "--delta",
+                                        "0.3", "--intervals", "1000000000000", "--trials", "1"])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: 1000000000000 intervals need 8000000000000 bytes")
+        assert res.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("seed", [-1, 2.5, NAN, "3"])

@@ -2,6 +2,8 @@
 draws, and their results against a one-sample-at-a-time reference that
 follows the documented draw order through the scalar API."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,8 @@ from sdpi.info import BLOCK
 # A budget that ends inside the second block.
 BUDGET = 1100
 SEEDS = (0, 3, 1405303632, 2**63 + 5)
+# Bytes a pass holds per sample: an int64 shape key and the float draws.
+SAMPLE_BYTES = {"sdpi-fuzz": 8 * (1 + 36), "appendix-identity": 8 * (1 + 36 + 6 + 5 + 6)}
 
 
 def blocks(samples, seed):
@@ -220,6 +224,44 @@ def test_default_tolerances_equal_the_reference(suite, seed):
         want = failures, 0, worst
     assert result.passed
     assert (result.failures, result.skipped, result.worst) == want
+
+
+@pytest.mark.parametrize("budget", [BUDGET, 5000])
+@pytest.mark.parametrize("suite", ["sdpi-fuzz", "appendix-identity"])
+def test_pass_size_cannot_change_a_result(monkeypatch, forced_failures, suite, budget):
+    spans = []
+    shape_groups = verify._shape_groups
+
+    def recording(*args):
+        for ids, sizes, arrays in shape_groups(*args):
+            spans.append((ids[0] // BLOCK, ids[-1] // BLOCK))
+            yield ids, sizes, arrays
+
+    monkeypatch.setattr(verify, "_shape_groups", recording)
+    want = verify.SUITES[suite](budget, 3).to_dict()
+    assert want["failures"]
+    blocks = -(-budget // BLOCK)
+    # The default pass holds the whole budget, so some shape spans every block.
+    assert max(last - first for first, last in spans) == blocks - 1
+    for per_pass in (1, 3):
+        spans.clear()
+        monkeypatch.setattr(verify, "PASS_BYTES", per_pass * BLOCK * SAMPLE_BYTES[suite])
+        assert verify.SUITES[suite](budget, 3).to_dict() == want
+        assert all(first // per_pass == last // per_pass for first, last in spans)
+        assert max(last - first for first, last in spans) == min(per_pass, blocks) - 1
+
+
+def test_memory_does_not_grow_with_the_budget():
+    per_pass = verify.PASS_BYTES // (SAMPLE_BYTES["sdpi-fuzz"] * BLOCK) * BLOCK
+    peaks = []
+    for samples in (per_pass, 8 * per_pass):
+        tracemalloc.start()
+        try:
+            verify.sdpi_fuzz(samples, 0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0]
 
 
 def test_grid_suites_report_each_failing_case_in_grid_order(monkeypatch):
