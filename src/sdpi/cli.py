@@ -17,7 +17,9 @@ CLI sets ``OPENBLAS_NUM_THREADS`` to 1 unless the environment sets it.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import itertools
 import json
 import math
 import numbers
@@ -43,6 +45,9 @@ VERIFY_SUITES = ("appendix-identity", "layer-equality", "memory-sandwich", "sdpi
 # Largest shared flip probability xi1 for which the weight ordering that
 # the leading-order correlated bound rests on was checked numerically.
 VERIFIED_XI1 = 0.07
+
+# Lines of output rendered and written at a time.
+EMIT_LINES = 4096
 
 
 def _num(x) -> str:
@@ -78,11 +83,15 @@ def _warn_if_unverified(xi1: float) -> None:
         )
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        click.echo(text, nl=False)
-    else:
-        Path(out).write_text(text)
+def _emit(lines, out: str | None) -> None:
+    """Write ``lines``, each ending in its newline, to stdout or to the
+    file ``out``, ``EMIT_LINES`` at a time, so that no more than one
+    chunk of rendered text is held at once."""
+    lines = iter(lines)
+    with contextlib.nullcontext() if out is None else open(out, "w") as f:
+        write = f.write if f else functools.partial(click.echo, nl=False)
+        while chunk := "".join(itertools.islice(lines, EMIT_LINES)):
+            write(chunk)
 
 
 def _handle_errors(f):
@@ -119,7 +128,7 @@ def _command(group: click.Group, name: str):
         @_handle_errors
         def run(fmt, out, **params):
             payload, text, code = f(**params)
-            _emit(json.dumps(payload, sort_keys=True) + "\n" if fmt == "json" else text, out)
+            _emit([json.dumps(payload, sort_keys=True) + "\n" if fmt == "json" else text], out)
             if code:
                 sys.exit(code)
 
@@ -198,11 +207,10 @@ def _write_csv(columns: list[str], rows, footer: str | None = None, note: str | 
     """
     ctx = click.get_current_context()
     out = ctx.params["out"]
-    lines = [_invocation(ctx), *([note] if note else []), ",".join(columns)]
-    lines += (",".join(map(_num, row)) for row in rows)
-    if footer:
-        lines.append(footer)
-    _emit("\n".join(lines) + "\n", out)
+    head = [_invocation(ctx), *([note] if note else []), ",".join(columns)]
+    body = (",".join(map(_num, row)) for row in rows)
+    lines = itertools.chain(head, body, [footer] if footer else [])
+    _emit((line + "\n" for line in lines), out)
     if footer and out is not None:
         click.echo(footer.lstrip("# "))
     if ctx.params.get("gnuplot"):

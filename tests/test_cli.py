@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import click
@@ -331,6 +332,26 @@ class TestMemoryCommands:
         header, data = rows_of(res.stdout)
         assert header == ["t", "success_prob", "stderr"]
         assert len(data) == 4
+
+    def test_long_csv_is_written_in_chunks(self, runner, tmp_path):
+        # 1e5 rows of about 30 characters.  Rendering the whole text before
+        # writing it peaked at 9.7 MiB; streamed, the peak is the three
+        # float arrays of 8 bytes per interval and one chunk of lines.
+        intervals, out = 100_000, tmp_path / "sim.csv"
+        args = ["mem", "simulate", "--n", "5", "--xi", "0.1", "--delta", "0.3",
+                "--intervals", str(intervals), "--trials", "1", "--out", str(out)]
+        runner.invoke(main, args[:9] + ["2"])  # load the modules untraced
+        tracemalloc.start()
+        try:
+            res = runner.invoke(main, args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.exit_code == 0
+        assert peak < 6 * 8 * intervals
+        lines = out.read_text().split("\n")
+        assert lines[3].startswith("1,") and lines[-2].startswith(f"{intervals},")
+        assert lines[-1] == "" and len(lines) == intervals + 4
 
     @pytest.mark.parametrize("command", [
         ["mem", "simulate", "--n", "5", "--xi", "0.2", "--delta", "0.3", "--intervals", "4"],
