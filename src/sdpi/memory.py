@@ -13,6 +13,7 @@ the matching achievable side up to a factor of 2 in the exponent.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,7 @@ import numpy as np
 from .errors import InfeasibleError, ValidationError, count, interval
 from .info import MAX_LAYER_BYTES, trial_blocks
 
-# Largest chunk of int64 flip counts that simulate_memory holds at once.
+# Largest chunk of float64 uniforms that simulate_memory holds at once.
 SIMULATION_BLOCK_BYTES = 8 << 20
 
 
@@ -54,7 +55,11 @@ def catastrophic_prob_exact(n: int, xi: float) -> float:
 
     Binomial tail P[Bin(n, xi) >= ceil((n+1)/2)] for odd n; even-n ties
     count as failure.  Summed in log space so tails below 1e-12 stay
-    accurate.
+    accurate.  The terms are log-concave in k, with curvature at least
+    4/n, so only the 20 sqrt(n) + 20 terms on either side of the largest
+    one, at max(threshold, floor((n+1) xi)), are summed: the rest fall
+    below e^-800 of it.  Below n of about 1700 that window holds every
+    term of the tail.
     """
     n = count(n, "bit count")
     xi = interval(xi, "flip probability", "[0, 1]")
@@ -62,7 +67,10 @@ def catastrophic_prob_exact(n: int, xi: float) -> float:
         return 0.0
     if xi == 1.0:
         return 1.0
-    k = np.arange(_majority_fail_threshold(n), n + 1)
+    threshold = _majority_fail_threshold(n)
+    top_k = max(threshold, math.floor((n + 1) * xi))
+    half = math.ceil(20 * math.sqrt(n)) + 20
+    k = np.arange(max(threshold, top_k - half), min(n, top_k + half) + 1)
     log_binom = [math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1) for j in k]
     log_terms = np.array(log_binom) + k * math.log(xi) + (n - k) * math.log1p(-xi)
     top = log_terms.max()
@@ -104,7 +112,12 @@ def repetition_relaxation_time(n: int, xi: float, delta: float) -> RepetitionRel
             f"catastrophic probability {p_e:.9g} >= 1/2: majority vote retains nothing"
         )
     numer = math.log1p(-2.0 * delta)
-    time = numer / math.log1p(-2.0 * p_e)
+    # Below the normal float range p_e has lost its digits (at 0 the time
+    # would divide by zero), and past it the time has none to print.
+    time = math.inf if p_e < sys.float_info.min else numer / math.log1p(-2.0 * p_e)
+    if time == math.inf:
+        raise ValidationError(f"repetition relaxation time at n = {n} is out of float range "
+                              f"(catastrophic probability {p_e:.3g})")
     p_c = catastrophic_prob_chernoff(n, xi)
     chernoff_lower = None if p_c >= 0.5 else numer / math.log1p(-2.0 * p_c)
     return RepetitionRelaxation(time=time, chernoff_lower=chernoff_lower)
@@ -133,37 +146,41 @@ def simulate_memory(spec: MemorySpec, trials: int, seed: int) -> SimulationRepor
     """Monte Carlo repetition-code memory: flip bits, refresh to majority.
 
     All bits carry the logical value after each refresh, so an interval
-    reduces to whether its Binomial(n, xi) flip count defeats the majority
-    (even-n ties count as flipping to the wrong codeword).  The counts are
-    drawn row-major over (trial, interval), block b of ``BLOCK`` trials
-    from ``default_rng((seed, b))`` (``info.trial_blocks``), in chunks of at
-    most ``SIMULATION_BLOCK_BYTES`` (at least one trial) taken in turn from
-    the block's one generator; with integer aggregation the result is
-    exactly reproducible whatever the byte cap.  One trial's counts, its
-    largest buffer, must fit in ``info.MAX_LAYER_BYTES``; that is checked
-    before anything is allocated.  ``estimated_relaxation`` is the first
-    interval at which the success probability drops below 1 - delta, or
-    None if it never does.
+    reduces to a catastrophic event, a flip count that defeats the
+    majority (even-n ties count as flipping to the wrong codeword), with
+    probability p_e = ``catastrophic_prob_exact(n, xi)``.  Each (trial,
+    interval) cell draws one uniform u and has the event iff u < p_e; the
+    trial decodes wrongly after t intervals iff it had an odd number of
+    events.  A float64 uniform is a multiple of 2^-53, so the event has
+    probability p_e rounded up to the next such multiple: at most 1.1e-16
+    above p_e.  The uniforms are drawn row-major over (trial, interval),
+    block b of ``BLOCK`` trials from ``default_rng((seed, b))``
+    (``info.trial_blocks``), in chunks of at most ``SIMULATION_BLOCK_BYTES``
+    (at least one trial) taken in turn from the block's one generator;
+    with integer aggregation the result is exactly reproducible whatever
+    the byte cap.  One trial's uniforms, its largest buffer, must fit in
+    ``info.MAX_LAYER_BYTES``; that is checked before anything is
+    allocated.  ``estimated_relaxation`` is the first interval at which
+    the success probability drops below 1 - delta, or None if it never
+    does.
     """
     trials = count(trials, "trial count")
     steps = spec.intervals
     if 8 * steps > MAX_LAYER_BYTES:
         raise ValidationError(f"{steps} intervals need {8 * steps} bytes of counts per trial, above "
                               f"the cap of {MAX_LAYER_BYTES} bytes ({MAX_LAYER_BYTES >> 20} MiB)")
-    threshold = _majority_fail_threshold(spec.n)
+    p_e = catastrophic_prob_exact(spec.n, spec.xi)
     rows = max(1, SIMULATION_BLOCK_BYTES // (steps * 8))
     wrong_counts = np.zeros(steps, dtype=np.int64)
     for start, stop, rng in trial_blocks(trials, seed):
         for first in range(start, stop, rows):
-            counts = rng.binomial(spec.n, spec.xi, size=(min(rows, stop - first), steps))
-            # Parity of the catastrophic events so far, in the counts' own buffer.
-            np.cumsum(counts >= threshold, axis=1, out=counts)
-            counts %= 2
-            wrong_counts += counts.sum(axis=0)
+            events = rng.random((min(rows, stop - first), steps)) < p_e
+            # Parity of the catastrophic events so far, in the events' own buffer.
+            np.logical_xor.accumulate(events, axis=1, out=events)
+            wrong_counts += np.count_nonzero(events, axis=0)
     success = 1.0 - wrong_counts / trials
     below = np.nonzero(success < 1.0 - spec.delta)[0]
     estimated = int(below[0]) + 1 if below.size else None
     return SimulationReport(
         success_prob=success, estimated_relaxation=estimated, trials=trials, seed=seed
     )
-

@@ -314,6 +314,15 @@ class TestMemoryCommands:
         assert payload["time"] == pytest.approx(7.30999061, abs=1e-6)
         assert payload["chernoff_lower"] < payload["time"]
 
+    @pytest.mark.parametrize("n", ["8489", "8490"])
+    def test_reptime_past_float_range_exits_2(self, runner, n):
+        # These used to end in exit 3 (ZeroDivisionError) and print "inf".
+        res = runner.invoke(main, ["mem", "reptime", "--n", n, "--xi", "0.3", "--delta", "0.4"])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith(f"error: repetition relaxation time at n = {n} is out of ")
+        assert res.stderr.count("\n") == 1
+
     def test_reptime_useless_memory_exits_1(self, runner):
         res = runner.invoke(main, ["mem", "reptime", "--n", "2", "--xi", "0.49", "--delta", "0.4"])
         assert res.exit_code == 1

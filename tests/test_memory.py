@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sdpi import info, memory
 from sdpi import (
@@ -22,15 +23,17 @@ from sdpi import (
 
 def reference_simulation(spec, trials, seed):
     """The documented draw order, written out: trial block b (1024 trials)
-    draws from default_rng((seed, b)) the Binomial(n, xi) flip counts of its
-    trials row-major over (trial, interval); a trial decodes wrongly after t
-    intervals iff an odd number of them reached the majority threshold."""
-    counts = np.concatenate([
-        np.random.default_rng((seed, b)).binomial(
-            spec.n, spec.xi, size=(min(1024, trials - 1024 * b), spec.intervals))
+    draws from default_rng((seed, b)) one uniform per (trial, interval),
+    row-major; a cell has a catastrophic event iff its uniform is below
+    p_e, and a trial decodes wrongly after t intervals iff it had an odd
+    number of events."""
+    p_e = catastrophic_prob_exact(spec.n, spec.xi)
+    events = np.concatenate([
+        np.random.default_rng((seed, b)).random(
+            (min(1024, trials - 1024 * b), spec.intervals)) < p_e
         for b in range(-(-trials // 1024))
     ])
-    wrong = np.cumsum(counts >= (spec.n + 1) // 2, axis=1) % 2
+    wrong = np.cumsum(events, axis=1) % 2
     return 1.0 - wrong.sum(axis=0) / trials
 
 
@@ -65,6 +68,28 @@ class TestCatastrophicProbability:
 
     def test_deep_tail_stays_accurate(self):
         assert catastrophic_prob_exact(61, 0.05) == pytest.approx(tail_oracle(61, 0.05), rel=1e-9)
+
+    @pytest.mark.parametrize("n, xi", [(1699, 0.3), (20001, 0.45), (20000, 0.4999), (30001, 0.7)])
+    def test_window_matches_the_full_tail(self, n, xi):
+        # Every term of the tail, from threshold to n, in exact-rounded sums.
+        logs = [math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+                + k * math.log(xi) + (n - k) * math.log1p(-xi) for k in range((n + 1) // 2, n + 1)]
+        top = max(logs)
+        full = min(math.exp(top) * math.fsum(math.exp(v - top) for v in logs), 1.0)
+        assert full > 1e-70
+        assert catastrophic_prob_exact(n, xi) == pytest.approx(full, rel=1e-12)
+
+    def test_cost_does_not_grow_with_n(self):
+        # The whole tail at n = 1e7 is 5e6 terms, 379 MB as a list of
+        # log-binomials; the window around the largest term is 126,533.
+        tracemalloc.start()
+        try:
+            assert catastrophic_prob_exact(10**7 + 1, 0.3) == 0.0
+            assert 0.26 < catastrophic_prob_exact(10**7, 0.4999) < 0.27  # P[Z >= 0.632]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
 
 
 class TestChernoff:
@@ -152,6 +177,28 @@ class TestRepetitionTime:
         with pytest.raises(InfeasibleError):
             repetition_relaxation_time(2, 0.49, 0.4)
 
+    @pytest.mark.parametrize("n", [8489, 8490, 10**6])
+    def test_time_past_float_range_is_refused(self, n):
+        # p_e underflows to 0 (once a division by zero) or to a subnormal
+        # (once an infinite time); both are refused as out of range.
+        with pytest.raises(ValidationError, match=rf"^repetition relaxation time at n = {n} is "
+                           r"out of float range \(catastrophic probability "):
+            repetition_relaxation_time(n, 0.3, 0.4)
+        assert repetition_relaxation_time(8001, 0.3, 0.4).time == pytest.approx(6.5655e304, rel=1e-4)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 10**6),
+           xi=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+           delta=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True))
+    def test_time_is_finite_or_refused(self, n, xi, delta):
+        try:
+            got = repetition_relaxation_time(n, xi, delta)
+        except (ValidationError, InfeasibleError):
+            return
+        assert 0.0 <= got.time < math.inf
+        if got.chernoff_lower is not None:
+            assert 0.0 <= got.chernoff_lower <= got.time * (1 + 1e-12)
+
     def test_sandwich_against_upper_bound(self):
         for n in range(5, 26, 2):
             for xi in (0.1, 0.2, 0.3, 0.4):
@@ -213,6 +260,31 @@ class TestSimulation:
             monkeypatch.setattr(memory, "SIMULATION_BLOCK_BYTES", rows * 12 * 8)
         got = simulate_memory(spec, trials=2500, seed=21)
         np.testing.assert_array_equal(got.success_prob, reference_simulation(spec, 2500, 21))
+
+    def test_draws_one_uniform_per_cell(self, monkeypatch):
+        # 2500 trials over 12 intervals in 385-row chunks: every generator
+        # call is ``random``, and they return trials x intervals values.
+        calls = []
+
+        class Recording:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def __getattr__(self, name):
+                def call(*args, **kwargs):
+                    values = getattr(self.rng, name)(*args, **kwargs)
+                    calls.append((name, np.size(values)))
+                    return values
+                return call
+
+        blocks = memory.trial_blocks
+        monkeypatch.setattr(memory, "trial_blocks", lambda total, seed: (
+            (start, stop, Recording(rng)) for start, stop, rng in blocks(total, seed)))
+        monkeypatch.setattr(memory, "SIMULATION_BLOCK_BYTES", 385 * 12 * 8)
+        simulate_memory(MemorySpec(n=7, xi=0.25, delta=0.4, intervals=12), trials=2500, seed=21)
+        assert {name for name, _ in calls} == {"random"}
+        assert sum(size for _, size in calls) == 2500 * 12
+        assert len(calls) == 3 + 3 + 2
 
     def test_pooled_seeds_match_two_state_closed_form(self):
         spec = MemorySpec(n=9, xi=0.3, delta=0.4, intervals=20)
