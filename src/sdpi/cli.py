@@ -46,9 +46,6 @@ VERIFY_SUITES = ("appendix-identity", "layer-equality", "memory-sandwich", "sdpi
 # the leading-order correlated bound rests on was checked numerically.
 VERIFIED_XI1 = 0.07
 
-# Lines of output rendered and written at a time.
-EMIT_LINES = 4096
-
 
 def _num(x) -> str:
     if isinstance(x, numbers.Integral):
@@ -85,12 +82,12 @@ def _warn_if_unverified(xi1: float) -> None:
 
 def _emit(lines, out: str | None) -> None:
     """Write ``lines``, each ending in its newline, to stdout or to the
-    file ``out``, ``EMIT_LINES`` at a time, so that no more than one
-    chunk of rendered text is held at once."""
+    file ``out``, 4096 at a time, so that no more than one chunk of
+    rendered text is held at once."""
     lines = iter(lines)
     with contextlib.nullcontext() if out is None else open(out, "w") as f:
         write = f.write if f else functools.partial(click.echo, nl=False)
-        while chunk := "".join(itertools.islice(lines, EMIT_LINES)):
+        while chunk := "".join(itertools.islice(lines, 4096)):
             write(chunk)
 
 

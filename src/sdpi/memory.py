@@ -45,11 +45,6 @@ class MemorySpec:
         return {"n": self.n, "xi": self.xi, "delta": self.delta, "intervals": self.intervals}
 
 
-def _majority_fail_threshold(n: int) -> int:
-    # Smallest flip count that defeats (or ties, for even n) the majority.
-    return (n + 1) // 2
-
-
 def catastrophic_prob_exact(n: int, xi: float) -> float:
     """Probability that one interval flips at least half the bits.
 
@@ -67,7 +62,7 @@ def catastrophic_prob_exact(n: int, xi: float) -> float:
         return 0.0
     if xi == 1.0:
         return 1.0
-    threshold = _majority_fail_threshold(n)
+    threshold = (n + 1) // 2  # defeats the majority, or ties it for even n
     top_k = max(threshold, math.floor((n + 1) * xi))
     half = math.ceil(20 * math.sqrt(n)) + 20
     k = np.arange(max(threshold, top_k - half), min(n, top_k + half) + 1)
