@@ -85,7 +85,7 @@ def _emit(lines, out: str | None) -> None:
     file ``out``, 4096 at a time, so that no more than one chunk of
     rendered text is held at once."""
     lines = iter(lines)
-    with contextlib.nullcontext() if out is None else open(out, "w") as f:
+    with (contextlib.nullcontext() if out is None else open(out, "w")) as f:
         write = f.write if f else functools.partial(click.echo, nl=False)
         while chunk := "".join(itertools.islice(lines, 4096)):
             write(chunk)
