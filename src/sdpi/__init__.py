@@ -72,7 +72,7 @@ _EXPORTS = {
         "repetition_relaxation_time",
         "simulate_memory",
     ),
-    "verify": ("EmpiricalContraction", "SearchConfig", "empirical_contraction"),
+    "verify": (),
 }
 
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

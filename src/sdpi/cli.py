@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Commands registered with ``_command`` share --format text|json and
---out; the figure datasets and the simulation share ``_write_csv``.
+Every command is registered with ``_command``: the text/JSON commands
+share --format text|json and --out, and the CSV commands (the figure
+datasets and the simulation) share --out and ``_write_csv``.
 Every CSV starts with a comment line carrying the canonical invocation
 and the seed, numbers are printed with 9 significant digits, and output
 bytes depend only on the command, flags, and seed.  Exit codes: 0 on
@@ -50,10 +51,7 @@ VERIFIED_XI1 = 0.07
 def _num(x) -> str:
     if isinstance(x, numbers.Integral):
         return str(int(x))
-    x = float(x)
-    if math.isinf(x):
-        return "inf"
-    return f"{x:.9g}"
+    return f"{float(x):.9g}"
 
 
 def _linspace(start: float, stop: float, num: int) -> list[float]:
@@ -91,68 +89,45 @@ def _emit(lines, out: str | None) -> None:
             write(chunk)
 
 
-def _handle_errors(f):
-    @functools.wraps(f)
-    def wrapper(*args, **kwargs):
-        try:
-            return f(*args, **kwargs)
-        except InfeasibleError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(1)
-        except (ValidationError, ValueError, OSError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
-        except (click.ClickException, click.exceptions.Exit, click.Abort):
-            raise
-        except Exception as exc:
-            # Any other failure is a defect of the program, not of the input.
-            click.echo(f"error: internal: {type(exc).__name__}: {exc}", err=True)
-            sys.exit(3)
+def _command(group: click.Group, name: str, csv: bool = False, plot: bool = False):
+    """Register a command under ``group``.
 
-    return wrapper
-
-
-def _command(group: click.Group, name: str):
-    """Register a text/JSON command under ``group``.
-
-    The decorated function returns (JSON payload, text, exit code).  The
-    command gains --format and --out as its last options, writes the
-    chosen rendering to stdout or --out, and exits with the code.
+    A text/JSON command returns (JSON payload, text, exit code) and gains
+    --format and --out as its last options: it writes the chosen rendering
+    to stdout or --out and exits with the code.  A ``csv`` command writes
+    its table with ``_write_csv`` and gains --out, and --gnuplot when
+    ``plot``, as its last options.  Errors exit with the module's exit codes.
     """
 
     def decorate(f):
         @functools.wraps(f)
-        @_handle_errors
-        def run(fmt, out, **params):
-            payload, text, code = f(**params)
-            _emit([json.dumps(payload, sort_keys=True) + "\n" if fmt == "json" else text], out)
-            if code:
-                sys.exit(code)
+        def run(out, fmt="text", gnuplot=False, **params):
+            try:
+                if gnuplot and out is None:
+                    raise ValidationError("--gnuplot requires --out (the script references the CSV)")
+                if csv:
+                    return f(**params)
+                payload, text, code = f(**params)
+                _emit([json.dumps(payload, sort_keys=True) + "\n" if fmt == "json" else text], out)
+                if code:
+                    sys.exit(code)
+            except InfeasibleError as exc:
+                click.echo(f"error: {exc}", err=True)
+                sys.exit(1)
+            except (ValidationError, ValueError, OSError) as exc:
+                click.echo(f"error: {exc}", err=True)
+                sys.exit(2)
+            except (click.ClickException, click.exceptions.Exit, click.Abort):
+                raise
+            except Exception as exc:
+                # Any other failure is a defect of the program, not of the input.
+                click.echo(f"error: internal: {type(exc).__name__}: {exc}", err=True)
+                sys.exit(3)
 
         cmd = group.command(name)(run)
-        cmd.params += [
-            click.Option(["--format", "fmt"], type=click.Choice(["text", "json"]), default="text"),
-            click.Option(["--out"], type=click.Path(), default=None),
-        ]
-        return cmd
-
-    return decorate
-
-
-def _csv_command(group: click.Group, name: str, plot: bool = True):
-    """Register a CSV command under ``group``; its function writes the
-    table with ``_write_csv``.  The command gains --out, and --gnuplot
-    when ``plot``, as its last options."""
-
-    def decorate(f):
-        @functools.wraps(f)
-        @_handle_errors
-        def run(out, gnuplot=False, **params):
-            if gnuplot and out is None:
-                raise ValidationError("--gnuplot requires --out (the script references the CSV)")
-            f(**params)
-
-        cmd = group.command(name)(run)
+        if not csv:
+            formats = click.Choice(["text", "json"])
+            cmd.params.append(click.Option(["--format", "fmt"], type=formats, default="text"))
         cmd.params.append(click.Option(["--out"], type=click.Path(), default=None))
         if plot:
             cmd.params.append(click.Option(["--gnuplot"], is_flag=True, default=False))
@@ -428,7 +403,7 @@ def mem_reptime(n, xi, delta):
     return {"time": result.time, "chernoff_lower": result.chernoff_lower}, text, 0
 
 
-@_csv_command(mem_group, "simulate", plot=False)
+@_command(mem_group, "simulate", csv=True)
 @click.option("--n", type=int, required=True)
 @click.option("--xi", type=float, required=True)
 @click.option("--delta", type=float, required=True)
@@ -462,7 +437,7 @@ _label_seed = click.option(
 )
 
 
-@_csv_command(fig, "2")
+@_command(fig, "2", csv=True, plot=True)
 @click.option("--n", type=int, default=3, help="Components in the layer.")
 @click.option("--xi-min", type=float, default=0.0)
 @click.option("--xi-max", type=float, default=0.5)
@@ -480,7 +455,7 @@ def fig2(n, xi_min, xi_max, points, seed):
     _write_csv(["xi", "evans_schulman", "ours"], rows)
 
 
-@_csv_command(fig, "3")
+@_command(fig, "3", csv=True, plot=True)
 @click.option("--xi2", type=float, default=0.35)
 @click.option("--n", type=int, default=5)
 @click.option("--xi1-min", type=float, default=0.0)
@@ -506,7 +481,7 @@ def fig3(xi2, n, xi1_min, xi1_max, points, seed):
     _write_csv(["xi1", "eta_ind", "eta_wc_leading", "eta_wc_exact"], rows)
 
 
-@_csv_command(fig, "5")
+@_command(fig, "5", csv=True, plot=True)
 @click.option("--xi-min", type=float, default=0.01)
 @click.option("--xi-max", type=float, default=0.49)
 @click.option("--points", type=int, default=49)
@@ -528,7 +503,7 @@ def fig5(xi_min, xi_max, points, deltas, layer_counts, seed):
     _write_csv(["xi", "delta", "L", "n_s"], rows)
 
 
-@_csv_command(fig, "6")
+@_command(fig, "6", csv=True, plot=True)
 @click.option("--n", type=float, default=5e8, help="Input count of the parity target.")
 @click.option("--xi", type=float, default=0.37)
 @click.option("--delta", type=float, default=0.4)
@@ -549,7 +524,7 @@ def fig6(n, xi, delta, max_depth, seed):
     _write_csv(["d", "omega", "ns_plus_1", "max"], rows, footer=footer)
 
 
-@_csv_command(fig, "8")
+@_command(fig, "8", csv=True, plot=True)
 @click.option("--t-max", type=int, default=100)
 @click.option("--pair", "pairs", multiple=True, callback=_parse_pair,
               default=("0.3,0.2", "0.4,0.1"), help="delta,xi series (repeatable).")

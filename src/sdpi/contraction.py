@@ -10,8 +10,8 @@ second step is the channel.  The module also provides the noisy-layer
 specializations (the materialized layer channels and the bounds for
 weakly-correlated noise; the independent-noise closed form is in
 ``closed_form``) and the Hessian / quadratic-form machinery that
-verifies the bound's derivation numerically.  The random search that
-tries to break the bound is ``verify.empirical_contraction``.
+verifies the bound's derivation numerically.  The randomized suites
+that try to break the bound are in ``verify``.
 """
 
 from __future__ import annotations

@@ -262,10 +262,7 @@ def trial_blocks(total: int, seed: int):
 def load_channel(path) -> Channel:
     """Read a channel file: JSON ``{"rows": [[...], ...]}`` or CSV, one row per line."""
     rows, _ = _read_data(path, "rows", "channel")
-    try:
-        matrix = np.array(rows, dtype=float)
-    except ValueError:
-        raise ValidationError(f"{path}: rows have inconsistent lengths") from None
+    matrix = _float_array(path, rows, "channel")
     if matrix.ndim != 2:
         raise ValidationError(f"{path}: rows have inconsistent lengths")
     return Channel(matrix)
@@ -278,7 +275,19 @@ def load_distribution(path) -> Distribution:
         if len(probs) != 1:
             raise ValidationError(f"{path}: expected a single CSV line, found {len(probs)}")
         probs = probs[0]
-    return Distribution(np.asarray(probs, dtype=float))
+    return Distribution(_float_array(path, probs, "distribution"))
+
+
+def _float_array(path, values, kind: str) -> np.ndarray:
+    """``values`` read from ``path`` as a float array, or a ``ValidationError``."""
+    try:
+        array = np.array(values)
+    except ValueError:
+        raise ValidationError(f"{path}: rows have inconsistent lengths") from None
+    try:
+        return array.astype(float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{path}: {kind} entries must be numbers") from None
 
 
 def _read_data(path, key: str, kind: str) -> tuple[object, bool]:

@@ -102,8 +102,10 @@ class NoisyNetwork:
                 for layer in data["layers"]
             )
             return NoisyNetwork(layers=layers, xi=data["xi"], input_width=data["input_width"])
-        except (KeyError, TypeError) as exc:
+        except KeyError as exc:
             raise ValidationError(f"malformed network description: missing {exc}") from None
+        except TypeError as exc:
+            raise ValidationError(f"malformed network description: {exc}") from None
 
 
 def load_network(path) -> NoisyNetwork:

@@ -1,5 +1,5 @@
 """Randomized checking of the library's bounds: the suites behind the
-``verify`` CLI command and the random contraction search.
+``verify`` CLI command.
 
 Each randomized suite draws its cases in the blocks of
 ``info.trial_blocks``: block b covers samples [b * BLOCK, (b + 1) * BLOCK)
@@ -11,10 +11,6 @@ as many whole blocks as fit in ``PASS_BYTES`` of draws, at least one.
 Each suite checks an inequality or identity the library guarantees, and
 reports pass/fail with counterexamples.  A failure here means a bug (or
 a float-tolerance breach), never a sampling artifact.
-
-``empirical_contraction`` searches the same chains for the largest
-ratio I(X;Z)/I(X;Y) through a given channel, a lower estimate of the
-contraction coefficient that the pair bound caps.
 """
 
 from __future__ import annotations
@@ -33,15 +29,15 @@ from .contraction import (
     quadratic_decomposition_batch,
     rayleigh_supremum_batch,
 )
-from .info import BLOCK, Channel, Distribution, _validated_rows, mutual_information_batch, trial_blocks
+from .info import BLOCK, _validated_rows, mutual_information_batch, trial_blocks
 from .memory import repetition_relaxation_time
 
 RATIO_SLACK = 1e-9
 RESIDUAL_TOL = 1e-9
 SQUARE_TOL = -1e-12
 
-# Ratios with I(X;Y) below this are undefined: the suites and the search
-# skip those chains.
+# Ratios with I(X;Y) below this are undefined: ``sdpi_fuzz`` skips those
+# chains.
 DEGENERATE_MI = 1e-10
 
 # Bytes of draws a randomized suite holds at once (4 MiB): a pass of whole
@@ -86,19 +82,6 @@ def _joints(px: np.ndarray, channels: np.ndarray) -> np.ndarray:
     """Joint tables px(x) c(y|x), each validated as ``JointDistribution`` does."""
     tables = px[:, :, None] * channels
     return _validated_rows(tables.reshape(len(tables), -1), "joint table").reshape(tables.shape)
-
-
-def _chain_ratios(
-    px: np.ndarray, c_xy: np.ndarray, c_yz: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """I(X;Z)/I(X;Y) of each chain of a stack of validated laws (k, nx),
-    channels (k, nx, ny) and second channels (ny, nz) or (k, ny, nz), and
-    whether I(X;Y) exceeds ``DEGENERATE_MI``; the ratio is -inf where it
-    does not, since it is undefined there."""
-    i_xy = mutual_information_batch(_joints(px, c_xy))
-    live = i_xy > DEGENERATE_MI
-    i_xz = mutual_information_batch(_joints(px, _channels(c_xy @ c_yz)))
-    return np.where(live, i_xz / np.where(live, i_xy, 1.0), -np.inf), live
 
 
 def _shape_groups(samples: int, seed: int, high: int, dims: int, widths: list[int], draw):
@@ -152,7 +135,11 @@ def sdpi_fuzz(samples: int = 10000, seed: int = 0) -> SuiteResult:
         px = _validated_rows(_simplex_rows(px, nx)[:, 0], "distribution")
         c_xy = _channels(_simplex_rows(xy, ny))
         c_yz = _channels(_simplex_rows(yz, nz))
-        ratio, live = _chain_ratios(px, c_xy, c_yz)
+        # The ratio is undefined, and set to -inf, where I(X;Y) is degenerate.
+        i_xy = mutual_information_batch(_joints(px, c_xy))
+        live = i_xy > DEGENERATE_MI
+        i_xz = mutual_information_batch(_joints(px, _channels(c_xy @ c_yz)))
+        ratio = np.where(live, i_xz / np.where(live, i_xy, 1.0), -np.inf)
         skipped += len(ids) - int(live.sum())
         eta, _ = pair_bound_batch(c_yz)
         excess = ratio - eta
@@ -294,96 +281,3 @@ def run_suite(name: str, seed: int = 0, budget: int | None = None) -> SuiteResul
         raise ValidationError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
     samples = {} if budget is None else {"samples": count(budget, "budget")}
     return SUITES[name](seed=count(seed, "seed", 0), **samples)
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    """Parameters of the random contraction search."""
-
-    alphabet_x: int = 2
-    samples: int = 1000
-    seed: int = 0
-    refine_steps: int = 200
-
-    def __post_init__(self):
-        object.__setattr__(self, "alphabet_x", count(self.alphabet_x, "alphabet_x", 2, 4))
-        object.__setattr__(self, "samples", count(self.samples, "sample count"))
-        object.__setattr__(self, "seed", count(self.seed, "seed", 0))
-        object.__setattr__(self, "refine_steps", count(self.refine_steps, "refine step count", 0))
-
-
-@dataclass(frozen=True)
-class EmpiricalContraction:
-    """Best observed I(X;Z)/I(X;Y) ratio from the random search."""
-
-    achieved_ratio: float
-    best_px: Distribution | None
-    best_channel_xy: Channel | None
-    samples: int
-    seed: int
-
-    def to_json(self) -> dict:
-        return {
-            "achieved_ratio": self.achieved_ratio,
-            "samples": self.samples,
-            "seed": self.seed,
-            "best_px": None if self.best_px is None else self.best_px.probs.tolist(),
-            "best_channel_xy": (
-                None if self.best_channel_xy is None else self.best_channel_xy.matrix.tolist()
-            ),
-        }
-
-
-def empirical_contraction(c_yz: Channel, config: SearchConfig = SearchConfig()) -> EmpiricalContraction:
-    """Random search maximizing I(X;Z)/I(X;Y) over (p_X, X -> Y channel).
-
-    The samples are drawn in the blocks of ``info.trial_blocks``: a block
-    of k samples makes one ``standard_exponential((k, nx + nx * ny))``
-    draw from its generator, and each row is p_X (its first nx entries)
-    and the nx rows of the X -> Y channel, each run normalized to sum 1.
-    So re-running with the same seed and sample count reproduces the
-    identical result.  Samples with I(X;Y) at most ``DEGENERATE_MI`` have
-    an undefined ratio and are skipped; on ties the first best sample
-    wins.  The best candidate is then optionally refined by coordinate
-    perturbation, drawn from the last block's generator.
-    """
-    nx, ny = config.alphabet_x, c_yz.n_inputs
-    best_ratio = -1.0
-    best_px = best_cxy = None
-    used = 0
-    for start, stop, rng in trial_blocks(config.samples, config.seed):
-        values = rng.standard_exponential((stop - start, nx + nx * ny))
-        px = _simplex_rows(values[:, :nx], nx)[:, 0]
-        cxy = _simplex_rows(values[:, nx:], ny)
-        laws = _validated_rows(px, "distribution")
-        ratio, live = _chain_ratios(laws, _channels(cxy), c_yz.matrix)
-        used += int(live.sum())
-        j = int(np.argmax(ratio))
-        # Distribution(px[j]) validates px[j] as laws[j] was; validating
-        # laws[j] again could move its last bits.
-        if ratio[j] > best_ratio:
-            best_ratio, best_px, best_cxy = float(ratio[j]), Distribution(px[j]), Channel(cxy[j])
-
-    if best_px is None:
-        return EmpiricalContraction(0.0, None, None, 0, config.seed)
-
-    scale = 0.5
-    p, m = best_px.probs, best_cxy.matrix
-    for _ in range(config.refine_steps):
-        p2 = np.abs(p + scale * rng.normal(size=nx) * p.mean())
-        m2 = np.abs(m + scale * rng.normal(size=m.shape) * m.mean(axis=1, keepdims=True))
-        cand_px = Distribution(p2 / p2.sum())
-        cand_cxy = Channel(m2 / m2.sum(axis=1, keepdims=True))
-        ratio, _ = _chain_ratios(cand_px.probs[None], cand_cxy.matrix[None], c_yz.matrix)
-        if ratio[0] > best_ratio:
-            best_ratio, best_px, best_cxy = float(ratio[0]), cand_px, cand_cxy
-            p, m = best_px.probs, best_cxy.matrix
-        scale *= 0.99
-
-    return EmpiricalContraction(
-        achieved_ratio=float(min(max(best_ratio, 0.0), 1.0)),
-        best_px=best_px,
-        best_channel_xy=best_cxy,
-        samples=used,
-        seed=config.seed,
-    )

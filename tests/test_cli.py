@@ -16,7 +16,7 @@ from click.testing import CliRunner
 
 import sdpi
 from sdpi import verify
-from sdpi.cli import VERIFY_SUITES, VERIFIED_XI1, _linspace, main
+from sdpi.cli import VERIFY_SUITES, VERIFIED_XI1, _linspace, _num, main
 
 
 @pytest.fixture
@@ -83,6 +83,20 @@ class TestBoundCommands:
         res = runner.invoke(main, ["bound", "channel", str(path)])
         assert res.exit_code == 2
         assert "row 1" in res.stderr
+
+    @pytest.mark.parametrize("command,text", [
+        ("bound channel {}", '{"rows": [[{"a": 1}, 0.5]]}'),
+        ("nn mi {net} --px {}", '{"probs": [{"a": 1}, 0.5]}'),
+        ("nn mi {net} --px {}", '{"probs": [[0.5], [0.2, 0.3]]}'),
+    ], ids=["channel-object", "distribution-object", "distribution-ragged"])
+    def test_non_numeric_json_exits_2_naming_the_file(self, runner, tmp_path, command, text):
+        path, net = tmp_path / "bad.json", tmp_path / "net.json"
+        path.write_text(text)
+        net.write_text(json.dumps(sdpi.random_network(1, [1], 0.1, seed=0).to_dict()))
+        res = runner.invoke(main, command.format(path, net=net).split())
+        assert res.exit_code == 2
+        assert res.stderr.startswith(f"error: {path}: ")
+        assert res.stderr.count("\n") == 1
 
     def test_missing_file_exits_2(self, runner, tmp_path):
         res = runner.invoke(main, ["bound", "channel", str(tmp_path / "nope.json")])
@@ -727,6 +741,16 @@ def test_every_public_name_resolves_to_its_defining_module():
         assert getattr(sdpi, name) is obj
         assert getattr(sys.modules[obj.__module__], name) is obj, name
         assert obj.__module__.startswith("sdpi."), name
+
+
+def test_the_contraction_search_is_gone_but_verify_resolves():
+    with pytest.raises(ImportError):
+        from sdpi import empirical_contraction  # noqa: F401
+    assert sdpi.verify.SUITES
+
+
+def test_num_keeps_the_sign_of_infinity():
+    assert (_num(-math.inf), _num(math.inf)) == ("-inf", "inf")
 
 
 def test_unknown_public_name_raises_attribute_error():

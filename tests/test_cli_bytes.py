@@ -146,6 +146,29 @@ def test_option_names(golden):
     assert option_names() == golden["options"]
 
 
+# The output options ``_command`` puts after a command's own: --format and
+# --out unless the command or its group is listed here.
+OUTPUT_OPTIONS = {"fig": ["--out", "--gnuplot"], "mem simulate": ["--out"]}
+OUTPUT_NAMES = {"--format", "--out", "--gnuplot"}
+
+
+def test_output_options_close_every_command():
+    commands = dict(_leaves(main))
+    assert len(commands) == 16
+    for path, cmd in commands.items():
+        want = OUTPUT_OPTIONS.get(path, OUTPUT_OPTIONS.get(path.split()[0], ["--format", "--out"]))
+        names = [p.opts[0] for p in cmd.params]
+        assert names[-len(want):] == want, path
+        assert not OUTPUT_NAMES & set(names[:-len(want)]), path
+
+
+@pytest.mark.parametrize("path", [path for path, _ in _leaves(main) if path.startswith("fig ")])
+def test_gnuplot_without_out_exits_2(path):
+    res = CliRunner().invoke(main, [*path.split(), "--gnuplot"])
+    assert (res.exit_code, res.stdout) == (2, "")
+    assert res.stderr == "error: --gnuplot requires --out (the script references the CSV)\n"
+
+
 def test_every_subcommand_is_pinned():
     for path, _ in _leaves(main):
         assert any(case.startswith(path + " ") for case in CASES), path

@@ -14,14 +14,12 @@ from sdpi import (
     Distribution,
     CorrelatedNoiseSpec,
     LayerNoiseSpec,
-    SearchConfig,
     ValidationError,
     compose,
     contraction_bound,
     correlated_layer_bound_exact,
     correlated_layer_bound_leading,
     correlated_layer_channel,
-    empirical_contraction,
     evans_schulman_raw,
     independent_layer_bound,
     independent_layer_channel,
@@ -473,41 +471,3 @@ class TestQuadraticDecomposition:
             quadratic_decomposition_check(
                 Channel.identity(3), Distribution((0.2, 0.3, 0.5)), [1.0]
             )
-
-
-class TestEmpiricalContraction:
-    def test_identity_channel_achieves_one(self):
-        got = empirical_contraction(Channel.identity(2), SearchConfig(samples=50, refine_steps=0))
-        assert got.achieved_ratio == pytest.approx(1.0, abs=1e-9)
-
-    def test_constant_rows_achieve_nothing(self):
-        flat = Channel(np.tile([0.5, 0.5], (2, 1)))
-        got = empirical_contraction(flat, SearchConfig(samples=50, refine_steps=0))
-        assert got.achieved_ratio < 1e-9
-        assert got.samples > 0
-
-    def test_bsc_search_respects_and_approaches_bound(self):
-        got = empirical_contraction(Channel.bsc(0.1), SearchConfig(samples=2000, seed=1))
-        assert got.achieved_ratio <= 0.64 + 1e-9
-        assert got.achieved_ratio >= 0.6  # search-quality floor; 0.64 is the guarantee
-
-    def test_reproducible_for_fixed_seed(self):
-        cfg = SearchConfig(samples=200, seed=7)
-        a = empirical_contraction(Channel.bsc(0.2), cfg)
-        b = empirical_contraction(Channel.bsc(0.2), cfg)
-        assert a.achieved_ratio == b.achieved_ratio
-        np.testing.assert_array_equal(a.best_px.probs, b.best_px.probs)
-
-    def test_ratio_never_exceeds_bound_during_search(self):
-        rng = np.random.default_rng(18)
-        for _ in range(5):
-            c = random_channel(rng, int(rng.integers(2, 5)), int(rng.integers(2, 5)))
-            got = empirical_contraction(c, SearchConfig(samples=100, seed=3))
-            assert got.achieved_ratio <= contraction_bound(c).eta + 1e-9
-
-    def test_search_json_round_trip(self):
-        got = empirical_contraction(Channel.bsc(0.3), SearchConfig(samples=20, refine_steps=0))
-        payload = got.to_json()
-        assert payload["seed"] == 0
-        assert payload["samples"] == got.samples
-        assert len(payload["best_px"]) == 2

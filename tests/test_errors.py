@@ -15,7 +15,6 @@ from sdpi import (
     Distribution,
     LayerNoiseSpec,
     MemorySpec,
-    SearchConfig,
     ThresholdNeuron,
     ValidationError,
     catastrophic_prob_exact,
@@ -110,7 +109,6 @@ def _spec(**kw):
     lambda: optimal_depth_tradeoff(5e8, 0.37, 0.4, INF),
     lambda: Channel.bsc(NAN),
     lambda: Distribution.uniform(INF),
-    lambda: SearchConfig(samples=INF),
     lambda: ThresholdNeuron([1.0], INF),
 ], ids=[
     "parity-nan-n", "parity-inf-n", "evans-schulman-nan-n", "slope-nan-n", "matched-slope-nan-xi",
@@ -118,7 +116,7 @@ def _spec(**kw):
     "memory-spec-inf-n", "memory-spec-inf-intervals", "memory-spec-nan-xi", "simulate-inf-trials",
     "tail-inf-n", "overhead-inf-intervals", "relax-inf-n", "capacity-nan-delta",
     "decay-inf-width", "min-neurons-inf-layers", "tradeoff-inf-n", "tradeoff-inf-depth",
-    "bsc-nan", "uniform-inf", "search-inf-samples", "neuron-inf-bias",
+    "bsc-nan", "uniform-inf", "neuron-inf-bias",
 ])
 def test_non_finite_inputs_raise_validation_error(call):
     with pytest.raises(ValidationError):
@@ -155,8 +153,7 @@ class TestSimulationByteCap:
     lambda seed: simulate_memory(_spec(), trials=10, seed=seed),
     lambda seed: monte_carlo_io_mi(random_network(2, [2], 0.1), trials=10, seed=seed),
     lambda seed: run_suite("sdpi-fuzz", seed=seed, budget=5),
-    lambda seed: SearchConfig(seed=seed),
-], ids=["simulate-memory", "monte-carlo-mi", "run-suite", "search-config"])
+], ids=["simulate-memory", "monte-carlo-mi", "run-suite"])
 def test_seed_must_be_a_non_negative_integer(call, seed):
     with pytest.raises(ValidationError, match=r"^seed must be an integer of at least 0, got "):
         call(seed)

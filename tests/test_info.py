@@ -1,6 +1,7 @@
 """Core probability machinery: entropies, channels, composition."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -302,6 +303,20 @@ class TestLoaders:
         path.write_text("0.9,0.1\n1.0\n")
         with pytest.raises(ValidationError):
             load_channel(path)
+
+    @pytest.mark.parametrize("loader,text,message", [
+        (load_channel, '{"rows": [[{"a": 1}, 0.5]]}', "channel entries must be numbers"),
+        (load_distribution, '{"probs": [{"a": 1}, 0.5]}', "distribution entries must be numbers"),
+        (load_distribution, '{"probs": [[0.5], [0.2, 0.3]]}', "rows have inconsistent lengths"),
+        (load_distribution, '{"probs": ["abc", 0.5]}', "distribution entries must be numbers"),
+        (load_channel, '{"rows": [[0.5, 0.5], [1.0]]}', "rows have inconsistent lengths"),
+    ], ids=["channel-object", "distribution-object", "distribution-ragged", "distribution-text",
+            "channel-ragged"])
+    def test_non_numeric_json_names_the_file(self, tmp_path, loader, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: {message}$"):
+            loader(path)
 
     def test_json_distribution(self, tmp_path):
         path = tmp_path / "d.json"

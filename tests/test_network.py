@@ -152,6 +152,17 @@ class TestNetworkValidation:
         with pytest.raises(ValidationError):
             load_network(path)
 
+    def test_malformed_entry_is_not_called_missing(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"xi": 0.1, "input_width": 1, "layers": [
+            {"neurons": [{"weights": [1.0], "bias": [0]}]}]}))
+        with pytest.raises(ValidationError, match=r"^malformed network description: float\(\) "):
+            load_network(path)
+        path.write_text(json.dumps({"xi": 0.1, "input_width": 1, "layers": [
+            {"neurons": [{"weights": [1.0]}]}]}))
+        with pytest.raises(ValidationError, match="^malformed network description: missing 'bias'$"):
+            load_network(path)
+
 
 class TestExactMutualInformation:
     def test_input_law_is_checked_before_propagating(self, monkeypatch):

@@ -1,5 +1,4 @@
-"""The randomized verify suites and the contraction search: their block-stream
-draws, and their results against a one-sample-at-a-time reference that
+"""The randomized verify suites: their block-stream draws, and their results against a one-sample-at-a-time reference that
 follows the documented draw order through the scalar API."""
 
 import tracemalloc
@@ -10,10 +9,8 @@ import pytest
 from sdpi import (
     Channel,
     Distribution,
-    SearchConfig,
     compose,
     contraction_bound,
-    empirical_contraction,
     joint,
     mutual_information,
     quadratic_decomposition_check,
@@ -120,39 +117,6 @@ def identity_reference(samples, seed):
                              "channel": chan.matrix.tolist(), "p": p.probs.tolist(),
                              "coeffs": coeffs.tolist()})
     return failures, worst
-
-
-def chain_ratio(px, c_xy, c_yz):
-    i_xy = mutual_information(joint(px, c_xy))
-    if i_xy <= verify.DEGENERATE_MI:
-        return None
-    return mutual_information(joint(px, compose(c_xy, c_yz))) / i_xy
-
-
-def search_reference(c_yz, config):
-    """empirical_contraction one sample at a time: (ratio, p_X, X -> Y, samples)."""
-    nx, ny = config.alphabet_x, c_yz.n_inputs
-    ratio, px, c_xy, used = -1.0, None, None, 0
-    for rng, indices in blocks(config.samples, config.seed):
-        for row in rng.standard_exponential((len(indices), nx + nx * ny)):
-            cand = (Distribution(simplex(row[:nx])), Channel(simplex_rows(row[nx:], nx, ny)))
-            r = chain_ratio(*cand, c_yz)
-            if r is None:
-                continue
-            used += 1
-            if r > ratio:
-                ratio, (px, c_xy) = r, cand
-    scale = 0.5
-    for _ in range(config.refine_steps):
-        p, m = px.probs, c_xy.matrix
-        p2 = np.abs(p + scale * rng.normal(size=nx) * p.mean())
-        m2 = np.abs(m + scale * rng.normal(size=m.shape) * m.mean(axis=1, keepdims=True))
-        cand = (Distribution(p2 / p2.sum()), Channel(m2 / m2.sum(axis=1, keepdims=True)))
-        r = chain_ratio(*cand, c_yz)
-        if r is not None and r > ratio:
-            ratio, (px, c_xy) = r, cand
-        scale *= 0.99
-    return min(max(ratio, 0.0), 1.0), px.probs.tolist(), c_xy.matrix.tolist(), used
 
 
 @pytest.fixture
@@ -277,22 +241,3 @@ def test_grid_suites_report_each_failing_case_in_grid_order(monkeypatch):
         assert not result.passed and result.skipped == 0
         assert result.checks == len(result.failures)
         assert result.to_dict()["passed"] is False
-
-
-@pytest.mark.parametrize("floor", [None, 0.01], ids=["default", "skipping"])
-@pytest.mark.parametrize("refine_steps", [0, 200])
-@pytest.mark.parametrize("c_yz,alphabet_x", [
-    (Channel.bsc(0.1), 2),
-    (Channel([[0.7, 0.2, 0.1, 0.0], [0.1, 0.3, 0.3, 0.3], [0.25, 0.25, 0.25, 0.25]]), 3),
-    (Channel(np.tile([0.5, 0.5], (2, 1))), 2),
-    (Channel.identity(3), 4),
-], ids=["bsc", "3x4", "constant-rows", "identity"])
-def test_search_equals_the_reference(monkeypatch, c_yz, alphabet_x, refine_steps, floor):
-    if floor is not None:
-        monkeypatch.setattr(verify, "DEGENERATE_MI", floor)
-    config = SearchConfig(alphabet_x=alphabet_x, samples=BUDGET, seed=5, refine_steps=refine_steps)
-    got = empirical_contraction(c_yz, config)
-    ratio, px, c_xy, used = search_reference(c_yz, config)
-    assert (floor is None) == (used == BUDGET)
-    assert (got.achieved_ratio, got.best_px.probs.tolist(), got.best_channel_xy.matrix.tolist(),
-            got.samples) == (ratio, px, c_xy, used)
