@@ -13,10 +13,11 @@ never loads numpy.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
-from .errors import InfeasibleError, count, interval
+from .errors import InfeasibleError, ValidationError, count, interval
 
 
 # ------------------------------------------------------------ noisy layers
@@ -30,7 +31,7 @@ class LayerNoiseSpec:
     n: int
 
     def __post_init__(self):
-        interval(self.xi, "flip probability", "[0, 0.5)")
+        object.__setattr__(self, "xi", interval(self.xi, "flip probability", "[0, 0.5)"))
         object.__setattr__(self, "n", count(self.n, "layer width"))
 
 
@@ -204,15 +205,49 @@ def optimal_depth_tradeoff(n: int, xi: float, delta: float, max_depth: int) -> D
 # ---------------------------------------------------------------- memories
 
 
+def _log_capacity(delta: float) -> float:
+    """log D of the failure budget delta, D = ``delta_capacity(delta)``,
+    to a few ulp over (0, 1/2).
+
+    Where D is near 1, it is log1p(-h) of the binary entropy h (bits);
+    where D is near 0, with u = 1 - 2 delta, 2 ln(2) D = log1p(-u^2) +
+    2 u atanh(u), a sum of two terms of opposite sign of which neither is
+    twice the other.  In between, D itself has its digits.
+    """
+    delta = interval(delta, "failure budget", "(0, 0.5)")
+    h = -(delta * math.log(delta) + (1.0 - delta) * math.log1p(-delta)) / math.log(2.0)
+    u = 1.0 - 2.0 * delta
+    if h < 0.5:
+        return math.log1p(-h)
+    if u < 0.05:
+        return math.log((math.log1p(-u * u) + 2.0 * u * math.atanh(u)) / (2.0 * math.log(2.0)))
+    return math.log(delta_capacity(delta))
+
+
+def _log_noise_base(xi: float) -> float:
+    """log(4 xi - 4 xi^2); from xi = 1/4 on, where 1 - 2 xi is exact, it
+    is log1p(-(1 - 2 xi)^2), which keeps its digits as xi nears 1/2."""
+    return math.log(4.0 * xi - 4.0 * xi**2) if xi < 0.25 else math.log1p(-(1.0 - 2.0 * xi) ** 2)
+
+
+def _log1mexp(y: float) -> float:
+    """log(1 - e^y) for y < 0, to a few ulp: log1p(-e^y) below y = -log 2,
+    where e^y is small, and log(-expm1(y)) above, where 1 - e^y is."""
+    return math.log1p(-math.exp(y)) if y < -math.log(2.0) else math.log(-math.expm1(y))
+
+
 def overhead_lower_bound(delta: float, intervals: int, xi: float) -> float:
     """Minimum physical bits log(1 - D^(1/T)) / log(4 xi - 4 xi^2) to hold one
     bit delta-reliably for T intervals, for any correction rule."""
     xi = interval(xi, "flip probability", "(0, 0.5)")
-    cap = delta_capacity(interval(delta, "failure budget", "(0, 0.5)"))
+    log_cap = _log_capacity(delta)
     intervals = count(intervals, "interval count")
-    a = 4.0 * xi - 4.0 * xi**2
-    # 1 - cap^(1/T) via expm1 keeps precision for large T.
-    return math.log(-math.expm1(math.log(cap) / intervals)) / math.log(a)
+    x = log_cap / intervals
+    # log(1 - D^(1/T)) = log(1 - e^x); once |x| < 1e-8, where x may
+    # underflow, it is log(-x) + x/2 to within x^2/24.
+    if x < -1e-8:
+        return _log1mexp(x) / _log_noise_base(xi)
+    return (math.log(-log_cap) - math.log(intervals) + x / 2.0) / _log_noise_base(xi)
 
 
 @dataclass(frozen=True)
@@ -224,13 +259,23 @@ class RelaxationBound:
 
 
 def relaxation_upper_bound(n: int, xi: float, delta: float) -> RelaxationBound:
-    """No correction rule retains the bit past log(D) / log(1 - (4xi-4xi^2)^n)
-    intervals; grows exponentially in n with rate log(1/(4xi-4xi^2))."""
+    """No correction rule retains the bit past log(D) / log(1 - a^n)
+    intervals, a = 4 xi - 4 xi^2; the asymptotic form -log(D) / a^n grows
+    exponentially in n with rate log(1/a).  a^n is exp(n log a); below
+    1e-300 it has lost digits, but there -log(1 - a^n) = a^n to 1e-300,
+    so both forms are exp(log(-log D) - n log a), which may still be in
+    float range when D is near 1.  A bound past it raises ``ValidationError``.
+    """
     xi = interval(xi, "flip probability", "(0, 0.5)")
-    cap = delta_capacity(interval(delta, "failure budget", "(0, 0.5)"))
+    log_cap = _log_capacity(delta)
     n = count(n, "bit count")
-    a = 4.0 * xi - 4.0 * xi**2
-    a_n = a**n
-    asymptotic = math.inf if a_n == 0.0 else -math.log(cap) / a_n
-    time = math.inf if a_n == 0.0 else math.log(cap) / math.log1p(-a_n)
-    return RelaxationBound(time=time, asymptotic=asymptotic)
+    log_a_n = n * _log_noise_base(xi)
+    a_n = math.exp(log_a_n)
+    if a_n >= 1e-300:
+        return RelaxationBound(time=log_cap / _log1mexp(log_a_n), asymptotic=-log_cap / a_n)
+    log_time = math.log(-log_cap) - log_a_n
+    if log_time > math.log(sys.float_info.max):
+        raise ValidationError(f"relaxation upper bound at n = {n} is out of float range "
+                              f"(about e^{log_time:.6g})")
+    time = math.exp(log_time)
+    return RelaxationBound(time=time, asymptotic=time)

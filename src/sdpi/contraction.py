@@ -94,8 +94,8 @@ class CorrelatedNoiseSpec:
     n: int
 
     def __post_init__(self):
-        interval(self.xi1, "shared flip probability", "[0, 1]")
-        interval(self.xi2, "independent flip probability", "[0, 0.5)")
+        object.__setattr__(self, "xi1", interval(self.xi1, "shared flip probability", "[0, 1]"))
+        object.__setattr__(self, "xi2", interval(self.xi2, "independent flip probability", "[0, 0.5)"))
         object.__setattr__(self, "n", count(self.n, "layer width", 1, MAX_CLASS_SCAN_WIDTH))
 
 

@@ -4,6 +4,7 @@ scalar input against its documented domain."""
 from __future__ import annotations
 
 import math
+import sys
 
 
 class ValidationError(ValueError):
@@ -30,7 +31,8 @@ def interval(value, what: str, domain: str) -> float:
 
 
 def count(value, what: str, minimum: int = 1, maximum: int | None = None) -> int:
-    """``value`` as an int, if it is a whole number in [minimum, maximum]."""
+    """``value`` as an int, if it is a whole number in [minimum, maximum]
+    and within the float range, where every formula of it is evaluated."""
     try:
         n = int(value)
     except (TypeError, ValueError, OverflowError):
@@ -38,4 +40,7 @@ def count(value, what: str, minimum: int = 1, maximum: int | None = None) -> int
     if n is None or n != value or n < minimum or (maximum is not None and n > maximum):
         bounds = f"of at least {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
         raise ValidationError(f"{what} must be an integer {bounds}, got {value}")
+    if n > sys.float_info.max:
+        raise ValidationError(f"{what} must be at most {sys.float_info.max:.9g}, the float range, "
+                              f"got about 10^{math.log10(n):.0f}")
     return n

@@ -279,15 +279,15 @@ def load_distribution(path) -> Distribution:
 
 
 def _float_array(path, values, kind: str) -> np.ndarray:
-    """``values`` read from ``path`` as a float array, or a ``ValidationError``."""
+    """``values`` read from ``path`` as a float array, or a ``ValidationError``
+    if they are ragged or hold anything but numbers (text, null, objects)."""
     try:
         array = np.array(values)
     except ValueError:
         raise ValidationError(f"{path}: rows have inconsistent lengths") from None
-    try:
-        return array.astype(float)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{path}: {kind} entries must be numbers") from None
+    if array.dtype.kind not in "iuf":
+        raise ValidationError(f"{path}: {kind} entries must be numbers")
+    return array.astype(float)
 
 
 def _read_data(path, key: str, kind: str) -> tuple[object, bool]:

@@ -7,6 +7,11 @@ layers and inputs enter only at layer 0.  Each neuron computes
 sgn(w . x + bias) with sgn(0) = 1, and its output is then flipped
 independently with probability xi, so a layer is a deterministic 0/1 map
 followed by independent bit-flip noise.
+
+The firing rule, in floating point: a neuron fires iff the sum that
+starts at its bias and adds the weights of its set inputs in ascending
+input order is >= 0.  Exact propagation and Monte Carlo both fire by it,
+so they agree on every input state, ties included.
 """
 
 from __future__ import annotations
@@ -60,7 +65,7 @@ class NoisyNetwork:
     input_width: int
 
     def __post_init__(self):
-        interval(self.xi, "flip probability", "[0, 0.5)")
+        object.__setattr__(self, "xi", interval(self.xi, "flip probability", "[0, 0.5)"))
         object.__setattr__(self, "input_width", count(self.input_width, "input width"))
         layers = tuple(tuple(layer) for layer in self.layers)
         if not layers or any(not layer for layer in layers):
@@ -80,10 +85,6 @@ class NoisyNetwork:
     def widths(self) -> tuple[int, ...]:
         return tuple(len(layer) for layer in self.layers)
 
-    @property
-    def depth(self) -> int:
-        return len(self.layers)
-
     def to_dict(self) -> dict:
         return {
             "xi": self.xi,
@@ -102,18 +103,23 @@ class NoisyNetwork:
                 for layer in data["layers"]
             )
             return NoisyNetwork(layers=layers, xi=data["xi"], input_width=data["input_width"])
+        except ValidationError:
+            raise
         except KeyError as exc:
             raise ValidationError(f"malformed network description: missing {exc}") from None
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ValidationError(f"malformed network description: {exc}") from None
 
 
 def load_network(path) -> NoisyNetwork:
+    """Read a network file, JSON in the layout of ``NoisyNetwork.to_dict``;
+    an error names the file."""
     try:
-        data = json.loads(Path(path).read_text())
+        return NoisyNetwork.from_dict(json.loads(Path(path).read_text()))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON ({exc})") from None
-    return NoisyNetwork.from_dict(data)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def _check_input_law(net: NoisyNetwork, p_x: Distribution | None) -> None:
@@ -126,13 +132,13 @@ def _propagate(layers: Sequence[Sequence[ThresholdNeuron]], xi: float) -> np.nda
     """Channel matrix of noisy layers in turn on the first one's input
     states: the first threshold map puts a 1 in the column of the state
     each input state fires, a later one adds every column into that
-    column, then ``info.flip_bits`` adds the noise.  Every layer first
-    passes ``info.check_layer_bytes`` and builds no larger array.
+    column, then ``info.flip_bits`` adds the noise.  Each layer's output,
+    2^input_width x 2^width floats, first passes ``info.check_layer_bytes``;
+    no array is larger: the scatter index, ``fired`` and ``pre`` have
+    2^fan_in entries, and fan_in is the input width or a checked width.
     """
-    # The largest matrix a layer builds: the first layer's input states by
-    # the wider of its fan-in and width.
     for layer in layers:
-        check_layer_bytes(layers[0][0].fan_in, max(layer[0].fan_in, len(layer)))
+        check_layer_bytes(layers[0][0].fan_in, len(layer))
     m = None
     for layer in layers:
         fan_in, width = layer[0].fan_in, len(layer)
@@ -158,16 +164,10 @@ def layer_channel(layer: Sequence[ThresholdNeuron], xi: float) -> Channel:
     """Channel of one noisy layer: threshold map followed by bit-flip noise.
 
     Rows index the 2^fan_in input states, columns the 2^width output
-    states, both little-endian (neuron i is bit i).
+    states, both little-endian (neuron i is bit i); checked as a one-layer ``NoisyNetwork``.
     """
-    xi = interval(xi, "flip probability", "[0, 0.5)")
-    neurons = tuple(layer)
-    if not neurons:
-        raise ValidationError("layer must contain at least one neuron")
-    fan_in = neurons[0].fan_in
-    if any(n.fan_in != fan_in for n in neurons):
-        raise ValidationError("all neurons in a layer must share the same fan-in")
-    return Channel(_propagate([neurons], xi))
+    layer = tuple(layer)
+    return network_channel(NoisyNetwork((layer,), xi, layer[0].fan_in if layer else 1))
 
 
 def network_channel(net: NoisyNetwork) -> Channel:
@@ -206,6 +206,36 @@ class MiEstimate:
     seed: int
 
 
+def _layer_arrays(layer: Sequence[ThresholdNeuron]) -> tuple[np.ndarray, np.ndarray, float]:
+    """(weights, biases, tie bound) of a layer, what ``_fire`` takes.
+
+    Any two orders of summing a neuron's bias and its fan_in weights agree
+    within (fan_in + 1) 2^-52 (|bias| + sum |w|); the tie bound is the
+    largest of these over the layer.
+    """
+    w = np.vstack([n.weights for n in layer])
+    b = np.array([n.bias for n in layer])
+    return w, b, (w.shape[1] + 1) * 2.0**-52 * float((np.abs(b) + np.abs(w).sum(axis=1)).max())
+
+
+def _fire(bits: np.ndarray, w: np.ndarray, b: np.ndarray, tie: float) -> np.ndarray:
+    """Which neurons fire on each row of 0/1 inputs, by the module's rule.
+
+    The pre-activations come from one matmul, whose summation order BLAS
+    chooses; only those within the tie bound of zero, where that order can
+    decide the sign, are summed again in ``_propagate``'s order.
+    """
+    pre = bits @ w.T + b
+    near = np.abs(pre) <= tie
+    if near.any():
+        rows, cols = np.nonzero(near)
+        ordered = b[cols]
+        for i in range(w.shape[1]):
+            ordered = ordered + np.where(bits[rows, i] != 0, w[cols, i], 0.0)
+        pre[rows, cols] = ordered
+    return pre >= 0.0
+
+
 def monte_carlo_io_mi(
     net: NoisyNetwork,
     p_x: Distribution | None = None,
@@ -220,7 +250,9 @@ def monte_carlo_io_mi(
     the first, u, selects the input state from p_x (under the default
     uniform law floor(u 2^input_width), the state a search of its
     cumulative sums finds), then one per neuron (layer by layer, neuron
-    order within a layer) decides its flip.  A trial keeps only its
+    order within a layer) decides its flip.  Neurons fire by the module's
+    rule (``_fire``), so a noiseless layer maps every input state as
+    ``layer_channel`` does.  A trial keeps only its
     (input, output) state pair, as an int64 code of input plus output
     width bits, at most 53, all that u resolves.  The plug-in estimate
     and its delta-method stderr sum over the occupied cells.
@@ -230,6 +262,7 @@ def monte_carlo_io_mi(
     count(n_in + n_out, "input plus output width of a Monte Carlo estimate", maximum=53)
     _check_input_law(net, p_x)
     cum = None if p_x is None else np.cumsum(p_x.probs)
+    layers = [_layer_arrays(layer) for layer in net.layers]
     codes = np.empty(trials, dtype=np.int64)
     for start, stop, rng in trial_blocks(trials, seed):
         draws = rng.random((stop - start, 1 + sum(net.widths)))
@@ -237,13 +270,10 @@ def monte_carlo_io_mi(
                     np.minimum(np.searchsorted(cum, draws[:, 0], side="right"), cum.size - 1))
         bits = (x_states[:, None] >> np.arange(n_in)) & 1
         offset = 1
-        for layer in net.layers:
-            w = np.vstack([n.weights for n in layer])
-            b = np.array([n.bias for n in layer])
-            fired = bits @ w.T + b >= 0.0
-            flips = draws[:, offset : offset + len(layer)] < net.xi
-            bits = (fired ^ flips).astype(np.int64)
-            offset += len(layer)
+        for w, b, tie in layers:
+            flips = draws[:, offset : offset + len(b)] < net.xi
+            bits = (_fire(bits, w, b, tie) ^ flips).astype(np.int64)
+            offset += len(b)
         codes[start:stop] = (x_states << n_out) | (bits @ (1 << np.arange(n_out)))
 
     cells, n_xy = np.unique(codes, return_counts=True)

@@ -223,8 +223,8 @@ class TestNetworkCommands:
         assert "mutual information: 0" in res.stdout
 
     def test_mi_over_the_byte_cap_exits_2(self, runner, tmp_path):
-        # A 14-input layer needs a 2^14 x 2^14 matrix (2 GiB), past the 512 MiB cap.
-        net = sdpi.random_network(14, [1], xi=0.1)
+        # A 14-input, 14-wide layer needs a 2^14 x 2^14 matrix (2 GiB), past the 512 MiB cap.
+        net = sdpi.random_network(14, [14], xi=0.1)
         path = tmp_path / "wide.json"
         path.write_text(json.dumps(net.to_dict()))
         res = runner.invoke(main, ["nn", "mi", str(path)])
@@ -259,9 +259,48 @@ class TestNetworkCommands:
         assert res.exit_code == 2
         assert res.stdout == ""
         assert res.stderr == (
-            f"error: a 2^40 x 2^40 layer matrix needs {8 << 80} bytes, "
+            f"error: a 2^40 x 2^1 layer matrix needs {8 << 41} bytes, "
             "above the cap of 536870912 bytes (512 MiB)\n"
         )
+
+    @pytest.mark.parametrize("input_width", [14, 18, 20])
+    def test_mi_of_a_wide_input_is_exact(self, runner, tmp_path, input_width):
+        # The byte cap counts the 2^input_width x 2^1 matrix the layer outputs.
+        net = sdpi.random_network(input_width, [1], xi=0.1, seed=3)
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(net.to_dict()))
+        res = runner.invoke(main, ["nn", "mi", str(path), "--base", "nats", "--format", "json"])
+        assert res.exit_code == 0, res.stderr
+        assert json.loads(res.stdout)["mutual_information"] == sdpi.exact_io_mutual_information(net)
+
+    def test_mi_past_the_cap_of_a_one_neuron_layer_exits_2(self, runner, tmp_path):
+        net = sdpi.random_network(26, [1], xi=0.1, seed=3)
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(net.to_dict()))
+        res = runner.invoke(main, ["nn", "mi", str(path)])
+        assert (res.exit_code, res.stdout) == (2, "")
+        assert res.stderr == (
+            "error: a 2^26 x 2^1 layer matrix needs 1073741824 bytes, "
+            "above the cap of 536870912 bytes (512 MiB)\n"
+        )
+
+    @pytest.mark.parametrize("probs", ['["0.5", "0.5", "0", "0"]', "[null, 0.5, 0.25, 0.25]"],
+                             ids=["numeric-text", "null"])
+    def test_mi_input_law_of_non_numbers_exits_2_naming_it(self, runner, net_file, tmp_path, probs):
+        px = tmp_path / "px.json"
+        px.write_text(f'{{"probs": {probs}}}')
+        res = runner.invoke(main, ["nn", "mi", net_file, "--px", str(px)])
+        assert (res.exit_code, res.stdout) == (2, "")
+        assert res.stderr == f"error: {px}: distribution entries must be numbers\n"
+
+    def test_mi_malformed_network_names_the_file(self, runner, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"xi": 0.1, "input_width": 1, "layers": [
+            {"neurons": [{"weights": [1.0], "bias": "abc"}]}]}))
+        res = runner.invoke(main, ["nn", "mi", str(path)])
+        assert (res.exit_code, res.stdout) == (2, "")
+        assert res.stderr == (f"error: {path}: malformed network description: "
+                              "could not convert string to float: 'abc'\n")
 
     def test_bound_command(self, runner):
         res = runner.invoke(
@@ -336,6 +375,54 @@ class TestMemoryCommands:
         assert res.stdout == ""
         assert res.stderr.startswith(f"error: repetition relaxation time at n = {n} is out of ")
         assert res.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("args", [
+        "bound layer --n {big} --xi 0.3",
+        "mem relax --n {big} --xi 0.3 --delta 0.4",
+        "mem reptime --n {big} --xi 0.3 --delta 0.4",
+        "nn bound --widths 3,{big} --xi 0.3",
+        "mem overhead --delta 0.4 --intervals {big} --xi 0.3",
+    ])
+    def test_integer_past_the_float_range_exits_2(self, runner, args):
+        res = runner.invoke(main, args.format(big=10**400).split())
+        assert (res.exit_code, res.stdout) == (2, "")
+        assert res.stderr.endswith(" must be at most 1.79769313e+308, the float range, "
+                                   "got about 10^400\n")
+        assert res.stderr.count("\n") == 1
+
+    def test_tiny_failure_budget_answers(self, runner):
+        # log D used to cancel to -0: a bound of -0 intervals, below what
+        # repetition coding achieves, or a math domain error.
+        relax, reptime, overhead, fig8 = (runner.invoke(main, args.split()) for args in (
+            "mem relax --n 9 --xi 0.3 --delta 1e-300 --format json",
+            "mem reptime --n 9 --xi 0.3 --delta 1e-300 --format json",
+            "mem overhead --delta 1e-20 --intervals 10 --xi 0.3 --format json",
+            "fig 8 --t-max 2 --pair 1e-300,0.3"))
+        assert [r.exit_code for r in (relax, reptime, overhead, fig8)] == [0, 0, 0, 0]
+        assert json.loads(relax.stdout)["time"] > json.loads(reptime.stdout)["time"] > 0.0
+        assert 0.0 < json.loads(overhead.stdout)["n_lower"] < math.inf
+        assert all(0.0 < float(row[3]) < math.inf for row in rows_of(fig8.stdout)[1])
+
+    def test_relax_past_float_range_exits_2(self, runner):
+        # This used to print "inf intervals (asymptotic inf)" and exit 0.
+        res = runner.invoke(main, ["mem", "relax", "--n", "4064", "--xi", "0.3", "--delta", "0.4"])
+        assert (res.exit_code, res.stdout) == (2, "")
+        assert res.stderr == ("error: relaxation upper bound at n = 4064 is out of float range "
+                              "(about e^709.836)\n")
+
+    def test_reptime_window_past_the_byte_cap_exits_2_before_allocating(self, runner):
+        args = ["mem", "reptime", "--n", "100000000000000", "--xi", "0.4999999", "--delta", "0.4"]
+        runner.invoke(main, ["mem", "reptime", "--n", "9", "--xi", "0.3", "--delta", "0.4"])
+        tracemalloc.start()
+        try:
+            res = runner.invoke(main, args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (res.exit_code, res.stdout) == (2, "")
+        assert res.stderr.startswith("error: the binomial tail at n = 100000000000000 sums ")
+        assert res.stderr.count("\n") == 1
+        assert peak < 1 << 20
 
     def test_reptime_useless_memory_exits_1(self, runner):
         res = runner.invoke(main, ["mem", "reptime", "--n", "2", "--xi", "0.49", "--delta", "0.4"])

@@ -4,6 +4,7 @@ import ast
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -20,6 +21,7 @@ from sdpi import (
     catastrophic_prob_exact,
     delta_capacity,
     evans_schulman_raw,
+    independent_layer_bound,
     information_decay_bound,
     matched_noise_slope,
     min_neurons_lower_bound,
@@ -81,6 +83,14 @@ class TestCount:
         with pytest.raises(ValidationError, match=r"must be an integer in \[2, 4\], got 5"):
             count(5, "n", 2, 4)
 
+    def test_integers_past_the_float_range_are_refused(self):
+        # Every count is used in float arithmetic, where such an int
+        # raises OverflowError.
+        assert count(10**308, "n") == 10**308
+        with pytest.raises(ValidationError, match=r"^n must be at most 1\.79769313e\+308, the "
+                           r"float range, got about 10\^400$"):
+            count(10**400, "n")
+
 
 def _spec(**kw):
     return MemorySpec(**{"n": 5, "xi": 0.1, "delta": 0.3, "intervals": 5, **kw})
@@ -121,6 +131,21 @@ def _spec(**kw):
 def test_non_finite_inputs_raise_validation_error(call):
     with pytest.raises(ValidationError):
         call()
+
+
+@pytest.mark.parametrize("make, fields", [
+    (lambda v: LayerNoiseSpec(xi=v, n=3), ["xi"]),
+    (lambda v: CorrelatedNoiseSpec(xi1=v, xi2=v, n=3), ["xi1", "xi2"]),
+    (lambda v: MemorySpec(n=3, xi=v, delta=v, intervals=2), ["xi", "delta"]),
+], ids=["layer", "correlated", "memory"])
+def test_specs_keep_the_floats_they_checked(make, fields):
+    # A spec built from text or a numpy scalar used to keep it, so that
+    # LayerNoiseSpec(xi="0.25") passed its check and then failed in
+    # independent_layer_bound with a TypeError.
+    for value in ("0.25", np.float32(0.25)):
+        spec = make(value)
+        assert all(type(getattr(spec, f)) is float and getattr(spec, f) == 0.25 for f in fields)
+    assert independent_layer_bound(LayerNoiseSpec(xi="0.25", n=3)) == 1.0 - 0.75**3
 
 
 class TestSimulationByteCap:

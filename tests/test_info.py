@@ -318,6 +318,20 @@ class TestLoaders:
         with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: {message}$"):
             loader(path)
 
+    @pytest.mark.parametrize("loader,text,kind", [
+        (load_distribution, '{"probs": ["0.5", "0.5"]}', "distribution"),
+        (load_distribution, '{"probs": [null, 0.5]}', "distribution"),
+        (load_distribution, '{"probs": [true, false]}', "distribution"),
+        (load_channel, '{"rows": [["0.5", "0.5"], ["0.5", "0.5"]]}', "channel"),
+        (load_channel, '{"rows": [[0.5, 0.5], [null, 1.0]]}', "channel"),
+    ], ids=["numeric-text", "null", "booleans", "channel-numeric-text", "channel-null"])
+    def test_text_and_null_entries_are_not_numbers(self, tmp_path, loader, text, kind):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        refusal = f"^{re.escape(str(path))}: {kind} entries must be numbers$"
+        with pytest.raises(ValidationError, match=refusal):
+            loader(path)
+
     def test_json_distribution(self, tmp_path):
         path = tmp_path / "d.json"
         path.write_text('{"probs": [0.25, 0.75]}')

@@ -92,6 +92,35 @@ class TestCatastrophicProbability:
         assert peak < 16 << 20
 
 
+    @pytest.mark.parametrize("n, xi", [(1, 0.3), (9, 0.3), (1700, 0.45), (10**6, 0.4999),
+                                       (10**7 + 1, 0.3), (10**8, 0.4999999), (30001, 0.7)])
+    def test_window_terms_are_summed_as_before(self, n, xi):
+        # The window as a list of log-binomials, as it was built before it was
+        # capped; the array built in place of the list holds the same floats.
+        threshold = (n + 1) // 2
+        top_k = max(threshold, math.floor((n + 1) * xi))
+        half = math.ceil(20 * math.sqrt(n)) + 20
+        k = np.arange(max(threshold, top_k - half), min(n, top_k + half) + 1)
+        log_binom = [math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1) for j in k]
+        log_terms = np.array(log_binom) + k * math.log(xi) + (n - k) * math.log1p(-xi)
+        top = log_terms.max()
+        want = float(np.clip(math.exp(top) * np.exp(log_terms - top).sum(), 0.0, 1.0))
+        assert catastrophic_prob_exact(n, xi) == want
+
+    @pytest.mark.parametrize("n, xi", [(10**14, 0.4999999), (2 * 10**13, 0.3), (10**300, 0.7)])
+    def test_window_past_the_byte_cap_is_refused_before_it_is_built(self, n, xi):
+        catastrophic_prob_exact(9, 0.3)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=rf"^the binomial tail at n = {n} sums \d+ "
+                               r"terms, which need \d+ bytes, above the cap of 536870912 bytes"):
+                catastrophic_prob_exact(n, xi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
 class TestChernoff:
     def test_vacuous_at_half(self):
         assert catastrophic_prob_chernoff(7, 0.5) == 1.0
@@ -147,6 +176,110 @@ class TestRelaxationUpperBound:
     def test_asymptotic_form_tracks_bound(self):
         got = relaxation_upper_bound(40, 0.3, 0.4)
         assert got.time == pytest.approx(got.asymptotic, rel=1e-2)
+
+
+def mp_log_capacity(delta, mpmath):
+    """log D = log(1 - h(delta)), h the binary entropy in bits, in mpmath."""
+    d = mpmath.mpf(delta)
+    return mpmath.log1p((d * mpmath.log(d) + (1 - d) * mpmath.log1p(-d)) / mpmath.log(2))
+
+
+def mp_overhead(delta, intervals, xi, mpmath):
+    """log(1 - D^(1/T)) / log(4 xi - 4 xi^2) at 60 digits."""
+    with mpmath.workdps(60):
+        x = mpmath.mpf(xi)
+        return mpmath.log(-mpmath.expm1(mp_log_capacity(delta, mpmath) / intervals)) / mpmath.log(
+            4 * x - 4 * x * x)
+
+
+def mp_relaxation(n, xi, delta, mpmath):
+    """(log D / log(1 - a^n), -log D / a^n), a = 4 xi - 4 xi^2, at 60 digits."""
+    with mpmath.workdps(60):
+        x = mpmath.mpf(xi)
+        a_n = (4 * x - 4 * x * x) ** n
+        log_cap = mp_log_capacity(delta, mpmath)
+        return log_cap / mpmath.log1p(-a_n), -log_cap / a_n
+
+
+def assert_close(got, want, rel=1e-12):
+    assert math.isfinite(got)
+    assert abs(got - float(want)) <= rel * abs(float(want))
+
+
+DELTAS = st.floats(1e-300, 0.5, exclude_max=True)
+XIS = st.floats(0.0, 0.5, exclude_min=True, exclude_max=True)
+COUNTS = st.integers(1, 10**400)
+
+
+class TestClosedFormsAtTheDomainEdges:
+    """The memory bounds answer with a finite value that matches an mpmath
+    reference, or refuse, over the whole documented domain."""
+
+    @pytest.mark.parametrize("delta, intervals, xi", [
+        (1e-12, 7, 0.3), (1e-20, 10, 0.3), (1e-300, 1, 0.3), (1e-300, 10**300, 0.2),
+        (0.4999999, 3, 0.1), (0.5 - 2**-54, 5, 0.3), (0.3, 4, 0.5 - 2**-54), (0.2, 10**12, 1e-300),
+    ])
+    def test_overhead_edges_match_the_reference(self, delta, intervals, xi):
+        mpmath = pytest.importorskip("mpmath")
+        assert_close(overhead_lower_bound(delta, intervals, xi),
+                     mp_overhead(delta, intervals, xi, mpmath))
+
+    @pytest.mark.parametrize("n, xi, delta", [
+        (9, 0.3, 1e-12), (9, 0.3, 1e-300), (4063, 0.3, 0.4), (1, 0.3, 0.4999999),
+        (5, 0.5 - 2**-54, 0.4), (10**6, 0.4999, 0.3), (2, 1e-300, 1e-300),
+    ])
+    def test_relaxation_edges_match_the_reference(self, n, xi, delta):
+        mpmath = pytest.importorskip("mpmath")
+        got = relaxation_upper_bound(n, xi, delta)
+        time, asymptotic = mp_relaxation(n, xi, delta, mpmath)
+        assert_close(got.time, time)
+        assert_close(got.asymptotic, asymptotic)
+
+    def test_the_bound_near_zero_budget_stays_above_repetition(self):
+        # log D used to cancel to -0, a bound of -0 intervals below what
+        # repetition coding achieves.
+        upper = relaxation_upper_bound(9, 0.3, 1e-300).time
+        assert upper > repetition_relaxation_time(9, 0.3, 1e-300).time > 0.0
+
+    @pytest.mark.parametrize("n", [4064, 10**6, 10**300])
+    def test_bound_past_float_range_is_refused(self, n):
+        with pytest.raises(ValidationError, match=rf"^relaxation upper bound at n = {n} is out of "
+                           r"float range \(about e\^"):
+            relaxation_upper_bound(n, 0.3, 0.4)
+
+    @settings(max_examples=200, deadline=None)
+    @given(delta=DELTAS, intervals=COUNTS, xi=XIS)
+    def test_overhead_is_finite_and_matches_the_reference_or_refused(self, delta, intervals, xi):
+        mpmath = pytest.importorskip("mpmath")
+        try:
+            got = overhead_lower_bound(delta, intervals, xi)
+        except (ValidationError, InfeasibleError):
+            return
+        assert_close(got, mp_overhead(delta, intervals, xi, mpmath))
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=COUNTS, xi=XIS, delta=DELTAS)
+    def test_relaxation_is_finite_and_matches_the_reference_or_refused(self, n, xi, delta):
+        mpmath = pytest.importorskip("mpmath")
+        try:
+            got = relaxation_upper_bound(n, xi, delta)
+        except (ValidationError, InfeasibleError):
+            return
+        time, asymptotic = mp_relaxation(n, xi, delta, mpmath)
+        assert_close(got.time, time)
+        assert_close(got.asymptotic, asymptotic)
+
+    # n stays at most 10^6, where the exact tail sums a window of 20,000
+    # terms; up to the byte cap near 1.1e13 it would take seconds a call.
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 10**6), xi=XIS, delta=DELTAS)
+    def test_repetition_never_beats_the_bound(self, n, xi, delta):
+        try:
+            lower = repetition_relaxation_time(n, xi, delta).time
+            upper = relaxation_upper_bound(n, xi, delta).time
+        except (ValidationError, InfeasibleError):
+            return
+        assert lower <= upper
 
 
 class TestRepetitionTime:

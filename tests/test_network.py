@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -63,8 +64,16 @@ class TestNeuronFire:
 
     def test_dimension_mismatch(self):
         mixed = (ThresholdNeuron(weights=[1.0], bias=0.0), ThresholdNeuron([1.0, 1.0], 0.0))
-        with pytest.raises(ValidationError, match="share the same fan-in"):
+        with pytest.raises(ValidationError, match="simply layered"):
             layer_channel(mixed, xi=0.0)
+
+    @pytest.mark.parametrize("layer, xi, refusal", [
+        ((ThresholdNeuron([1.0], 0.0),), 0.5, r"^flip probability must be in \[0, 0\.5\), got 0\.5$"),
+        ((), 0.1, "^network needs at least one non-empty layer$"),
+    ], ids=["noise", "empty"])
+    def test_a_layer_is_checked_as_a_one_layer_network(self, layer, xi, refusal):
+        with pytest.raises(ValidationError, match=refusal):
+            layer_channel(layer, xi)
 
 
 class TestLayerChannel:
@@ -130,6 +139,15 @@ class TestNetworkValidation:
         with pytest.raises(ValidationError):
             NoisyNetwork(layers=(copier_layer(2),), xi=0.5, input_width=2)
 
+    def test_noise_level_is_kept_as_the_float_it_was_checked_as(self, tmp_path):
+        # A file's "xi": "0.1" passed the check but stayed text, and
+        # propagation then failed with an internal TypeError.
+        net = NoisyNetwork(layers=(copier_layer(1),), xi=np.float32(0.25), input_width=1)
+        assert type(net.xi) is float and net.xi == 0.25
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(dict(net.to_dict(), xi="0.25")))
+        assert exact_io_mutual_information(load_network(path)) == exact_io_mutual_information(net)
+
     def test_json_round_trip(self, tmp_path):
         net = random_network(3, [4, 2], xi=0.25, seed=9)
         path = tmp_path / "net.json"
@@ -156,11 +174,12 @@ class TestNetworkValidation:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"xi": 0.1, "input_width": 1, "layers": [
             {"neurons": [{"weights": [1.0], "bias": [0]}]}]}))
-        with pytest.raises(ValidationError, match=r"^malformed network description: float\(\) "):
+        malformed = f"^{re.escape(str(path))}: malformed network description: "
+        with pytest.raises(ValidationError, match=malformed + r"float\(\) "):
             load_network(path)
         path.write_text(json.dumps({"xi": 0.1, "input_width": 1, "layers": [
             {"neurons": [{"weights": [1.0]}]}]}))
-        with pytest.raises(ValidationError, match="^malformed network description: missing 'bias'$"):
+        with pytest.raises(ValidationError, match=malformed + "missing 'bias'$"):
             load_network(path)
 
 
@@ -187,7 +206,7 @@ class TestExactMutualInformation:
         assert peak < 1 << 20
 
     @pytest.mark.parametrize("estimate, refusal", [
-        (exact_io_mutual_information, r"^a 2\^27 x 2\^27 layer matrix"),
+        (exact_io_mutual_information, r"^a 2\^27 x 2\^1 layer matrix"),
         (lambda net: monte_carlo_io_mi(net, trials=10), None),
     ], ids=["exact", "monte-carlo"])
     def test_byte_cap_is_checked_before_the_input_law_is_built(self, estimate, refusal):
@@ -225,7 +244,7 @@ class TestExactMutualInformation:
 
     @pytest.mark.parametrize("input_width, widths", [(1, [16, 1]), (2, [16, 2]), (1, [1, 16])])
     def test_no_layer_builds_more_than_its_capped_matrix(self, input_width, widths):
-        # The cap counts 2^input_width x 2^max(fan_in, width) floats per layer;
+        # The cap counts the 2^input_width x 2^width matrix each layer outputs;
         # a wide fan-in must not add a 2^fan_in x fan_in table on top of that.
         net = random_network(input_width, widths, xi=0.1)
         fan_ins = [input_width, *widths[:-1]]
@@ -237,6 +256,23 @@ class TestExactMutualInformation:
         finally:
             tracemalloc.stop()
         assert peak < 4 * largest
+
+    @pytest.mark.parametrize("input_width, widths", [(20, [1]), (20, [2]), (16, [4])])
+    def test_wide_input_is_exact_within_its_output_matrix(self, input_width, widths):
+        # The cap counts the 2^input_width x 2^width matrix a layer outputs;
+        # next to it, propagation and the information sum hold the noise
+        # spare, the 2^input_width fired states, pre-activations and
+        # scatter index, and the input and output laws.
+        net = random_network(input_width, widths, xi=0.1, seed=3)
+        largest = max(8 << (input_width + w) for w in widths)
+        tracemalloc.start()
+        try:
+            mi = exact_io_mutual_information(net)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * largest
+        assert 0.0 <= mi <= widths[-1] * math.log(2.0)
 
     def test_matches_the_joint_law_of_the_network_channel(self):
         # Reference: the validated channel, its joint law with p_x, and the
@@ -476,6 +512,28 @@ class TestMonteCarlo:
         a = monte_carlo_io_mi(net, trials=2000, seed=42)
         b = monte_carlo_io_mi(net, trials=2000, seed=42)
         assert a.estimate == b.estimate and a.stderr == b.stderr
+
+    def test_ties_fire_as_exact_propagation_fires_them(self):
+        # On input state 5 the ordered sum (0.7 - 1) + 0.3 is -5.55e-17, but
+        # BLAS may sum -1 + 0.3 first and reach 0, which would fire.
+        neuron = ThresholdNeuron(weights=[-1.0, -1.0, 0.3], bias=0.7)
+        net = NoisyNetwork(layers=((neuron,),), xi=0.0, input_width=3)
+        exact = exact_io_mutual_information(net, base="bits")
+        assert exact == pytest.approx(0.8112781244591328, abs=1e-12)
+        got = monte_carlo_io_mi(net, trials=200_000, seed=1, base="bits")
+        assert abs(got.estimate - exact) <= 3 * got.stderr
+
+    def test_firing_agrees_with_the_layer_channel_on_every_state(self):
+        # Decimal weights and biases make exact ties and near-ties common.
+        rng = np.random.default_rng(41)
+        for _ in range(2500):
+            fan_in, width = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+            layer = tuple(ThresholdNeuron(rng.integers(-10, 11, size=fan_in) / 10.0,
+                                          int(rng.integers(-10, 11)) / 10.0) for _ in range(width))
+            bits = (np.arange(1 << fan_in)[:, None] >> np.arange(fan_in)) & 1
+            fired = sdpi.network._fire(bits, *sdpi.network._layer_arrays(layer))
+            want = layer_channel(layer, 0.0).matrix.argmax(axis=1)
+            np.testing.assert_array_equal(fired @ (1 << np.arange(width)), want)
 
 
 def dense_plug_in(net, trials, seed):
