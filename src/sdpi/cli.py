@@ -445,7 +445,7 @@ _label_seed = click.option(
 @_label_seed
 def fig2(n, xi_min, xi_max, points, seed):
     """Layer bound versus per-component (Evans-Schulman) accounting."""
-    count(seed, "seed", minimum=0)
+    count(seed, "seed", minimum=0, float_range=False)
     xi_min = interval(xi_min, "xi-min", "[0, 0.5]")
     interval(xi_max, "xi-max", f"[{xi_min}, 0.5]")
     rows = []
@@ -466,7 +466,7 @@ def fig3(xi2, n, xi1_min, xi1_max, points, seed):
     """Correlated-noise bounds against the matched independent bound."""
     from . import contraction as ctr
 
-    count(seed, "seed", minimum=0)
+    count(seed, "seed", minimum=0, float_range=False)
     xi1_min = interval(xi1_min, "xi1-min", "[0, 1]")
     interval(xi1_max, "xi1-max", f"[{xi1_min}, 1]")
     _warn_if_unverified(xi1_max)
@@ -490,7 +490,7 @@ def fig3(xi2, n, xi1_min, xi1_max, points, seed):
 @_label_seed
 def fig5(xi_min, xi_max, points, deltas, layer_counts, seed):
     """Hidden-neuron lower bound as a function of the noise level."""
-    count(seed, "seed", minimum=0)
+    count(seed, "seed", minimum=0, float_range=False)
     xi_min = interval(xi_min, "xi-min", "[0, 0.5)")
     interval(xi_max, "xi-max", f"[{xi_min}, 0.5)")
     grid = _linspace(xi_min, xi_max, count(points, "points"))
@@ -511,7 +511,7 @@ def fig5(xi_min, xi_max, points, deltas, layer_counts, seed):
 @_label_seed
 def fig6(n, xi, delta, max_depth, seed):
     """Size requirements per depth with the binding regime and the optimum."""
-    count(seed, "seed", minimum=0)
+    count(seed, "seed", minimum=0, float_range=False)
     result = cf.optimal_depth_tradeoff(n, xi, delta, max_depth)
     rows = [
         (r.depth, r.expressibility_bound, r.noise_bound, r.minimum_neurons)
@@ -531,7 +531,7 @@ def fig6(n, xi, delta, max_depth, seed):
 @_label_seed
 def fig8(t_max, pairs, seed):
     """Error-correction overhead lower bound versus the interval count."""
-    count(seed, "seed", minimum=0)
+    count(seed, "seed", minimum=0, float_range=False)
     t_max = count(t_max, "t-max")
     rows = [
         (t, delta, xi, cf.overhead_lower_bound(delta, t, xi))

@@ -91,10 +91,16 @@ def delta_capacity(delta: float) -> float:
     """Minimum mutual information (bits) to decode one bit delta-reliably.
 
     1 + delta log2 delta + (1 - delta) log2(1 - delta); equals 1 at
-    delta = 0 and decreases to 0 as delta -> 1/2.
+    delta = 0 and decreases to 0 as delta -> 1/2.  Near 1/2, where that
+    is 1 minus a number near 1, it is (log1p(-u^2) + 2 u atanh(u)) / (2 ln 2)
+    with u = 1 - 2 delta: two terms of opposite sign of which neither is
+    twice the other.
     """
     if interval(delta, "reliability level", "[0, 0.5)") == 0.0:
         return 1.0
+    u = 1.0 - 2.0 * delta
+    if u < 0.05:
+        return (math.log1p(-u * u) + 2.0 * u * math.atanh(u)) / (2.0 * math.log(2.0))
     return 1.0 + delta * math.log2(delta) + (1.0 - delta) * math.log2(1.0 - delta)
 
 
@@ -206,28 +212,21 @@ def optimal_depth_tradeoff(n: int, xi: float, delta: float, max_depth: int) -> D
 
 
 def _log_capacity(delta: float) -> float:
-    """log D of the failure budget delta, D = ``delta_capacity(delta)``,
-    to a few ulp over (0, 1/2).
-
-    Where D is near 1, it is log1p(-h) of the binary entropy h (bits);
-    where D is near 0, with u = 1 - 2 delta, 2 ln(2) D = log1p(-u^2) +
-    2 u atanh(u), a sum of two terms of opposite sign of which neither is
-    twice the other.  In between, D itself has its digits.
-    """
+    """log D of the failure budget delta, D = ``delta_capacity(delta)``;
+    where D is near 1, log1p(-h) of the binary entropy h (bits)."""
     delta = interval(delta, "failure budget", "(0, 0.5)")
     h = -(delta * math.log(delta) + (1.0 - delta) * math.log1p(-delta)) / math.log(2.0)
-    u = 1.0 - 2.0 * delta
-    if h < 0.5:
-        return math.log1p(-h)
-    if u < 0.05:
-        return math.log((math.log1p(-u * u) + 2.0 * u * math.atanh(u)) / (2.0 * math.log(2.0)))
-    return math.log(delta_capacity(delta))
+    return math.log1p(-h) if h < 0.5 else math.log(delta_capacity(delta))
 
 
-def _log_noise_base(xi: float) -> float:
-    """log(4 xi - 4 xi^2); from xi = 1/4 on, where 1 - 2 xi is exact, it
-    is log1p(-(1 - 2 xi)^2), which keeps its digits as xi nears 1/2."""
-    return math.log(4.0 * xi - 4.0 * xi**2) if xi < 0.25 else math.log1p(-(1.0 - 2.0 * xi) ** 2)
+def noise_logs(xi: float) -> tuple[float, float]:
+    """(log a, log r) for a = 4 xi - 4 xi^2 and r = xi / (1 - xi); from
+    xi = 1/4 on, where s = 1 - 2 xi is exact, a = 1 - s^2 and
+    r = 1 - 2s / (1 + s), which keep their digits as xi nears 1/2."""
+    if xi < 0.25:
+        return math.log(4.0 * xi - 4.0 * xi**2), math.log(xi) - math.log1p(-xi)
+    s = 1.0 - 2.0 * xi
+    return math.log1p(-s * s), math.log1p(-2.0 * s / (1.0 + s))
 
 
 def _log1mexp(y: float) -> float:
@@ -246,8 +245,8 @@ def overhead_lower_bound(delta: float, intervals: int, xi: float) -> float:
     # log(1 - D^(1/T)) = log(1 - e^x); once |x| < 1e-8, where x may
     # underflow, it is log(-x) + x/2 to within x^2/24.
     if x < -1e-8:
-        return _log1mexp(x) / _log_noise_base(xi)
-    return (math.log(-log_cap) - math.log(intervals) + x / 2.0) / _log_noise_base(xi)
+        return _log1mexp(x) / noise_logs(xi)[0]
+    return (math.log(-log_cap) - math.log(intervals) + x / 2.0) / noise_logs(xi)[0]
 
 
 @dataclass(frozen=True)
@@ -269,7 +268,7 @@ def relaxation_upper_bound(n: int, xi: float, delta: float) -> RelaxationBound:
     xi = interval(xi, "flip probability", "(0, 0.5)")
     log_cap = _log_capacity(delta)
     n = count(n, "bit count")
-    log_a_n = n * _log_noise_base(xi)
+    log_a_n = n * noise_logs(xi)[0]
     a_n = math.exp(log_a_n)
     if a_n >= 1e-300:
         return RelaxationBound(time=log_cap / _log1mexp(log_a_n), asymptotic=-log_cap / a_n)

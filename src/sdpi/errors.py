@@ -30,9 +30,12 @@ def interval(value, what: str, domain: str) -> float:
     return x
 
 
-def count(value, what: str, minimum: int = 1, maximum: int | None = None) -> int:
+def count(value, what: str, minimum: int = 1, maximum: int | None = None,
+          float_range: bool = True) -> int:
     """``value`` as an int, if it is a whole number in [minimum, maximum]
-    and within the float range, where every formula of it is evaluated."""
+    and, unless ``float_range`` is False, at most the largest float, since
+    a count enters float formulas.  Seeds, which only
+    ``numpy.random.default_rng`` reads, may be of any size."""
     try:
         n = int(value)
     except (TypeError, ValueError, OverflowError):
@@ -40,7 +43,7 @@ def count(value, what: str, minimum: int = 1, maximum: int | None = None) -> int
     if n is None or n != value or n < minimum or (maximum is not None and n > maximum):
         bounds = f"of at least {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
         raise ValidationError(f"{what} must be an integer {bounds}, got {value}")
-    if n > sys.float_info.max:
+    if float_range and n > sys.float_info.max:
         raise ValidationError(f"{what} must be at most {sys.float_info.max:.9g}, the float range, "
                               f"got about 10^{math.log10(n):.0f}")
     return n

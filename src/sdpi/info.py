@@ -254,7 +254,7 @@ def trial_blocks(total: int, seed: int):
     (b+1)*BLOCK) and draws from ``np.random.default_rng((seed, b))``, so a
     Monte Carlo result depends only on the seed and the trial count, not on
     evaluation order or on how a caller splits a block."""
-    seed = count(seed, "seed", minimum=0)
+    seed = count(seed, "seed", minimum=0, float_range=False)
     return ((start, min(start + BLOCK, total), np.random.default_rng((seed, start // BLOCK)))
             for start in range(0, total, BLOCK))
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .closed_form import noise_logs
 from .errors import InfeasibleError, ValidationError, count, interval
 from .info import MAX_LAYER_BYTES, trial_blocks
 
@@ -45,30 +46,38 @@ class MemorySpec:
         return {"n": self.n, "xi": self.xi, "delta": self.delta, "intervals": self.intervals}
 
 
-def _binomial_window(n: int, xi: float, center: int, lo: int, hi: int):
-    """(log P[Bin(n, xi) = k], k) for the k in [lo, hi] within 20 sqrt(n) + 20
-    of ``center``, at or near the largest term of a sum over them.  The
-    terms are log-concave in k, with curvature at least 4/n, so those
-    outside the window fall below e^-800 of it.  A window whose 8-byte
-    terms exceed ``info.MAX_LAYER_BYTES`` (from about n = 1.1e13) raises
-    ``ValidationError`` before any is built.
+def _tail_terms(n: int, xi: float) -> np.ndarray:
+    """log P[Bin(n, xi) = k] for k from the majority threshold (for even
+    n the tie, which counts as failure) within 20 sqrt(n) + 20 of the
+    tail's largest term, at max(threshold, floor((n+1) xi)).  The terms are
+    log-concave in k, with curvature at least 4/n, so the rest fall below
+    e^-800 of it; below n of about 1700 none is left out.  Building and
+    summing them holds three 8-byte arrays of the window's length; past
+    ``info.MAX_LAYER_BYTES`` (about n > 1.25e12 for xi < 1/2) the window
+    raises ``ValidationError`` before it is built.
     """
+    threshold = (n + 1) // 2
+    top_k = max(threshold, math.floor((n + 1) * xi))
     half = math.ceil(20 * math.sqrt(n)) + 20
-    lo, hi = max(lo, center - half), min(hi, center + half)
-    if 8 * (hi - lo + 1) > MAX_LAYER_BYTES:
+    lo, hi = max(threshold, top_k - half), min(n, top_k + half)
+    if 24 * (hi - lo + 1) > MAX_LAYER_BYTES:
         raise ValidationError(f"the binomial tail at n = {n} sums {hi - lo + 1} terms, which need "
-                              f"{8 * (hi - lo + 1)} bytes, above the cap of {MAX_LAYER_BYTES} bytes "
+                              f"{24 * (hi - lo + 1)} bytes, above the cap of {MAX_LAYER_BYTES} bytes "
                               f"({MAX_LAYER_BYTES >> 20} MiB)")
     k = np.arange(lo, hi + 1)
     lgamma_n = math.lgamma(n + 1)
-    log_binom = np.fromiter((lgamma_n - math.lgamma(j + 1) - math.lgamma(n - j + 1)
+    log_terms = np.fromiter((lgamma_n - math.lgamma(j + 1) - math.lgamma(n - j + 1)
                              for j in range(lo, hi + 1)), float, hi - lo + 1)
-    return log_binom + k * math.log(xi) + (n - k) * math.log1p(-xi), k
+    log_terms += k * math.log(xi)
+    log_terms += np.subtract(n, k, out=k) * math.log1p(-xi)
+    return log_terms
 
 
 def _sum_exp(log_terms: np.ndarray) -> float:
+    """The sum of e^log_terms, at most 1."""
     top = log_terms.max()
-    return math.exp(top) * np.exp(log_terms - top).sum()
+    scaled = log_terms - top
+    return min(float(math.exp(top) * np.exp(scaled, out=scaled).sum()), 1.0)
 
 
 def catastrophic_prob_exact(n: int, xi: float) -> float:
@@ -76,9 +85,7 @@ def catastrophic_prob_exact(n: int, xi: float) -> float:
 
     Binomial tail P[Bin(n, xi) >= ceil((n+1)/2)] for odd n; even-n ties
     count as failure.  Summed in log space so tails below 1e-12 stay
-    accurate, over the terms of ``_binomial_window`` around the largest
-    one, at max(threshold, floor((n+1) xi)).  Below n of about 1700 that
-    window holds every term of the tail.
+    accurate, over the window of ``_tail_terms``.
     """
     n = count(n, "bit count")
     xi = interval(xi, "flip probability", "[0, 1]")
@@ -86,27 +93,7 @@ def catastrophic_prob_exact(n: int, xi: float) -> float:
         return 0.0
     if xi == 1.0:
         return 1.0
-    threshold = (n + 1) // 2  # defeats the majority, or ties it for even n
-    top_k = max(threshold, math.floor((n + 1) * xi))
-    log_terms, _ = _binomial_window(n, xi, top_k, threshold, n)
-    return float(np.clip(_sum_exp(log_terms), 0.0, 1.0))
-
-
-def _majority_margin(n: int, xi: float) -> float:
-    """1 - 2 p_e for 0 < xi < 1/2, without the cancellation of 1 - 2 p_e
-    when p_e nears 1/2: P[k < n/2 flips] - P[k > n/2 flips] is the sum over
-    k < n/2 of P(k) (1 - r^(n-2k)), r = xi / (1 - xi), every term positive;
-    for even n the tie P(n/2) is then subtracted.
-    """
-    # log r; from xi = 1/4 on, 1 - 2 xi is exact and r = 1 - (1 - 2 xi)/(1 - xi).
-    log_r = (math.log(xi) - math.log1p(-xi) if xi < 0.25
-             else math.log1p(-(1.0 - 2.0 * xi) / (1.0 - xi)))
-    last = (n - 1) // 2
-    log_terms, k = _binomial_window(n, xi, min(math.floor((n + 1) * xi), last), 0, last)
-    margin = _sum_exp(log_terms + np.log(-np.expm1((n - 2 * k) * log_r)))
-    if n % 2 == 0:
-        margin -= math.exp(_binomial_window(n, xi, n // 2, n // 2, n // 2)[0][0])
-    return margin
+    return _sum_exp(_tail_terms(n, xi))
 
 
 def catastrophic_prob_chernoff(n: int, xi: float) -> float:
@@ -136,16 +123,28 @@ def repetition_relaxation_time(n: int, xi: float, delta: float) -> RepetitionRel
     catastrophic events occurred, so correct decoding has probability
     (1 + (1 - 2 p_e)^T)/2; solving for the delta level gives the formula.
     """
+    n = count(n, "bit count")
     xi = interval(xi, "flip probability", "(0, 0.5)")
     delta = interval(delta, "failure budget", "(0, 0.5)")
-    p_e = catastrophic_prob_exact(n, xi)
-    # From p_e = 1/4 on, 1 - 2 p_e is summed as such, not left to cancel.
-    margin = 1.0 - 2.0 * p_e if p_e < 0.25 else _majority_margin(n, xi)
-    if margin <= 0.0:
-        raise InfeasibleError(
-            f"catastrophic probability {p_e:.9g} >= 1/2: majority vote retains nothing"
-        )
-    log_margin = math.log1p(-2.0 * p_e) if p_e < 0.25 else math.log(margin)
+    log_terms = _tail_terms(n, xi)
+    p_e = _sum_exp(log_terms)
+    if p_e < 0.25:
+        log_margin = math.log1p(-2.0 * p_e)
+    else:
+        # 1 - 2 p_e would cancel; it is the sum over the tail's k > n/2 of
+        # P(n - k) - P(k) = P(k) (r^(n-2k) - 1), r = xi / (1 - xi), every
+        # term positive, less the tie P(n/2) that heads an even n's window.
+        tie = 1 - n % 2
+        first = (n + 1) // 2 + tie
+        x = (n - 2 * np.arange(first, first + log_terms.size - tie)) * noise_logs(xi)[1]
+        x = np.log(np.expm1(x, out=x), out=x)
+        x += log_terms[tie:]
+        margin = _sum_exp(x) - tie * math.exp(log_terms[0])
+        if margin <= 0.0:
+            raise InfeasibleError(
+                f"catastrophic probability {p_e:.9g} >= 1/2: majority vote retains nothing"
+            )
+        log_margin = math.log(margin)
     numer = math.log1p(-2.0 * delta)
     # Below the normal float range p_e has lost its digits (at 0 the time
     # would divide by zero), and past it the time has none to print.

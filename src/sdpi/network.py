@@ -97,18 +97,25 @@ class NoisyNetwork:
 
     @staticmethod
     def from_dict(data: dict) -> "NoisyNetwork":
+        """The network ``to_dict`` describes; its weights, biases and xi must
+        be JSON numbers, not text, null or booleans."""
         try:
             layers = tuple(
-                tuple(ThresholdNeuron(n["weights"], n["bias"]) for n in layer["neurons"])
+                tuple(ThresholdNeuron([_number(w) for w in n["weights"]], _number(n["bias"]))
+                      for n in layer["neurons"])
                 for layer in data["layers"]
             )
-            return NoisyNetwork(layers=layers, xi=data["xi"], input_width=data["input_width"])
-        except ValidationError:
-            raise
+            return NoisyNetwork(layers=layers, xi=_number(data["xi"]), input_width=data["input_width"])
         except KeyError as exc:
             raise ValidationError(f"malformed network description: missing {exc}") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, OverflowError) as exc:
             raise ValidationError(f"malformed network description: {exc}") from None
+
+
+def _number(value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError("network entries must be numbers")
+    return value
 
 
 def load_network(path) -> NoisyNetwork:
@@ -207,24 +214,19 @@ class MiEstimate:
 
 
 def _layer_arrays(layer: Sequence[ThresholdNeuron]) -> tuple[np.ndarray, np.ndarray, float]:
-    """(weights, biases, tie bound) of a layer, what ``_fire`` takes.
-
-    Any two orders of summing a neuron's bias and its fan_in weights agree
-    within (fan_in + 1) 2^-52 (|bias| + sum |w|); the tie bound is the
-    largest of these over the layer.
-    """
+    """(weights, biases, tie bound) of a layer for ``_fire``: any two orders
+    of summing a neuron's bias and weights agree within (fan_in + 1) 2^-52
+    (|bias| + sum |w|), and the tie bound is the layer's largest."""
     w = np.vstack([n.weights for n in layer])
     b = np.array([n.bias for n in layer])
     return w, b, (w.shape[1] + 1) * 2.0**-52 * float((np.abs(b) + np.abs(w).sum(axis=1)).max())
 
 
 def _fire(bits: np.ndarray, w: np.ndarray, b: np.ndarray, tie: float) -> np.ndarray:
-    """Which neurons fire on each row of 0/1 inputs, by the module's rule.
-
-    The pre-activations come from one matmul, whose summation order BLAS
-    chooses; only those within the tie bound of zero, where that order can
-    decide the sign, are summed again in ``_propagate``'s order.
-    """
+    """Which neurons fire on each row of 0/1 inputs, by the module's rule:
+    one matmul, whose summation order BLAS chooses, then the entries within
+    the tie bound of zero, where that order can decide the sign, summed
+    again in ``_propagate``'s order."""
     pre = bits @ w.T + b
     near = np.abs(pre) <= tie
     if near.any():

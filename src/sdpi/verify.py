@@ -280,4 +280,4 @@ def run_suite(name: str, seed: int = 0, budget: int | None = None) -> SuiteResul
     if name not in SUITES:
         raise ValidationError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
     samples = {} if budget is None else {"samples": count(budget, "budget")}
-    return SUITES[name](seed=count(seed, "seed", 0), **samples)
+    return SUITES[name](seed=count(seed, "seed", 0, float_range=False), **samples)

@@ -299,8 +299,7 @@ class TestNetworkCommands:
             {"neurons": [{"weights": [1.0], "bias": "abc"}]}]}))
         res = runner.invoke(main, ["nn", "mi", str(path)])
         assert (res.exit_code, res.stdout) == (2, "")
-        assert res.stderr == (f"error: {path}: malformed network description: "
-                              "could not convert string to float: 'abc'\n")
+        assert res.stderr == f"error: {path}: network entries must be numbers\n"
 
     def test_bound_command(self, runner):
         res = runner.invoke(
@@ -472,6 +471,16 @@ class TestMemoryCommands:
         assert res.exit_code == 2
         assert res.stdout == ""
         assert res.stderr == "error: seed must be an integer of at least 0, got -1\n"
+
+    @pytest.mark.parametrize("command", [
+        ["mem", "simulate", "--n", "5", "--xi", "0.2", "--delta", "0.3", "--intervals", "4"],
+        ["verify", "sdpi-fuzz", "--budget", "5"],
+        ["fig", "2", "--points", "3"],
+    ], ids=["mem-simulate", "verify", "fig"])
+    def test_seed_past_the_float_range_runs(self, runner, command):
+        # Only numpy.random.default_rng reads a seed, and it takes any size.
+        res = runner.invoke(main, [*command, "--seed", str(10**400)])
+        assert (res.exit_code, res.stderr) == (0, "")
 
 
 class TestFigureCommands:

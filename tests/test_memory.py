@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -119,6 +120,35 @@ class TestCatastrophicProbability:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+    @pytest.mark.parametrize("n, xi", [(10**8 + 1, 0.4999999), (10**8, 0.4999999), (10**8 + 1, 0.3)])
+    def test_window_and_its_sums_hold_three_arrays(self, n, xi):
+        # The cap counts 24 bytes a term; near xi = 1/2 the relaxation time
+        # sums 1 - 2 p_e over the same window, not over a second one.
+        terms = math.ceil(20 * math.sqrt(n)) + 21
+        repetition_relaxation_time(9, 0.3, 0.4)
+        for call in (catastrophic_prob_exact, lambda n, xi: repetition_relaxation_time(n, xi, 0.4)):
+            tracemalloc.start()
+            try:
+                call(n, xi)
+            except (InfeasibleError, ValidationError):
+                pass
+            finally:
+                peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
+            assert peak < 24 * terms + (256 << 10)
+
+    def test_cap_counts_three_arrays_of_the_window(self, monkeypatch):
+        n = 10**6 + 1
+        terms = math.ceil(20 * math.sqrt(n)) + 21
+        want = catastrophic_prob_exact(n, 0.4999)
+        monkeypatch.setattr(memory, "MAX_LAYER_BYTES", 24 * terms)
+        assert catastrophic_prob_exact(n, 0.4999) == want
+        monkeypatch.setattr(memory, "MAX_LAYER_BYTES", 24 * terms - 1)
+        with pytest.raises(ValidationError, match=rf"^the binomial tail at n = {n} sums {terms} "
+                           rf"terms, which need {24 * terms} bytes, above the cap"):
+            catastrophic_prob_exact(n, 0.4999)
 
 
 class TestChernoff:
@@ -309,6 +339,18 @@ class TestRepetitionTime:
         assert catastrophic_prob_exact(2, 0.49) > 0.5
         with pytest.raises(InfeasibleError):
             repetition_relaxation_time(2, 0.49, 0.4)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40, 101, 200])
+    def test_time_near_half_noise_matches_exact_arithmetic(self, n):
+        # From p_e = 1/4 on, 1 - 2 p_e is summed term by term; here it is
+        # exact, from the tail of the binomial law in rationals.
+        for xi in (0.26, 0.4, 0.49, 0.4999999, 0.5 - 2**-40):
+            x = Fraction(xi)
+            p_e = sum(math.comb(n, k) * x**k * (1 - x) ** (n - k) for k in range((n + 1) // 2, n + 1))
+            if p_e < Fraction(1, 4) or p_e >= Fraction(1, 2):
+                continue
+            want = math.log1p(-0.8) / math.log(1 - 2 * p_e)
+            assert repetition_relaxation_time(n, xi, 0.4).time == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("n", [8489, 8490, 10**6])
     def test_time_past_float_range_is_refused(self, n):

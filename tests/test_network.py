@@ -139,14 +139,25 @@ class TestNetworkValidation:
         with pytest.raises(ValidationError):
             NoisyNetwork(layers=(copier_layer(2),), xi=0.5, input_width=2)
 
-    def test_noise_level_is_kept_as_the_float_it_was_checked_as(self, tmp_path):
-        # A file's "xi": "0.1" passed the check but stayed text, and
-        # propagation then failed with an internal TypeError.
+    def test_noise_level_is_kept_as_the_float_it_was_checked_as(self):
         net = NoisyNetwork(layers=(copier_layer(1),), xi=np.float32(0.25), input_width=1)
         assert type(net.xi) is float and net.xi == 0.25
+
+    @pytest.mark.parametrize("field, value", [
+        ("xi", "0.25"), ("xi", None), ("bias", "-1"), ("bias", True), ("bias", [0]),
+        ("weights", ["1.0"]), ("weights", [None]), ("weights", [False]),
+    ])
+    def test_file_entries_must_be_numbers(self, tmp_path, field, value):
+        # A file's "xi": "0.25" used to load as a number, as channel and
+        # distribution files no longer do.
+        doc = {"xi": 0.25, "input_width": 1, "layers": [{"neurons": [{"weights": [1.0], "bias": 0}]}]}
+        target = doc if field == "xi" else doc["layers"][0]["neurons"][0]
+        target[field] = value
         path = tmp_path / "net.json"
-        path.write_text(json.dumps(dict(net.to_dict(), xi="0.25")))
-        assert exact_io_mutual_information(load_network(path)) == exact_io_mutual_information(net)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError,
+                           match=f"^{re.escape(str(path))}: network entries must be numbers$"):
+            load_network(path)
 
     def test_json_round_trip(self, tmp_path):
         net = random_network(3, [4, 2], xi=0.25, seed=9)
@@ -173,9 +184,9 @@ class TestNetworkValidation:
     def test_malformed_entry_is_not_called_missing(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"xi": 0.1, "input_width": 1, "layers": [
-            {"neurons": [{"weights": [1.0], "bias": [0]}]}]}))
+            {"neurons": [{"weights": [1.0], "bias": 10**400}]}]}))
         malformed = f"^{re.escape(str(path))}: malformed network description: "
-        with pytest.raises(ValidationError, match=malformed + r"float\(\) "):
+        with pytest.raises(ValidationError, match=malformed + "int too large to convert to float$"):
             load_network(path)
         path.write_text(json.dumps({"xi": 0.1, "input_width": 1, "layers": [
             {"neurons": [{"weights": [1.0]}]}]}))
