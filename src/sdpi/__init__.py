@@ -32,7 +32,6 @@ _EXPORTS = {
         "evans_schulman_raw",
         "independent_layer_bound",
         "information_decay_bound",
-        "matched_noise_slope",
         "min_neurons_lower_bound",
         "optimal_depth_tradeoff",
         "overhead_lower_bound",
@@ -50,7 +49,6 @@ _EXPORTS = {
         "independent_layer_channel",
         "quadratic_decomposition_check",
         "rayleigh_supremum",
-        "shared_noise_ordering_holds",
     ),
     "network": (
         "MiEstimate",

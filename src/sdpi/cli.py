@@ -70,6 +70,14 @@ def _linspace(start: float, stop: float, num: int) -> list[float]:
     return points
 
 
+def _grid(lo: float, hi: float, points: int, name: str, top: str) -> list[float]:
+    """``_linspace(lo, hi, points)`` once --{name}-min ``lo`` is in [0, ``top``,
+    --{name}-max ``hi`` in [lo, ``top`` and --points at least 1."""
+    lo = interval(lo, f"{name}-min", f"[0, {top}")
+    interval(hi, f"{name}-max", f"[{lo}, {top}")
+    return _linspace(lo, hi, count(points, "points"))
+
+
 def _warn_if_unverified(xi1: float) -> None:
     if xi1 > VERIFIED_XI1:
         click.echo(
@@ -96,7 +104,8 @@ def _command(group: click.Group, name: str, csv: bool = False, plot: bool = Fals
     --format and --out as its last options: it writes the chosen rendering
     to stdout or --out and exits with the code.  A ``csv`` command writes
     its table with ``_write_csv`` and gains --out, and --gnuplot when
-    ``plot``, as its last options.  Errors exit with the module's exit codes.
+    ``plot``, as its last options.  A --seed is checked here, as a
+    non-negative integer of any size.  Errors exit with the module's exit codes.
     """
 
     def decorate(f):
@@ -105,6 +114,8 @@ def _command(group: click.Group, name: str, csv: bool = False, plot: bool = Fals
             try:
                 if gnuplot and out is None:
                     raise ValidationError("--gnuplot requires --out (the script references the CSV)")
+                if "seed" in params:
+                    count(params["seed"], "seed", minimum=0, float_range=False)
                 if csv:
                     return f(**params)
                 payload, text, code = f(**params)
@@ -190,8 +201,6 @@ def _write_csv(columns: list[str], rows, footer: str | None = None, note: str | 
 
 
 def _parse_int_list(_ctx, _param, value):
-    if value is None:
-        return None
     try:
         return tuple(int(tok) for tok in str(value).split(","))
     except ValueError:
@@ -201,13 +210,11 @@ def _parse_int_list(_ctx, _param, value):
 def _parse_pair(_ctx, _param, value):
     pairs = []
     for item in value:
-        toks = str(item).split(",")
-        if len(toks) != 2:
-            raise click.BadParameter(f"expected 'delta,xi', got {item!r}")
         try:
-            pairs.append((float(toks[0]), float(toks[1])))
+            delta, xi = (float(tok) for tok in str(item).split(","))
         except ValueError:
             raise click.BadParameter(f"expected 'delta,xi', got {item!r}")
+        pairs.append((delta, xi))
     return tuple(pairs)
 
 
@@ -445,11 +452,8 @@ _label_seed = click.option(
 @_label_seed
 def fig2(n, xi_min, xi_max, points, seed):
     """Layer bound versus per-component (Evans-Schulman) accounting."""
-    count(seed, "seed", minimum=0, float_range=False)
-    xi_min = interval(xi_min, "xi-min", "[0, 0.5]")
-    interval(xi_max, "xi-max", f"[{xi_min}, 0.5]")
     rows = []
-    for xi in _linspace(xi_min, xi_max, count(points, "points")):
+    for xi in _grid(xi_min, xi_max, points, "xi", "0.5]"):
         eta = 1.0 - (4.0 * xi - 4.0 * xi**2)
         rows.append((xi, cf.evans_schulman_raw(eta, n), 1.0 - (1.0 - eta) ** n))
     _write_csv(["xi", "evans_schulman", "ours"], rows)
@@ -466,12 +470,10 @@ def fig3(xi2, n, xi1_min, xi1_max, points, seed):
     """Correlated-noise bounds against the matched independent bound."""
     from . import contraction as ctr
 
-    count(seed, "seed", minimum=0, float_range=False)
-    xi1_min = interval(xi1_min, "xi1-min", "[0, 1]")
-    interval(xi1_max, "xi1-max", f"[{xi1_min}, 1]")
+    grid = _grid(xi1_min, xi1_max, points, "xi1", "1]")
     _warn_if_unverified(xi1_max)
     rows = []
-    for xi1 in _linspace(xi1_min, xi1_max, count(points, "points")):
+    for xi1 in grid:
         spec = ctr.CorrelatedNoiseSpec(xi1=xi1, xi2=xi2, n=n)
         matched = xi1 * (1.0 - xi2) + (1.0 - xi1) * xi2
         eta_ind = cf.independent_layer_bound(cf.LayerNoiseSpec(xi=matched, n=n))
@@ -490,10 +492,7 @@ def fig3(xi2, n, xi1_min, xi1_max, points, seed):
 @_label_seed
 def fig5(xi_min, xi_max, points, deltas, layer_counts, seed):
     """Hidden-neuron lower bound as a function of the noise level."""
-    count(seed, "seed", minimum=0, float_range=False)
-    xi_min = interval(xi_min, "xi-min", "[0, 0.5)")
-    interval(xi_max, "xi-max", f"[{xi_min}, 0.5)")
-    grid = _linspace(xi_min, xi_max, count(points, "points"))
+    grid = _grid(xi_min, xi_max, points, "xi", "0.5)")
     rows = [
         (xi, delta, depth, cf.min_neurons_lower_bound(xi, delta, depth))
         for delta in deltas
@@ -511,7 +510,6 @@ def fig5(xi_min, xi_max, points, deltas, layer_counts, seed):
 @_label_seed
 def fig6(n, xi, delta, max_depth, seed):
     """Size requirements per depth with the binding regime and the optimum."""
-    count(seed, "seed", minimum=0, float_range=False)
     result = cf.optimal_depth_tradeoff(n, xi, delta, max_depth)
     rows = [
         (r.depth, r.expressibility_bound, r.noise_bound, r.minimum_neurons)
@@ -531,7 +529,6 @@ def fig6(n, xi, delta, max_depth, seed):
 @_label_seed
 def fig8(t_max, pairs, seed):
     """Error-correction overhead lower bound versus the interval count."""
-    count(seed, "seed", minimum=0, float_range=False)
     t_max = count(t_max, "t-max")
     rows = [
         (t, delta, xi, cf.overhead_lower_bound(delta, t, xi))

@@ -3,7 +3,7 @@
 Each function here is a formula in the noise level xi, the reliability
 level delta, a layer width or bit count n, a depth L or an interval
 count T: the independent-layer contraction bound, the Evans-Schulman
-accounting and the shared-noise slopes, the information decay bound,
+accounting and the shared-noise slope, the information decay bound,
 the hidden-neuron lower bound and the depth-width trade-off, and the
 memory overhead and relaxation bounds.  The module imports nothing but
 the standard library and ``errors``, so a caller that needs only these
@@ -53,15 +53,6 @@ def shared_noise_slope(xi2: float, n: int) -> float:
     xi2 = interval(xi2, "independent flip probability", "[0, 0.5]")
     n = count(n, "layer width")
     return 2.0 * ((4.0 * xi2**2 - 4.0 * xi2 + 2.0) ** n - (4.0 * xi2 - 4.0 * xi2**2) ** n)
-
-
-def matched_noise_slope(xi2: float, n: int) -> float:
-    """Slope 4n(2 xi2 - 1)^2 (4 xi2 - 4 xi2^2)^(n-1) of the independent bound
-    at the matched per-component noise level; never exceeds
-    ``shared_noise_slope``."""
-    xi2 = interval(xi2, "independent flip probability", "[0, 0.5]")
-    n = count(n, "layer width")
-    return 4.0 * n * (2.0 * xi2 - 1.0) ** 2 * (4.0 * xi2 - 4.0 * xi2**2) ** (n - 1)
 
 
 # -------------------------------------------------------- noisy networks
@@ -194,18 +185,13 @@ def optimal_depth_tradeoff(n: int, xi: float, delta: float, max_depth: int) -> D
                 depth=d, expressibility_bound=omega, noise_bound=noise, binding=binding
             )
         )
-    best = None
-    for r in results:
-        if math.isinf(r.minimum_neurons):
-            continue
-        if best is None or r.minimum_neurons < best.minimum_neurons:
-            best = r
-    if best is None:
+    feasible = [r for r in results if not math.isinf(r.minimum_neurons)]
+    if not feasible:
         raise InfeasibleError(
             "every depth up to the cap is infeasible at this noise level; "
             "the output neuron alone loses too much information"
         )
-    return DepthTradeoff(per_depth=tuple(results), best=best)
+    return DepthTradeoff(per_depth=tuple(results), best=min(feasible, key=lambda r: r.minimum_neurons))
 
 
 # ---------------------------------------------------------------- memories

@@ -195,19 +195,6 @@ def correlated_layer_bound_exact(spec: CorrelatedNoiseSpec) -> ContractionBound:
     )
 
 
-def shared_noise_ordering_holds(spec: CorrelatedNoiseSpec) -> bool:
-    """Whether the transition weights are still strictly decreasing in distance.
-
-    The leading-order approximation rests on the weights keeping the
-    ordering they have without shared noise; this checks the condition
-    directly for the given parameters instead of guessing a general
-    threshold in xi1.  ``correlated_layer_bound_exact`` does not depend
-    on it (it scans every distance class).
-    """
-    # In log space, since the weights underflow to 0 at large n.
-    return bool(np.all(np.diff(_log_distance_weights(spec)) < 0.0))
-
-
 def correlated_layer_bound_leading(spec: CorrelatedNoiseSpec) -> float:
     """Leading-order (in xi1) contraction bound for weakly-correlated noise.
 

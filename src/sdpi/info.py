@@ -96,12 +96,6 @@ class Distribution:
         n = count(n, "alphabet size")
         return Distribution(np.full(n, 1.0 / n))
 
-    @staticmethod
-    def point_mass(index: int, n: int) -> "Distribution":
-        v = np.zeros(count(n, "alphabet size"))
-        v[count(index, "point mass index", 0, n - 1)] = 1.0
-        return Distribution(v)
-
 
 @dataclass(frozen=True, eq=False)
 class Channel:
@@ -122,10 +116,6 @@ class Channel:
     @property
     def m_outputs(self) -> int:
         return int(self.matrix.shape[1])
-
-    @staticmethod
-    def identity(n: int) -> "Channel":
-        return Channel(np.eye(n))
 
     @staticmethod
     def bsc(p: float) -> "Channel":
@@ -161,7 +151,7 @@ def flip_bits(m: np.ndarray, xi: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class JointDistribution:
-    """Joint table p(x, y) with its two marginals."""
+    """Joint law p(x, y) of two finite random variables, as a table."""
 
     table: np.ndarray
 
@@ -172,14 +162,6 @@ class JointDistribution:
         # The whole table is one law, so it is validated as one row.
         table = _validated_rows(t.reshape(1, -1), "joint table").reshape(t.shape)
         object.__setattr__(self, "table", table)
-
-    @property
-    def marginal_x(self) -> Distribution:
-        return Distribution(self.table.sum(axis=1))
-
-    @property
-    def marginal_y(self) -> Distribution:
-        return Distribution(self.table.sum(axis=0))
 
 
 def _entropy_nats(values: np.ndarray) -> float:

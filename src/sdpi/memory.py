@@ -192,16 +192,17 @@ def simulate_memory(spec: MemorySpec, trials: int, seed: int) -> SimulationRepor
     (``info.trial_blocks``), in chunks of at most ``SIMULATION_BLOCK_BYTES``
     (at least one trial) taken in turn from the block's one generator;
     with integer aggregation the result is exactly reproducible whatever
-    the byte cap.  One trial's uniforms, its largest buffer, must fit in
-    ``info.MAX_LAYER_BYTES``; that is checked before anything is
-    allocated.  ``estimated_relaxation`` is the first interval at which
-    the success probability drops below 1 - delta, or None if it never
-    does.
+    the byte cap.  A trial's uniforms, its events and the last chunk's,
+    the counts and the result hold at most 18 bytes an interval, which
+    must fit in ``info.MAX_LAYER_BYTES`` (up to 29,826,161 intervals),
+    checked before anything is allocated.  ``estimated_relaxation`` is the
+    first interval at which the success probability drops below 1 - delta,
+    or None if it never does.
     """
     trials = count(trials, "trial count")
     steps = spec.intervals
-    if 8 * steps > MAX_LAYER_BYTES:
-        raise ValidationError(f"{steps} intervals need {8 * steps} bytes of counts per trial, above "
+    if 18 * steps > MAX_LAYER_BYTES:
+        raise ValidationError(f"{steps} intervals need {18 * steps} bytes per trial, above "
                               f"the cap of {MAX_LAYER_BYTES} bytes ({MAX_LAYER_BYTES >> 20} MiB)")
     p_e = catastrophic_prob_exact(spec.n, spec.xi)
     rows = max(1, SIMULATION_BLOCK_BYTES // (steps * 8))
@@ -212,9 +213,10 @@ def simulate_memory(spec: MemorySpec, trials: int, seed: int) -> SimulationRepor
             # Parity of the catastrophic events so far, in the events' own buffer.
             np.logical_xor.accumulate(events, axis=1, out=events)
             wrong_counts += np.count_nonzero(events, axis=0)
-    success = 1.0 - wrong_counts / trials
-    below = np.nonzero(success < 1.0 - spec.delta)[0]
-    estimated = int(below[0]) + 1 if below.size else None
+    success = wrong_counts / trials
+    np.subtract(1.0, success, out=success)
+    below = success < 1.0 - spec.delta
+    estimated = int(below.argmax()) + 1 if below.any() else None
     return SimulationReport(
         success_prob=success, estimated_relaxation=estimated, trials=trials, seed=seed
     )

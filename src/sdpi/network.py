@@ -97,19 +97,30 @@ class NoisyNetwork:
 
     @staticmethod
     def from_dict(data: dict) -> "NoisyNetwork":
-        """The network ``to_dict`` describes; its weights, biases and xi must
-        be JSON numbers, not text, null or booleans."""
+        """The network ``to_dict`` describes; weights, biases and xi must be JSON
+        numbers, not text, null or booleans.  An error names the first bad entry."""
         try:
-            layers = tuple(
-                tuple(ThresholdNeuron([_number(w) for w in n["weights"]], _number(n["bias"]))
-                      for n in layer["neurons"])
-                for layer in data["layers"]
-            )
+            layers = [
+                [ThresholdNeuron([_number(w) for w in _list(n, "weights", f"layers[{i}].neurons[{j}].")],
+                                 _number(n["bias"]))
+                 for j, n in enumerate(_list(layer, "neurons", f"layers[{i}]."))]
+                for i, layer in enumerate(_list(data, "layers", ""))
+            ]
             return NoisyNetwork(layers=layers, xi=_number(data["xi"]), input_width=data["input_width"])
         except KeyError as exc:
             raise ValidationError(f"malformed network description: missing {exc}") from None
-        except (TypeError, OverflowError) as exc:
+        except OverflowError as exc:
             raise ValidationError(f"malformed network description: {exc}") from None
+
+
+def _list(obj, key: str, path: str) -> list:
+    """``obj[key]`` if ``obj``, the entry at ``path`` (empty, or ending in
+    a dot) of a network file, is an object and that entry a list."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{path[:-1] or 'network description'} must be an object with {key!r}")
+    if not isinstance(obj[key], list):
+        raise ValidationError(f"{path}{key} must be a list")
+    return obj[key]
 
 
 def _number(value):

@@ -301,6 +301,17 @@ class TestNetworkCommands:
         assert (res.exit_code, res.stdout) == (2, "")
         assert res.stderr == f"error: {path}: network entries must be numbers\n"
 
+    @pytest.mark.parametrize("layers, field", [
+        ([{"neurons": [5]}], "layers[0].neurons[0] must be an object with 'weights'"),
+        ("abc", "layers must be a list"),
+    ], ids=["neuron-not-an-object", "layers-not-a-list"])
+    def test_mi_malformed_structure_names_the_field(self, runner, tmp_path, layers, field):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"xi": 0.1, "input_width": 1, "layers": layers}))
+        res = runner.invoke(main, ["nn", "mi", str(path)])
+        assert (res.exit_code, res.stdout) == (2, "")
+        assert res.stderr == f"error: {path}: {field}\n"
+
     def test_bound_command(self, runner):
         res = runner.invoke(
             main, ["nn", "bound", "--widths", "5,5,5", "--xi", "0.35", "--hx", "1", "--format", "json"]

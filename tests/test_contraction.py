@@ -24,11 +24,9 @@ from sdpi import (
     independent_layer_bound,
     independent_layer_channel,
     joint,
-    matched_noise_slope,
     mutual_information,
     quadratic_decomposition_check,
     rayleigh_supremum,
-    shared_noise_ordering_holds,
     shared_noise_slope,
 )
 from sdpi.contraction import (
@@ -39,7 +37,12 @@ from sdpi.contraction import (
     _pushforward_hessians,
 )
 from sdpi.info import MAX_LAYER_BYTES, check_layer_bytes
-from noise_oracles import correlated_weights, hamming_channel, independent_weights
+from noise_oracles import (
+    correlated_weights,
+    correlated_weights_decrease,
+    hamming_channel,
+    independent_weights,
+)
 
 
 def random_channel(rng, n, m):
@@ -61,8 +64,8 @@ class TestContractionBound:
             assert got.witness_pair == (0, 1)
 
     def test_identity_rows_orthogonal(self):
-        assert contraction_bound(Channel.identity(2)).eta == 1.0
-        assert contraction_bound(Channel.identity(5)).eta == 1.0
+        assert contraction_bound(Channel(np.eye(2))).eta == 1.0
+        assert contraction_bound(Channel(np.eye(5))).eta == 1.0
 
     def test_constant_rows_contract_everything(self):
         flat = Channel(np.tile([0.2, 0.5, 0.3], (4, 1)))
@@ -229,11 +232,11 @@ class TestCorrelatedLayer:
         assert gap(0.07) / gap(0.01) >= 4.0
 
     def test_ordering_diagnostic_tracks_regime(self):
-        assert shared_noise_ordering_holds(CorrelatedNoiseSpec(0.07, 0.35, 5))
-        assert not shared_noise_ordering_holds(CorrelatedNoiseSpec(0.15, 0.35, 5))
+        assert correlated_weights_decrease(CorrelatedNoiseSpec(0.07, 0.35, 5))
+        assert not correlated_weights_decrease(CorrelatedNoiseSpec(0.15, 0.35, 5))
         # Without shared noise the weights 0.7^(n-d) 0.3^d decrease strictly;
         # at n = 1000 they underflow to 0 and only their logs still show it.
-        assert shared_noise_ordering_holds(CorrelatedNoiseSpec(0.0, 0.3, 1000))
+        assert correlated_weights_decrease(CorrelatedNoiseSpec(0.0, 0.3, 1000))
         # The exact scan stays correct either way.
         spec = CorrelatedNoiseSpec(0.15, 0.35, 5)
         fast = correlated_layer_bound_exact(spec).eta
@@ -337,9 +340,12 @@ class TestSlopes:
             assert shared_noise_slope(0.5, n) == 0.0
 
     def test_dominates_matched_slope(self):
+        # The slope of the independent bound at the matched per-component
+        # noise level, 4n (2 xi2 - 1)^2 (4 xi2 - 4 xi2^2)^(n-1).
         for xi2 in np.arange(0.0, 0.5, 0.025):
             for n in range(1, 9):
-                assert shared_noise_slope(xi2, n) >= matched_noise_slope(xi2, n) - 1e-12
+                matched = 4.0 * n * (2.0 * xi2 - 1.0) ** 2 * (4.0 * xi2 - 4.0 * xi2**2) ** (n - 1)
+                assert shared_noise_slope(xi2, n) >= matched - 1e-12
 
     def test_leading_bound_at_zero_shared_noise(self):
         spec = CorrelatedNoiseSpec(0.0, 0.3, 4)
@@ -423,7 +429,7 @@ class TestRayleigh:
         )
 
     def test_identity_gives_one(self):
-        assert rayleigh_supremum(Channel.identity(3), Distribution((0.2, 0.3, 0.5))) == (
+        assert rayleigh_supremum(Channel(np.eye(3)), Distribution((0.2, 0.3, 0.5))) == (
             pytest.approx(1.0, abs=1e-9)
         )
 
@@ -469,5 +475,5 @@ class TestQuadraticDecomposition:
     def test_coefficient_length_checked(self):
         with pytest.raises(ValidationError):
             quadratic_decomposition_check(
-                Channel.identity(3), Distribution((0.2, 0.3, 0.5)), [1.0]
+                Channel(np.eye(3)), Distribution((0.2, 0.3, 0.5)), [1.0]
             )

@@ -1,7 +1,11 @@
 """The shared input checks and the parameter domains they guard."""
 
 import ast
+import importlib.util
+import json
 import math
+import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +27,6 @@ from sdpi import (
     evans_schulman_raw,
     independent_layer_bound,
     information_decay_bound,
-    matched_noise_slope,
     min_neurons_lower_bound,
     optimal_depth_tradeoff,
     overhead_lower_bound,
@@ -101,7 +104,6 @@ def _spec(**kw):
     lambda: parity_size_complexity(INF, 3),
     lambda: evans_schulman_raw(0.5, NAN),
     lambda: shared_noise_slope(0.3, NAN),
-    lambda: matched_noise_slope(NAN, 3),
     lambda: LayerNoiseSpec(0.1, INF),
     lambda: LayerNoiseSpec(NAN, 3),
     lambda: CorrelatedNoiseSpec(0.01, 0.3, INF),
@@ -121,7 +123,7 @@ def _spec(**kw):
     lambda: Distribution.uniform(INF),
     lambda: ThresholdNeuron([1.0], INF),
 ], ids=[
-    "parity-nan-n", "parity-inf-n", "evans-schulman-nan-n", "slope-nan-n", "matched-slope-nan-xi",
+    "parity-nan-n", "parity-inf-n", "evans-schulman-nan-n", "slope-nan-n",
     "layer-spec-inf-n", "layer-spec-nan-xi", "correlated-spec-inf-n",
     "memory-spec-inf-n", "memory-spec-inf-intervals", "memory-spec-nan-xi", "simulate-inf-trials",
     "tail-inf-n", "overhead-inf-intervals", "relax-inf-n", "capacity-nan-delta",
@@ -149,27 +151,42 @@ def test_specs_keep_the_floats_they_checked(make, fields):
 
 
 class TestSimulationByteCap:
-    """One trial's int64 counts, the simulator's largest buffer, are
-    checked against the byte cap before anything is allocated."""
+    """The simulator holds at most 18 bytes per interval of one trial
+    (uniforms, two chunks' events, counts); that is checked against the
+    byte cap before anything is allocated."""
 
     def test_intervals_past_the_cap_are_refused(self):
-        # 8e12 bytes: an input error, never numpy's MemoryError.
-        with pytest.raises(ValidationError, match=r"^1000000000000 intervals need 8000000000000 "
-                           r"bytes of counts per trial, above the cap of 536870912 bytes \(512 MiB\)$"):
+        # 1.8e13 bytes: an input error, never numpy's MemoryError.
+        with pytest.raises(ValidationError, match=r"^1000000000000 intervals need 18000000000000 "
+                           r"bytes per trial, above the cap of 536870912 bytes \(512 MiB\)$"):
             simulate_memory(_spec(intervals=10**12), trials=1, seed=0)
 
     def test_the_cap_is_inclusive(self, monkeypatch):
-        monkeypatch.setattr(memory, "MAX_LAYER_BYTES", 8 * 10)
+        monkeypatch.setattr(memory, "MAX_LAYER_BYTES", 18 * 10)
         assert len(simulate_memory(_spec(intervals=10), trials=3, seed=0).success_prob) == 10
-        with pytest.raises(ValidationError, match=r"^11 intervals need 88 bytes "):
+        with pytest.raises(ValidationError, match=r"^11 intervals need 198 bytes "):
             simulate_memory(_spec(intervals=11), trials=3, seed=0)
+
+    @pytest.mark.parametrize("trials", [1, 3])
+    def test_the_peak_is_what_the_cap_counts(self, trials):
+        # 10^6 intervals take one trial a chunk; 3 trials also hold the
+        # previous chunk's events while the next are drawn.
+        steps = 10**6
+        spec = _spec(xi=0.3, intervals=steps)
+        tracemalloc.start()
+        try:
+            simulate_memory(spec, trials=trials, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 17 * steps < peak <= 18 * steps + (64 << 10)
 
     def test_cli_exits_2_with_one_error_line(self):
         res = CliRunner().invoke(main, ["mem", "simulate", "--n", "5", "--xi", "0.1", "--delta",
                                         "0.3", "--intervals", "1000000000000", "--trials", "1"])
         assert res.exit_code == 2
         assert res.stdout == ""
-        assert res.stderr.startswith("error: 1000000000000 intervals need 8000000000000 bytes")
+        assert res.stderr.startswith("error: 1000000000000 intervals need 18000000000000 bytes")
         assert res.stderr.count("\n") == 1
 
 
@@ -256,3 +273,43 @@ def test_one_byte_cap_and_no_per_call_width_knobs():
                      if isinstance(t, ast.Name) and t.id.startswith("MAX_")}
     assert knobs == set()
     assert caps == CAP_CONSTANTS_ALLOWED
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Every name and attribute a module reads, except where a top-level
+    definition reads its own name."""
+    found = set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name is not None and name != getattr(top, "name", None):
+                found.add(name)
+    return found
+
+
+def test_every_public_name_has_a_caller_outside_the_unit_tests():
+    # A public name that only its own tests call is code to delete.  It is
+    # in use when the package reads it (strings such as the ``_EXPORTS``
+    # table do not count), README.md shows it, the acceptance tests import
+    # it, or a per-layer benchmark metric times it; such a metric's
+    # <module>.<function> must still resolve, or the traced run stops.
+    spec = importlib.util.spec_from_file_location("tracing", REPO / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    metrics = [m["name"].split(".") for m in json.loads((REPO / "BENCHMARK.json").read_text())["per_layer"]]
+    package = Path(sdpi.__file__).parent
+    timed = {f"{parts[0]}.{parts[1]}" for parts in metrics
+             if len(parts) == 3 and (package / f"{parts[0]}.py").exists()} - set(tracing.GROUPS)
+    for name in sorted(timed):
+        module, function = name.split(".")
+        assert callable(getattr(importlib.import_module(f"sdpi.{module}"), function, None)), name
+    used = set().union(*(_references(ast.parse(p.read_text())) for p in package.glob("*.py")))
+    used |= set(re.findall(r"\w+", (REPO / "README.md").read_text()))
+    used |= {alias.name for node in ast.walk(ast.parse((REPO / "tests" / "test_acceptance.py").read_text()))
+             if isinstance(node, ast.ImportFrom) for alias in node.names}
+    unused = [name for name in sdpi.__all__
+              if name not in used and f"{sdpi._MODULE_OF[name]}.{name}" not in timed]
+    assert unused == []

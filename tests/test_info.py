@@ -26,7 +26,7 @@ from sdpi import (
 
 def push_forward(d, c):
     """Output law of channel c on input law d: the Y marginal of the joint."""
-    return joint(d, c).marginal_y
+    return Distribution(joint(d, c).table.sum(axis=0))
 
 
 def flip_layer(xi, n):
@@ -54,8 +54,8 @@ class TestEntropy:
         assert entropy(Distribution.uniform(2), base="bits") == pytest.approx(1.0, abs=1e-15)
 
     def test_point_mass_is_zero(self):
-        assert entropy(Distribution.point_mass(0, 2)) == 0.0
-        assert entropy(Distribution.point_mass(3, 5), base="bits") == 0.0
+        assert entropy(Distribution((1.0, 0.0))) == 0.0
+        assert entropy(Distribution(np.eye(5)[3]), base="bits") == 0.0
 
     def test_direct_sum_value(self):
         # Oracle: direct evaluation of -sum p log2 p.
@@ -127,13 +127,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             d.probs[0] = 0.9
 
-    def test_joint_marginals_consistent(self):
-        rng = np.random.default_rng(1)
-        t = rng.standard_exponential((3, 4))
-        j = JointDistribution(t / t.sum())
-        np.testing.assert_allclose(j.marginal_x.probs, j.table.sum(axis=1), atol=1e-12)
-        np.testing.assert_allclose(j.marginal_y.probs, j.table.sum(axis=0), atol=1e-12)
-
 
 class TestPushForward:
     def test_uniform_through_bsc_stays_uniform(self):
@@ -142,7 +135,7 @@ class TestPushForward:
 
     def test_identity_channel_is_noop(self):
         d = Distribution((0.3, 0.2, 0.5))
-        np.testing.assert_allclose(push_forward(d, Channel.identity(3)).probs, d.probs, atol=1e-15)
+        np.testing.assert_allclose(push_forward(d, Channel(np.eye(3))).probs, d.probs, atol=1e-15)
 
     def test_point_mass_selects_row(self):
         out = push_forward(Distribution((1.0, 0.0)), Channel.bsc(0.2))
@@ -167,7 +160,7 @@ class TestJointAndMi:
         np.testing.assert_allclose(j.table, [[0.8, 0.2], [0.0, 0.0]], atol=1e-15)
 
     def test_joint_uniform_identity_is_diagonal(self):
-        j = joint(Distribution.uniform(2), Channel.identity(2))
+        j = joint(Distribution.uniform(2), Channel(np.eye(2)))
         np.testing.assert_allclose(j.table, [[0.5, 0.0], [0.0, 0.5]], atol=1e-15)
 
     def test_joint_uniform_bsc(self):
@@ -181,7 +174,7 @@ class TestJointAndMi:
         assert mutual_information(JointDistribution(np.outer(px, py))) == pytest.approx(0.0, abs=1e-12)
 
     def test_mi_perfect_copy_is_one_bit(self):
-        j = joint(Distribution.uniform(2), Channel.identity(2))
+        j = joint(Distribution.uniform(2), Channel(np.eye(2)))
         assert mutual_information(j, base="bits") == pytest.approx(1.0, abs=1e-12)
 
     def test_mi_bsc_value(self):
@@ -221,7 +214,7 @@ class TestJointAndMi:
 class TestComposeTensor:
     def test_compose_identity_is_noop(self):
         c = Channel([[0.2, 0.8], [0.7, 0.3]])
-        np.testing.assert_allclose(compose(Channel.identity(2), c).matrix, c.matrix, atol=1e-15)
+        np.testing.assert_allclose(compose(Channel(np.eye(2)), c).matrix, c.matrix, atol=1e-15)
 
     def test_compose_bsc_algebra(self):
         for p, q in [(0.1, 0.2), (0.05, 0.4), (0.3, 0.3)]:
@@ -245,7 +238,7 @@ class TestComposeTensor:
 
     def test_compose_dimension_mismatch(self):
         with pytest.raises(ValidationError):
-            compose(Channel.bsc(0.1), Channel.identity(3))
+            compose(Channel.bsc(0.1), Channel(np.eye(3)))
 
     # A layer of n independent flips is the n-fold tensor power of bsc(xi).
     def test_tensor_identities(self):

@@ -193,6 +193,18 @@ class TestNetworkValidation:
         with pytest.raises(ValidationError, match=malformed + "missing 'bias'$"):
             load_network(path)
 
+    @pytest.mark.parametrize("doc, field", [
+        ([], "network description must be an object with 'layers'"),
+        ({"layers": ["abc"]}, "layers[0] must be an object with 'neurons'"),
+        ({"layers": [{"neurons": {}}]}, "layers[0].neurons must be a list"),
+        ({"layers": [{"neurons": [{"weights": 1.0, "bias": 0}]}]}, "layers[0].neurons[0].weights must be a list"),
+    ])
+    def test_malformed_structure_names_the_first_bad_entry(self, tmp_path, doc, field):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=f"^{re.escape(f'{path}: {field}')}$"):
+            load_network(path)
+
 
 class TestExactMutualInformation:
     def test_input_law_is_checked_before_propagating(self, monkeypatch):
@@ -515,7 +527,7 @@ class TestMonteCarlo:
 
     def test_point_mass_input_gives_zero(self):
         net = random_network(2, [2], xi=0.1, seed=3)
-        got = monte_carlo_io_mi(net, p_x=Distribution.point_mass(2, 4), trials=5000, seed=0)
+        got = monte_carlo_io_mi(net, p_x=Distribution(np.eye(4)[2]), trials=5000, seed=0)
         assert got.estimate == pytest.approx(0.0, abs=1e-12)
 
     def test_deterministic_given_seed(self):
