@@ -1,4 +1,5 @@
-"""Independent oracles for the dense layer-noise channels.
+"""Independent oracles for the dense layer-noise channels, and the
+all-rows network propagation.
 
 The package builds these channels with one butterfly per bit; here they
 are written out entry by entry from the Hamming distance between input
@@ -8,6 +9,32 @@ and output state, so no test compares the butterfly with itself.
 import math
 
 import numpy as np
+
+from sdpi.info import flip_bits
+
+
+def propagate_all_rows(layers, xi):
+    """The channel matrix of noisy layers as ``network._propagate`` built it
+    before it propagated only the distinct first-layer states: one one-hot
+    row per input state through every layer, with the same firing sums,
+    scatter and butterflies, so the two agree bit for bit."""
+    m = None
+    for layer in layers:
+        fan_in, width = layer[0].fan_in, len(layer)
+        fired = np.zeros(1 << fan_in, dtype=np.int64)
+        pre = np.empty(1 << fan_in)
+        for j, neuron in enumerate(layer):
+            pre[0] = neuron.bias
+            for i, w in enumerate(neuron.weights):
+                np.add(pre[: 1 << i], w, out=pre[1 << i : 2 << i])
+            np.add(fired, 1 << j, out=fired, where=pre >= 0.0)
+        prev, m = m, np.zeros((1 << fan_in if m is None else len(m), 1 << width))
+        if prev is None:
+            m[np.arange(1 << fan_in), fired] = 1.0
+        else:
+            np.add.at(m.T, fired, prev.T)
+        m = flip_bits(m, xi)
+    return m
 
 
 def hamming_channel(weights):

@@ -301,6 +301,15 @@ class TestNetworkCommands:
         assert (res.exit_code, res.stdout) == (2, "")
         assert res.stderr == f"error: {path}: network entries must be numbers\n"
 
+    def test_mi_boolean_input_width_exits_2_naming_the_file(self, runner, tmp_path):
+        # "input_width": true used to be read as 1.
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"xi": 0.1, "input_width": True, "layers": [
+            {"neurons": [{"weights": [1.0], "bias": 0.0}]}]}))
+        res = runner.invoke(main, ["nn", "mi", str(path)])
+        assert (res.exit_code, res.stdout) == (2, "")
+        assert res.stderr == f"error: {path}: network entries must be numbers\n"
+
     @pytest.mark.parametrize("layers, field", [
         ([{"neurons": [5]}], "layers[0].neurons[0] must be an object with 'weights'"),
         ("abc", "layers must be a list"),
