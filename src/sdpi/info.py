@@ -205,10 +205,11 @@ def mutual_information_batch(tables: np.ndarray, base: LogBase = "nats") -> np.n
     return _as_base(phi_information(t / np.where(px > 0.0, px, 1.0)[..., :, None], px, py), base)
 
 
-def phi_information(rows: np.ndarray, px: np.ndarray, py: np.ndarray) -> np.ndarray:
+def phi_information(rows: np.ndarray, px: np.ndarray | None, py: np.ndarray) -> np.ndarray:
     """sum_xy p(x) p(y) phi(d) of ``mutual_information_batch`` over the last
     two axes of ``rows``, a (..., nx, ny) stack of p(y | x) that is
-    overwritten.  The sum adds over blocks of rows, so it can run a block at a time."""
+    overwritten; with px None, each row's sum over y, D(p(. | x) || py).
+    The sum adds over blocks of rows, so it can run a block at a time."""
     # Empty columns have zero weight; zero cells come out as 0 * log(0) = nan, and phi(-1) = 1.
     rows /= np.where(py > 0.0, py, 1.0)[..., None, :]
     phi = np.subtract(rows, 1.0)
@@ -218,6 +219,8 @@ def phi_information(rows: np.ndarray, px: np.ndarray, py: np.ndarray) -> np.ndar
     rows -= 1.0
     phi -= rows
     phi[np.isnan(phi)] = 1.0
+    if px is None:
+        return (phi @ py[..., :, None])[..., 0]
     return (px[..., None, :] @ phi @ py[..., :, None])[..., 0, 0]
 
 

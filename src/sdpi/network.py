@@ -10,8 +10,8 @@ followed by independent bit-flip noise.
 
 The firing rule, in floating point: a neuron fires iff the sum that
 starts at its bias and adds the weights of its set inputs in ascending
-input order is >= 0.  Exact propagation and Monte Carlo both fire by it,
-so they agree on every input state, ties included.
+input order is >= 0.  Exact and sampled information both fire by it
+(``_fired``), so they agree on every input state, ties included.
 """
 
 from __future__ import annotations
@@ -146,46 +146,59 @@ def _check_input_law(net: NoisyNetwork, p_x: Distribution | None) -> None:
         raise ValidationError(f"input law has {p_x.alphabet_size} states, network expects {n_in}")
 
 
-def _fired(layer: Sequence[ThresholdNeuron]) -> np.ndarray:
-    """fired[s], the state a threshold layer maps input state s to, by the
-    module's rule: pre[s] = bias + weights . bits(s), one input bit at a time."""
-    fired = np.zeros(1 << layer[0].fan_in, dtype=np.int64)
-    pre = np.empty(len(fired))
+def _check_layers(net: NoisyNetwork, row_bits: int) -> None:
+    """Refuse a network whose layer matrix on 2^row_bits rows is over the cap."""
+    for width in net.widths:
+        check_layer_bytes(row_bits, width)
+
+
+def _fired(layer: Sequence[ThresholdNeuron], states: np.ndarray | None = None) -> np.ndarray:
+    """The state a threshold layer fires on each of ``states`` (on every
+    input state, in order, if None), by the module's rule: a doubling table
+    over the low input bits, about one entry per state, then the weights of
+    the set high bits in ascending order, the same float sums as a full table."""
+    fan_in = layer[0].fan_in
+    low = fan_in if states is None else min(fan_in, len(states).bit_length())
+    fired = np.zeros(1 << fan_in if states is None else len(states), dtype=np.int64)
+    table = np.empty(1 << low)
     for j, neuron in enumerate(layer):
-        pre[0] = neuron.bias
-        for i, w in enumerate(neuron.weights):
-            np.add(pre[: 1 << i], w, out=pre[1 << i : 2 << i])
+        table[0] = neuron.bias
+        for i, w in enumerate(neuron.weights[:low]):
+            np.add(table[: 1 << i], w, out=table[1 << i : 2 << i])
+        pre = table if states is None else table[states & ((1 << low) - 1)]
+        for i in range(low, fan_in):
+            pre += np.where((states >> i) & 1, neuron.weights[i], 0.0)
         np.add(fired, 1 << j, out=fired, where=pre >= 0.0)
     return fired
 
 
-def _propagate(layers: Sequence[Sequence[ThresholdNeuron]], xi: float) -> np.ndarray:
-    """Channel matrix of noisy layers in turn on the first one's input
-    states.  Input states that fire the same first-layer state share
-    every row, so each distinct fired state is propagated once, from a 1
-    in its column: ``info.flip_bits`` adds each layer's noise, and a later
-    threshold map adds every column into that of the state it fires.  Each
-    layer's output, 2^input_width x 2^width floats, first passes
-    ``info.check_layer_bytes``; no array is larger: there are no more
-    distinct rows, and the row index and ``_fired``'s arrays have 2^fan_in
-    entries, fan_in checked."""
-    for layer in layers:
-        check_layer_bytes(layers[0][0].fan_in, len(layer))
-    # rows[s]: the state input state s fires, then that state's row.
-    rows = _fired(layers[0])
-    hit = np.zeros(1 << len(layers[0]), dtype=bool)
-    hit[rows] = True
-    states, rows = np.flatnonzero(hit), (np.cumsum(hit) - 1)[rows]
-    m = np.zeros((len(states), len(hit)))
+def _propagate(net: NoisyNetwork, states: np.ndarray) -> np.ndarray:
+    """The channel rows of the distinct first-layer ``states`` through the
+    noisy layers: from a 1 in the state's column, ``info.flip_bits`` adds
+    each layer's noise, and a later threshold map adds every column into
+    that of the state it fires."""
+    m = np.zeros((len(states), 1 << net.widths[0]))
     m[np.arange(len(states)), states] = 1.0
-    m = flip_bits(m, xi)
-    for layer in layers[1:]:
+    m = flip_bits(m, net.xi)
+    for layer in net.layers[1:]:
         prev, m = m, np.zeros((len(m), 1 << len(layer)))
         np.add.at(m.T, _fired(layer), prev.T)
         del prev  # before flip_bits allocates its spare
-        m = flip_bits(m, xi)
-    # Not m[rows]: at 2^24 rows of two entries np.take gathers 6x faster.
-    return np.take(m, rows, axis=0)
+        m = flip_bits(m, net.xi)
+    return m
+
+
+def _divergences(net: NoisyNetwork, mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p, d) over the first-layer states s of positive ``mass``: p_s, and
+    D(W_s || p_Y) for W_s the state's row and p_Y = sum_s p_s W_s, from
+    ``info.phi_information`` a block of about sqrt(rows) rows at a time.
+    Y depends on the input only through s, so I(input; Y) = p . d."""
+    states = np.flatnonzero(mass)
+    p, m = mass[states], _propagate(net, states)
+    py = p @ m
+    step = math.isqrt(len(m))
+    d = [phi_information(m[a : a + step], None, py) for a in range(0, len(m), step)]
+    return p, np.concatenate(d)
 
 
 def layer_channel(layer: Sequence[ThresholdNeuron], xi: float) -> Channel:
@@ -199,64 +212,41 @@ def layer_channel(layer: Sequence[ThresholdNeuron], xi: float) -> Channel:
 
 
 def network_channel(net: NoisyNetwork) -> Channel:
-    """End-to-end channel from input states to last-layer output states,
-    propagated layer by layer (see ``_propagate``)."""
-    return Channel(_propagate(net.layers, net.xi))
+    """End-to-end channel from input states to last-layer output states:
+    each input state takes the row of the first-layer state it fires
+    (``_propagate``), every layer's 2^input_width x 2^width matrix capped first."""
+    _check_layers(net, net.input_width)
+    fired = _fired(net.layers[0])
+    hit = np.bincount(fired) > 0
+    m = _propagate(net, np.flatnonzero(hit))
+    # Not m[rows]: at 2^24 rows of two entries np.take gathers 6x faster.
+    return Channel(np.take(m, (np.cumsum(hit) - 1)[fired], axis=0))
 
 
 def exact_io_mutual_information(
     net: NoisyNetwork, p_x: Distribution | None = None, base: LogBase = "nats"
 ) -> float:
     """Exact I(input; output) under input law p_x (uniform over the
-    2^input_width states by default): ``info.phi_information`` summed in
-    place over blocks of about sqrt(rows) rows of ``_propagate``'s matrix."""
+    2^input_width states by default): ``_divergences`` of the first-layer
+    states, each weighted by the p_x mass that fires it, capped as ``network_channel``."""
     _check_input_law(net, p_x)
-    m = _propagate(net.layers, net.xi)
-    px = Distribution.uniform(len(m)).probs if p_x is None else p_x.probs
-    py = px @ m
-    step = math.isqrt(len(m))
-    mi = sum(float(phi_information(m[a : a + step], px[a : a + step], py))
-             for a in range(0, len(m), step))
-    return _as_base(mi, base)
+    _check_layers(net, net.input_width)
+    fired = _fired(net.layers[0])
+    mass = np.bincount(fired) / len(fired) if p_x is None else np.bincount(fired, p_x.probs)
+    p, d = _divergences(net, mass)
+    return _as_base(float(p @ d), base)
 
 
 @dataclass(frozen=True)
 class MiEstimate:
-    """Plug-in mutual-information estimate from sampled forward passes.
-
-    The plug-in estimator is biased upward by roughly (cells - 1)/(2 trials);
-    the bias is documented, not corrected.
-    """
+    """``monte_carlo_io_mi``'s estimate and the spread of its sampled
+    divergences over sqrt(trials).  Its bias, about -mean chi^2(W_s || p_Y)
+    / (2 trials) over the sampled states s, is documented, not corrected."""
 
     estimate: float
     stderr: float
     trials: int
     seed: int
-
-
-def _layer_arrays(layer: Sequence[ThresholdNeuron]) -> tuple[np.ndarray, np.ndarray, float]:
-    """(weights, biases, tie bound) of a layer for ``_fire``: any two orders
-    of summing a neuron's bias and weights agree within (fan_in + 1) 2^-52
-    (|bias| + sum |w|), and the tie bound is the layer's largest."""
-    w = np.vstack([n.weights for n in layer])
-    b = np.array([n.bias for n in layer])
-    return w, b, (w.shape[1] + 1) * 2.0**-52 * float((np.abs(b) + np.abs(w).sum(axis=1)).max())
-
-
-def _fire(bits: np.ndarray, w: np.ndarray, b: np.ndarray, tie: float) -> np.ndarray:
-    """Which neurons fire on each row of 0/1 inputs, by the module's rule:
-    one matmul, whose summation order BLAS chooses, then the entries within
-    the tie bound of zero, where that order can decide the sign, summed
-    again in ``_propagate``'s order."""
-    pre = bits @ w.T + b
-    near = np.abs(pre) <= tie
-    if near.any():
-        rows, cols = np.nonzero(near)
-        ordered = b[cols]
-        for i in range(w.shape[1]):
-            ordered = ordered + np.where(bits[rows, i] != 0, w[cols, i], 0.0)
-        pre[rows, cols] = ordered
-    return pre >= 0.0
 
 
 def monte_carlo_io_mi(
@@ -266,52 +256,33 @@ def monte_carlo_io_mi(
     seed: int = 0,
     base: LogBase = "nats",
 ) -> MiEstimate:
-    """Estimate I(input; output) by sampling noisy forward passes.
+    """I(input; output) estimated as the mean over trials of D(W_s || p_Y),
+    s the first-layer state the trial's input state fires (``_divergences``).
 
-    Each trial takes a row of uniforms, drawn row-major, block b of
-    ``BLOCK`` trials from ``default_rng((seed, b))`` (``info.trial_blocks``):
-    the first, u, selects the input state from p_x (under the default
-    uniform law floor(u 2^input_width), the state a search of its
-    cumulative sums finds), then one per neuron (layer by layer, neuron
-    order within a layer) decides its flip.  Neurons fire by the module's
-    rule (``_fire``), so a noiseless layer maps every input state as
-    ``layer_channel`` does.  A trial keeps only its
-    (input, output) state pair, as an int64 code of input plus output
-    width bits, at most 53, all that u resolves.  The plug-in estimate
-    and its delta-method stderr sum over the occupied cells.
+    Each trial draws one uniform u, block b of ``BLOCK`` trials from
+    ``default_rng((seed, b))`` (``info.trial_blocks``), and u selects the
+    input state from p_x: under the default uniform law floor(u
+    2^input_width), the state a search of its cumulative sums finds.  So
+    the input width is at most 53 bits, all u resolves.  Every layer is
+    capped on 2^min(input_width, width_1) rows, the most states it can hold,
+    before anything is drawn; memory grows by one int64 per trial.
     """
     trials = count(trials, "trial count")
-    n_in, n_out = net.input_width, net.widths[-1]
-    count(n_in + n_out, "input plus output width of a Monte Carlo estimate", maximum=53)
+    n_in = count(net.input_width, "input width of a Monte Carlo estimate", maximum=53)
     _check_input_law(net, p_x)
+    _check_layers(net, min(n_in, net.widths[0]))
     cum = None if p_x is None else np.cumsum(p_x.probs)
-    layers = [_layer_arrays(layer) for layer in net.layers]
-    codes = np.empty(trials, dtype=np.int64)
+    states = np.empty(trials, dtype=np.int64)
     for start, stop, rng in trial_blocks(trials, seed):
-        draws = rng.random((stop - start, 1 + sum(net.widths)))
-        x_states = ((draws[:, 0] * (1 << n_in)).astype(np.int64) if cum is None else
-                    np.minimum(np.searchsorted(cum, draws[:, 0], side="right"), cum.size - 1))
-        bits = (x_states[:, None] >> np.arange(n_in)) & 1
-        offset = 1
-        for w, b, tie in layers:
-            flips = draws[:, offset : offset + len(b)] < net.xi
-            bits = (_fire(bits, w, b, tie) ^ flips).astype(np.int64)
-            offset += len(b)
-        codes[start:stop] = (x_states << n_out) | (bits @ (1 << np.arange(n_out)))
-
-    cells, n_xy = np.unique(codes, return_counts=True)
-    n_x, n_y = (np.bincount(inv, n_xy)[inv] for inv in (
-        np.unique(cells >> n_out, return_inverse=True)[1],
-        np.unique(cells & ((1 << n_out) - 1), return_inverse=True)[1]))
-    p_hat = n_xy / trials
-    log_ratio = np.log(n_xy * float(trials) / (n_x * n_y))
-    mi = float(p_hat @ log_ratio)
-    # Asymptotic (delta-method) variance of the plug-in estimate.
-    var = float(p_hat @ log_ratio**2) - mi**2
-    stderr = math.sqrt(max(var, 0.0) / trials)
-    return MiEstimate(
-        estimate=_as_base(mi, base), stderr=_as_base(stderr, base), trials=trials, seed=seed
-    )
+        u = rng.random(stop - start)
+        states[start:stop] = ((u * (1 << n_in)).astype(np.int64) if cum is None else
+                              np.minimum(np.searchsorted(cum, u, side="right"), cum.size - 1))
+    for a in range(0, trials, 1 << 16):  # in slices, which bound _fired's temporaries
+        states[a : a + (1 << 16)] = _fired(net.layers[0], states[a : a + (1 << 16)])
+    p, d = _divergences(net, np.bincount(states) / trials)
+    mi = float(p @ d)
+    stderr = math.sqrt(float(p @ (d - mi) ** 2) / trials)
+    return MiEstimate(_as_base(mi, base), _as_base(stderr, base), trials, seed)
 
 
 def random_network(

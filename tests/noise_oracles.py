@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from sdpi.info import flip_bits
+from sdpi.info import flip_bits, trial_blocks
 
 
 def propagate_all_rows(layers, xi):
@@ -77,3 +77,19 @@ def correlated_weights_decrease(spec):
 
     logs = [log_weight(d) for d in range(n + 1)]
     return all(later < earlier for earlier, later in zip(logs, logs[1:]))
+
+
+def sampled_divergences(net, trials, seed):
+    """(estimate, stderr, mean chi^2) of ``network.monte_carlo_io_mi``'s
+    documented draws under the uniform input law, from the rows of
+    ``propagate_all_rows``: D(W_x || p) and chi^2(W_x || p) for each
+    trial's input state x, p the mean of those rows; the estimate is the
+    mean of the divergences and the stderr their spread over sqrt(trials)."""
+    u = np.concatenate([rng.random(stop - start) for start, stop, rng in trial_blocks(trials, seed)])
+    rows = propagate_all_rows(net.layers, net.xi)[(u * (1 << net.input_width)).astype(np.int64)]
+    p = rows.mean(axis=0)
+    ratio = rows / np.where(p > 0.0, p, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = np.where(rows > 0.0, rows * np.log(ratio), 0.0).sum(axis=1)
+    chi2 = (rows * ratio).sum(axis=1) - 1.0
+    return d.mean(), d.std() / math.sqrt(trials), chi2.mean()

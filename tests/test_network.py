@@ -10,12 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sdpi.network
-from noise_oracles import hamming_channel, independent_weights, propagate_all_rows
+from noise_oracles import hamming_channel, independent_weights, propagate_all_rows, sampled_divergences
 from sdpi import (
     Channel,
     Distribution,
     InfeasibleError,
-    JointDistribution,
     NoisyNetwork,
     ThresholdNeuron,
     ValidationError,
@@ -35,7 +34,6 @@ from sdpi import (
     parity_size_complexity,
     random_network,
 )
-from sdpi.info import trial_blocks
 
 
 def copier_layer(width):
@@ -237,13 +235,14 @@ class TestNetworkValidation:
 
 
 class TestExactMutualInformation:
-    def test_input_law_is_checked_before_propagating(self, monkeypatch):
-        def refuse(layers, xi):
-            raise AssertionError("network propagated before its input law was checked")
+    @pytest.mark.parametrize("estimate", [exact_io_mutual_information, monte_carlo_io_mi])
+    def test_input_law_is_checked_before_propagating(self, monkeypatch, estimate):
+        def refuse(layer, states=None):
+            raise AssertionError("network fired before its input law was checked")
 
-        monkeypatch.setattr(sdpi.network, "_propagate", refuse)
+        monkeypatch.setattr(sdpi.network, "_fired", refuse)
         with pytest.raises(ValidationError, match="^input law has 4 states, network expects 8$"):
-            exact_io_mutual_information(random_network(3, [2], xi=0.1), Distribution.uniform(4))
+            estimate(random_network(3, [2], xi=0.1), Distribution.uniform(4))
 
     def test_every_layer_is_capped_before_any_is_propagated(self):
         # The first layer fits (2^12 x 2^12 floats, 128 MiB); the second,
@@ -279,27 +278,28 @@ class TestExactMutualInformation:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    @pytest.mark.parametrize("widths", [[12], [12, 12]], ids=["8-12", "8-12-12"])
-    def test_mutual_information_is_summed_in_the_propagated_matrix(self, widths):
-        # Propagation holds the matrix it returns and its 15 distinct rows
-        # (of 256); the information is summed in place, a block of rows at
-        # a time, so it adds no copy of the matrix on top (summed as one
-        # block, it would add 1.125 matrices: its phi and nan mask).  The
-        # peak measures 1.075 matrices; 0.025 is margin.
-        net = random_network(8, widths, xi=0.1)
-        largest = 8 << (8 + 12)
+    @pytest.mark.parametrize("input_width, widths, seed", [(8, [12], 0), (8, [12, 12], 0), (10, [14], 3)],
+                             ids=["8-12", "8-12-12", "10-14"])
+    def test_mutual_information_is_summed_in_the_propagated_matrix(self, input_width, widths, seed):
+        # The peak is propagation's: the rows of the 15 or 16 distinct
+        # first-layer states (of 256 or 1024 input states) and the spare of
+        # ``flip_bits``, measured at 2.08-2.22 such matrices, the excess
+        # being fixed-size buffers; 256 KiB is margin.  A row per input
+        # state, as the sum used to gather, would add 8 or 128 MiB.
+        net = random_network(input_width, widths, xi=0.1, seed=seed)
+        rows = len(np.unique(sdpi.network._fired(net.layers[0])))
         tracemalloc.start()
         try:
             exact_io_mutual_information(net)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.1 * largest
+        assert peak <= 2 * (rows * 8 << widths[-1]) + (256 << 10)
 
     def test_only_the_distinct_first_layer_states_are_propagated(self):
         # All-rows propagation of a 10->14 network held the 128 MiB matrix
-        # and the spare of ``flip_bits``, a 256 MiB peak; the distinct rows
-        # and their spare are a few MiB next to the matrix returned.
+        # and the spare of ``flip_bits``, a 256 MiB peak; its 16 distinct
+        # rows and their spare measure 4.2 MiB, and 0.8 MiB is margin.
         net = random_network(10, [14], xi=0.1, seed=3)
         tracemalloc.start()
         try:
@@ -307,7 +307,24 @@ class TestExactMutualInformation:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 0.6 * (256 << 20)
+        assert peak <= 5 << 20
+
+    @pytest.mark.parametrize("input_width, width", [(9, 12), (6, 14)])
+    def test_an_injective_first_layer_sums_its_rows_a_block_at_a_time(self, input_width, width):
+        # A copier first layer fires every input state: the last layer's
+        # 2^input_width rows and the spare of ``flip_bits`` are the peak,
+        # measured at 2.01 such matrices.  The information is summed a block
+        # of rows at a time; summed over all rows at once, its phi and nan
+        # mask would lift the peak to 2.125 matrices.
+        last = random_network(input_width, [width], xi=0.1).layers[0]
+        net = NoisyNetwork((copier_layer(input_width), last), 0.1, input_width)
+        tracemalloc.start()
+        try:
+            exact_io_mutual_information(net)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.05 * (8 << (input_width + width))
 
     def test_a_one_neuron_layer_propagates_at_most_two_rows(self, monkeypatch):
         shapes, flip_bits = [], sdpi.network.flip_bits
@@ -317,15 +334,34 @@ class TestExactMutualInformation:
             return flip_bits(m, xi)
 
         monkeypatch.setattr(sdpi.network, "flip_bits", recording)
-        m = sdpi.network._propagate(random_network(20, [1], xi=0.1, seed=3).layers, 0.1)
-        assert shapes and all(rows <= 2 for rows, _ in shapes)
-        assert m.shape == (1 << 20, 2)
+        net = random_network(20, [1], xi=0.1, seed=3)
+        assert network_channel(net).matrix.shape == (1 << 20, 2)
+        exact_io_mutual_information(net)
+        assert len(shapes) == 2 and all(rows <= 2 for rows, _ in shapes)
 
     @settings(max_examples=200, deadline=None)
     @given(net=networks())
     def test_distinct_rows_give_the_all_rows_matrix_bit_for_bit(self, net):
-        np.testing.assert_array_equal(sdpi.network._propagate(net.layers, net.xi),
-                                      propagate_all_rows(net.layers, net.xi))
+        all_rows = propagate_all_rows(net.layers, net.xi)
+        states, rows = np.unique(sdpi.network._fired(net.layers[0]), return_inverse=True)
+        np.testing.assert_array_equal(sdpi.network._propagate(net, states)[rows], all_rows)
+        np.testing.assert_array_equal(network_channel(net).matrix, Channel(all_rows).matrix)
+
+    @pytest.mark.parametrize("input_width", [20, 24])
+    def test_an_output_that_ignores_the_input_carries_exactly_nothing(self, input_width):
+        # The seeded first neuron never fires at 20 inputs and always fires
+        # at 24; summed over every input state's row, the output law used to
+        # leave 9.27e-24 and 2.37e-21 of rounding.
+        net = random_network(input_width, [1], xi=0.1, seed=3)
+        assert len(np.unique(sdpi.network._fired(net.layers[0]))) == 1
+        assert exact_io_mutual_information(net) == 0.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(net=networks(), biases=st.lists(st.sampled_from([-1.0, 0.0]), min_size=6, max_size=6))
+    def test_a_constant_first_layer_carries_exactly_nothing(self, net, biases):
+        constant = tuple(ThresholdNeuron([0.0] * net.input_width, b) for b in biases[: net.widths[0]])
+        net = NoisyNetwork((constant, *net.layers[1:]), net.xi, net.input_width)
+        assert exact_io_mutual_information(net) == 0.0
 
     @pytest.mark.parametrize("input_width, widths", [(1, [16, 1]), (2, [16, 2]), (1, [1, 16])])
     def test_no_layer_builds_more_than_its_capped_matrix(self, input_width, widths):
@@ -344,19 +380,19 @@ class TestExactMutualInformation:
 
     @pytest.mark.parametrize("input_width, widths", [(20, [1]), (20, [2]), (16, [4])])
     def test_wide_input_is_exact_within_its_output_matrix(self, input_width, widths):
-        # The cap counts the 2^input_width x 2^width matrix a layer outputs;
-        # next to it, propagation holds the 2^input_width fired states,
-        # pre-activations and row index, and the information sum the input
-        # law and its validated copy: 2.0 matrices at 20->1, 1.5 at 20->2.
+        # The cap counts the 2^input_width x 2^width matrix a layer outputs,
+        # but only the one or two distinct first-layer states are propagated,
+        # and no input law is built.  The peak is the first layer's firing
+        # over every input state: an int64 state, a float sum and a mask,
+        # 17 bytes each (1.06, 0.53 and 0.13 matrices); 64 KiB is margin.
         net = random_network(input_width, widths, xi=0.1, seed=3)
-        largest = max(8 << (input_width + w) for w in widths)
         tracemalloc.start()
         try:
             mi = exact_io_mutual_information(net)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.25 * largest
+        assert peak <= 17 * (1 << input_width) + (64 << 10)
         assert 0.0 <= mi <= widths[-1] * math.log(2.0)
 
     def test_matches_the_joint_law_of_the_network_channel(self):
@@ -608,43 +644,42 @@ class TestMonteCarlo:
         got = monte_carlo_io_mi(net, trials=200_000, seed=1, base="bits")
         assert abs(got.estimate - exact) <= 3 * got.stderr
 
-    def test_firing_agrees_with_the_layer_channel_on_every_state(self):
+    def test_firing_given_states_agrees_with_the_full_table(self):
         # Decimal weights and biases make exact ties and near-ties common.
+        # A state's sum must be the same floats whether its low bits come
+        # from a short doubling table or from the one over every state.
         rng = np.random.default_rng(41)
-        for _ in range(2500):
-            fan_in, width = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        for _ in range(300):
+            fan_in, width = int(rng.integers(1, 21)), int(rng.integers(1, 4))
             layer = tuple(ThresholdNeuron(rng.integers(-10, 11, size=fan_in) / 10.0,
                                           int(rng.integers(-10, 11)) / 10.0) for _ in range(width))
-            bits = (np.arange(1 << fan_in)[:, None] >> np.arange(fan_in)) & 1
-            fired = sdpi.network._fire(bits, *sdpi.network._layer_arrays(layer))
-            want = layer_channel(layer, 0.0).matrix.argmax(axis=1)
-            np.testing.assert_array_equal(fired @ (1 << np.arange(width)), want)
+            states = rng.integers(0, 1 << fan_in, size=int(2.0 ** rng.uniform(0.0, fan_in + 1.0)))
+            np.testing.assert_array_equal(sdpi.network._fired(layer, states),
+                                          sdpi.network._fired(layer)[states])
 
+    @pytest.mark.parametrize("input_width", [14, 18])
+    def test_errors_are_within_four_stderr_and_the_bias(self, input_width):
+        # The bias bound is 4 mean chi^2(W_x || p_Y) / (2 trials) under the
+        # input law, 1.7e-5 and 5.0e-6 here, against stderrs near 2e-3 and 1e-3.
+        net = random_network(input_width, [1], xi=0.1, seed=3)
+        exact = exact_io_mutual_information(net)
+        rows = propagate_all_rows(net.layers, net.xi)
+        chi2 = np.mean((rows**2 / rows.mean(axis=0)).sum(axis=1) - 1.0)
+        trials = 10_000
+        covered = sum(abs(got.estimate - exact) <= 4 * got.stderr + 4 * chi2 / (2 * trials) + 1e-15
+                      for got in (monte_carlo_io_mi(net, trials=trials, seed=seed) for seed in range(100)))
+        assert covered >= 99
 
-def dense_plug_in(net, trials, seed):
-    """Plug-in estimate and delta-method variance from the full 2^in x 2^out
-    count table of the trials ``monte_carlo_io_mi`` documents."""
-    draws = np.vstack([rng.random((stop - start, 1 + sum(net.widths)))
-                       for start, stop, rng in trial_blocks(trials, seed)])
-    x = (draws[:, 0] * (1 << net.input_width)).astype(np.int64)
-    bits, offset = (x[:, None] >> np.arange(net.input_width)) & 1, 1
-    for layer in net.layers:
-        fired = bits @ np.vstack([n.weights for n in layer]).T + [n.bias for n in layer] >= 0.0
-        bits = fired ^ (draws[:, offset : offset + len(layer)] < net.xi)
-        offset += len(layer)
-    y = bits @ (1 << np.arange(net.widths[-1]))
-    table = np.zeros((1 << net.input_width, 1 << net.widths[-1]))
-    np.add.at(table, (x, y), 1.0 / trials)
-    mi = mutual_information(JointDistribution(table))
-    occupied = table > 0.0
-    log_ratio = np.zeros_like(table)
-    log_ratio[occupied] = np.log(
-        table[occupied] / np.outer(table.sum(axis=1), table.sum(axis=0))[occupied])
-    return mi, float(np.sum(table * log_ratio**2)) - mi**2
+    def test_a_network_past_the_exact_cap_lands_within_four_stderr(self):
+        # 16->12->2 needs a 2^16 x 2^12 matrix, over the exact path's cap;
+        # summed over the 25 first-layer states that its 2^16 inputs fire,
+        # its information is 0.0408560426 nats.
+        got = monte_carlo_io_mi(random_network(16, [12, 2], xi=0.1, seed=3), trials=100_000, seed=0)
+        assert abs(got.estimate - 0.0408560426) <= 4 * got.stderr
 
 
 class TestMonteCarloCodes:
-    def test_occupied_cells_give_the_dense_table_estimate(self):
+    def test_sampled_rows_give_the_dense_estimate(self):
         rng = np.random.default_rng(32)
         for _ in range(20):
             widths = [int(w) for w in rng.integers(1, 5, size=int(rng.integers(1, 4)))]
@@ -652,29 +687,58 @@ class TestMonteCarloCodes:
                                  seed=int(rng.integers(1e6)))
             trials, seed = int(rng.integers(1, 3000)), int(rng.integers(100))
             got = monte_carlo_io_mi(net, trials=trials, seed=seed)
-            mi, var = dense_plug_in(net, trials, seed)
-            assert got.estimate == pytest.approx(mi, rel=1e-12, abs=1e-14)
-            # The variance is a difference of O(1) sums, so it is compared in absolute terms.
-            assert got.stderr**2 * trials == pytest.approx(max(var, 0.0), abs=1e-12)
+            estimate, stderr, _ = sampled_divergences(net, trials, seed)
+            assert got.estimate == pytest.approx(estimate, rel=1e-12, abs=1e-12)
+            assert got.stderr == pytest.approx(stderr, rel=1e-12, abs=1e-12)
+
+    def test_the_bias_is_downward_by_half_the_chi_square_information_per_trial(self):
+        # At 64 trials the expected error of the estimate is, to second
+        # order, -mean chi^2(W_s || p_Y) / (2 trials).  A noisy 2-bit copier
+        # under the uniform law errs by -6.5e-3 on average over 400 seeds;
+        # the mean error's spread over those seeds measures 2.8e-4.
+        net = NoisyNetwork((copier_layer(2),), xi=0.2, input_width=2)
+        exact = exact_io_mutual_information(net)
+        errors, predicted = [], []
+        for seed in range(400):
+            errors.append(monte_carlo_io_mi(net, trials=64, seed=seed).estimate - exact)
+            predicted.append(-sampled_divergences(net, 64, seed)[2] / (2 * 64))
+        spread = np.std(errors) / math.sqrt(len(errors))
+        assert np.mean(errors) < -10 * spread
+        assert abs(np.mean(errors) - np.mean(predicted)) <= 4 * spread
 
     def test_wide_input_needs_no_table(self):
-        # A 2^30 x 2^1 count table would be 16 GiB; only the trials' codes are kept.
+        # A 2^30 x 2^1 count table would be 16 GiB; a trial keeps only the
+        # state it fires, 8 bytes, and firing runs in slices of fixed size.
         net = random_network(30, [1], xi=0.1)
+        peaks = []
+        for trials in (100_000, 300_000):
+            tracemalloc.start()
+            try:
+                got = monte_carlo_io_mi(net, trials=trials, seed=0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert 0.0 <= got.estimate <= math.log(2.0) + 1e-12
+        assert peaks[0] < 16 << 20
+        assert peaks[1] - peaks[0] <= 8 * 200_000 + (64 << 10)
+
+    @pytest.mark.parametrize("input_width, widths, refusal", [
+        (70, [1], r"^input width of a Monte Carlo estimate must be an integer in \[1, 53\], got 70$"),
+        (40, [30], r"^a 2\^30 x 2\^30 layer matrix needs 9223372036854775808 bytes"),
+        (8, [20, 1], r"^a 2\^8 x 2\^20 layer matrix needs 2147483648 bytes"),
+    ], ids=["input-width", "rows", "hidden-width"])
+    def test_inputs_past_53_bits_and_layers_past_the_cap_are_refused(self, input_width, widths, refusal):
+        # The rows are at most the 2^min(input_width, width_1) first-layer
+        # states, and every layer on that many rows is capped before a draw.
+        net = random_network(input_width, widths, xi=0.1)
         tracemalloc.start()
         try:
-            got = monte_carlo_io_mi(net, trials=100_000, seed=0)
+            with pytest.raises(ValidationError, match=refusal):
+                monte_carlo_io_mi(net, trials=10)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 << 20
-        assert 0.0 <= got.estimate <= math.log(2.0) + 1e-12
-
-    @pytest.mark.parametrize("input_width, widths", [(40, [30]), (70, [1])])
-    def test_codes_wider_than_53_bits_are_refused(self, input_width, widths):
-        net = random_network(input_width, widths, xi=0.1)
-        refusal = r"^input plus output width .* in \[1, 53\], got 7[01]$"
-        with pytest.raises(ValidationError, match=refusal):
-            monte_carlo_io_mi(net, trials=10)
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("input_width", [1, 2, 5, 9, 13, 16])
     def test_default_law_draws_as_the_explicit_uniform_law(self, input_width):
