@@ -235,14 +235,14 @@ class TestNetworkValidation:
 
 
 class TestExactMutualInformation:
-    @pytest.mark.parametrize("estimate", [exact_io_mutual_information, monte_carlo_io_mi])
-    def test_input_law_is_checked_before_propagating(self, monkeypatch, estimate):
+    def test_input_law_is_checked_before_propagating(self, monkeypatch):
         def refuse(layer, states=None):
             raise AssertionError("network fired before its input law was checked")
 
         monkeypatch.setattr(sdpi.network, "_fired", refuse)
-        with pytest.raises(ValidationError, match="^input law has 4 states, network expects 8$"):
-            estimate(random_network(3, [2], xi=0.1), Distribution.uniform(4))
+        for estimate in (exact_io_mutual_information, monte_carlo_io_mi):
+            with pytest.raises(ValidationError, match="^input law has 4 states, network expects 8$"):
+                estimate(random_network(3, [2], xi=0.1), Distribution.uniform(4))
 
     def test_every_layer_is_capped_before_any_is_propagated(self):
         # The first layer fits (2^12 x 2^12 floats, 128 MiB); the second,
@@ -722,14 +722,16 @@ class TestMonteCarloCodes:
         assert peaks[0] < 16 << 20
         assert peaks[1] - peaks[0] <= 8 * 200_000 + (64 << 10)
 
-    @pytest.mark.parametrize("input_width, widths, refusal", [
-        (70, [1], r"^input width of a Monte Carlo estimate must be an integer in \[1, 53\], got 70$"),
-        (40, [30], r"^a 2\^30 x 2\^30 layer matrix needs 9223372036854775808 bytes"),
-        (8, [20, 1], r"^a 2\^8 x 2\^20 layer matrix needs 2147483648 bytes"),
-    ], ids=["input-width", "rows", "hidden-width"])
-    def test_inputs_past_53_bits_and_layers_past_the_cap_are_refused(self, input_width, widths, refusal):
-        # The rows are at most the 2^min(input_width, width_1) first-layer
-        # states, and every layer on that many rows is capped before a draw.
+    @pytest.mark.parametrize("input_width, widths", [(40, [30]), (70, [1]), (8, [20, 1])])
+    def test_codes_wider_than_53_bits_are_refused(self, input_width, widths):
+        # An input state past 53 bits is refused by its width.  The rows are
+        # at most the 2^min(input_width, width_1) first-layer states, and
+        # every layer on that many rows is capped before a draw.
+        refusal = {
+            70: r"^input width of a Monte Carlo estimate must be an integer in \[1, 53\], got 70$",
+            40: r"^a 2\^30 x 2\^30 layer matrix needs 9223372036854775808 bytes",
+            8: r"^a 2\^8 x 2\^20 layer matrix needs 2147483648 bytes",
+        }[input_width]
         net = random_network(input_width, widths, xi=0.1)
         tracemalloc.start()
         try:
