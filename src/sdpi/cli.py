@@ -54,6 +54,11 @@ def _num(x) -> str:
     return f"{float(x):.9g}"
 
 
+def _row_format(row) -> str:
+    """The format that renders ``row`` as its numbers' ``_num``, comma-joined."""
+    return ",".join("{:d}" if isinstance(x, numbers.Integral) else "{:.9g}" for x in row)
+
+
 def _linspace(start: float, stop: float, num: int) -> list[float]:
     """``np.linspace(start, stop, num)`` as floats, with its arithmetic:
     point i is i * step + start, or (i / div) * delta + start when the
@@ -184,14 +189,16 @@ def _write_csv(columns: list[str], rows, footer: str | None = None, note: str | 
     """Write the running command's CSV to stdout or --out.
 
     Lines: the canonical invocation, ``note`` if given, the column names,
-    one line per row of numbers, and ``footer`` if given.  With --out the
-    footer is also echoed to stdout (without its ``# ``), and --gnuplot
-    writes a plot script next to the CSV.
+    one line per row of numbers in the ``_row_format`` of the first, and
+    ``footer`` if given.  With --out the footer is also echoed to stdout
+    (without its ``# ``), and --gnuplot writes a plot script next to it.
     """
     ctx = click.get_current_context()
     out = ctx.params["out"]
     head = [_invocation(ctx), *([note] if note else []), ",".join(columns)]
-    body = (",".join(map(_num, row)) for row in rows)
+    rows = iter(rows)
+    first = next(rows)
+    body = itertools.starmap(_row_format(first).format, itertools.chain([first], rows))
     lines = itertools.chain(head, body, [footer] if footer else [])
     _emit((line + "\n" for line in lines), out)
     if footer and out is not None:
@@ -424,7 +431,7 @@ def mem_simulate(n, xi, delta, intervals, trials, seed):
     spec = MemorySpec(n=n, xi=xi, delta=delta, intervals=intervals)
     report = simulate_memory(spec, trials=trials, seed=seed)
     meta = dict(spec.to_dict(), trials=trials, seed=seed)
-    rows = zip(range(1, intervals + 1), report.success_prob, report.stderr())
+    rows = zip(range(1, intervals + 1), map(float, report.success_prob), map(float, report.stderr()))
     _write_csv(["t", "success_prob", "stderr"], rows, note="# " + json.dumps(meta, sort_keys=True))
 
 

@@ -24,7 +24,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .closed_form import LayerNoiseSpec, shared_noise_slope
 from .errors import ValidationError, count, interval
-from .info import Channel, Distribution, check_layer_bytes, flip_bits
+from .info import Channel, Distribution, check_bytes, flip_bits
 
 # Hessian-based operations require p bounded away from the simplex
 # boundary; degenerate p corresponds to a smaller alphabet and callers
@@ -102,7 +102,7 @@ class CorrelatedNoiseSpec:
 def independent_layer_channel(spec: LayerNoiseSpec) -> Channel:
     """The 2^n x 2^n channel of n independent bit flips, bsc(xi)^(tensor n):
     entry (r, s) is xi^d (1-xi)^(n-d), d the Hamming distance of r and s."""
-    check_layer_bytes(spec.n, spec.n)
+    check_bytes(8 << (2 * spec.n), f"a 2^{spec.n} x 2^{spec.n} layer matrix")
     return Channel(flip_bits(np.eye(1 << spec.n), spec.xi))
 
 

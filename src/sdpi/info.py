@@ -32,9 +32,12 @@ NORMALIZE_TOLERANCE = 1e-9
 # Monte Carlo trials per RNG stream (see ``trial_blocks``).
 BLOCK = 1024
 
-# Largest matrix a noisy layer may materialize, checked before it allocates:
-# 512 MiB, a 2^12 x 2^14 or 2^13 x 2^13 float matrix.
+# The most bytes one computation may hold, checked by ``check_bytes`` before
+# it allocates: 512 MiB, a 2^12 x 2^14 or 2^13 x 2^13 float matrix.
 MAX_LAYER_BYTES = 1 << 29
+
+# Bytes of draws a streaming loop holds at once, read at call time: 4 MiB.
+DRAW_BYTES = 1 << 22
 
 _LN2 = float(np.log(2.0))
 
@@ -54,15 +57,17 @@ def _validated_rows(values: np.ndarray, what: str) -> np.ndarray:
 
     A row must be finite, with no entry below -NORMALIZE_TOLERANCE and a
     sum within NORMALIZE_TOLERANCE of 1; the error names the first row
-    that is not (``what`` formatted with its index).
+    that is not (``what`` formatted with its index).  The whole array is
+    checked at once; only a failure is traced back to its first row.
     """
-    finite = np.isfinite(values).all(axis=1)
-    low = values.min(axis=1)
     rows = np.maximum(values, 0.0)
     total = rows.sum(axis=1)
-    bad = ~finite | (low < -NORMALIZE_TOLERANCE) | (np.abs(total - 1.0) > NORMALIZE_TOLERANCE)
-    if bad.any():
-        i = int(np.argmax(bad))
+    off = np.abs(total - 1.0)
+    if not (np.isfinite(values).all() and values.min() >= -NORMALIZE_TOLERANCE
+            and off.max() <= NORMALIZE_TOLERANCE):
+        finite = np.isfinite(values).all(axis=1)
+        low = values.min(axis=1)
+        i = int(np.argmax(~finite | (low < -NORMALIZE_TOLERANCE) | (off > NORMALIZE_TOLERANCE)))
         what = what.format(i)
         if not finite[i]:
             raise ValidationError(f"{what} contains non-finite entries")
@@ -124,12 +129,11 @@ class Channel:
         return Channel(np.array([[1.0 - p, p], [p, 1.0 - p]]))
 
 
-def check_layer_bytes(row_bits: int, col_bits: int) -> None:
-    """Refuse a 2^row_bits x 2^col_bits float matrix over ``MAX_LAYER_BYTES``."""
-    need = 8 << (row_bits + col_bits)
+def check_bytes(need: int, what: str) -> None:
+    """Refuse ``what``, which needs ``need`` bytes, over ``MAX_LAYER_BYTES``."""
     if need > MAX_LAYER_BYTES:
-        raise ValidationError(f"a 2^{row_bits} x 2^{col_bits} layer matrix needs {need} bytes, above "
-                              f"the cap of {MAX_LAYER_BYTES} bytes ({MAX_LAYER_BYTES >> 20} MiB)")
+        raise ValidationError(f"{what} needs {need} bytes, above the cap of "
+                              f"{MAX_LAYER_BYTES} bytes ({MAX_LAYER_BYTES >> 20} MiB)")
 
 
 def flip_bits(m: np.ndarray, xi: float) -> np.ndarray:

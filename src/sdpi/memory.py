@@ -18,12 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import info
 from .closed_form import noise_logs
 from .errors import InfeasibleError, ValidationError, count, interval
-from .info import MAX_LAYER_BYTES, trial_blocks
-
-# Largest chunk of float64 uniforms that simulate_memory holds at once.
-SIMULATION_BLOCK_BYTES = 8 << 20
+from .info import check_bytes, trial_blocks
 
 
 @dataclass(frozen=True)
@@ -52,18 +50,16 @@ def _tail_terms(n: int, xi: float) -> np.ndarray:
     tail's largest term, at max(threshold, floor((n+1) xi)).  The terms are
     log-concave in k, with curvature at least 4/n, so the rest fall below
     e^-800 of it; below n of about 1700 none is left out.  Building and
-    summing them holds three 8-byte arrays of the window's length; past
-    ``info.MAX_LAYER_BYTES`` (about n > 1.25e12 for xi < 1/2) the window
-    raises ``ValidationError`` before it is built.
+    summing them holds three 8-byte arrays of the window's length, checked
+    by ``info.check_bytes`` (about n <= 1.25e12 for xi < 1/2) before the
+    window is built.
     """
     threshold = (n + 1) // 2
     top_k = max(threshold, math.floor((n + 1) * xi))
     half = math.ceil(20 * math.sqrt(n)) + 20
     lo, hi = max(threshold, top_k - half), min(n, top_k + half)
-    if 24 * (hi - lo + 1) > MAX_LAYER_BYTES:
-        raise ValidationError(f"the binomial tail at n = {n} sums {hi - lo + 1} terms, which need "
-                              f"{24 * (hi - lo + 1)} bytes, above the cap of {MAX_LAYER_BYTES} bytes "
-                              f"({MAX_LAYER_BYTES >> 20} MiB)")
+    check_bytes(24 * (hi - lo + 1),
+                f"summing the binomial tail at n = {n} over {hi - lo + 1} terms")
     k = np.arange(lo, hi + 1)
     lgamma_n = math.lgamma(n + 1)
     log_terms = np.fromiter((lgamma_n - math.lgamma(j + 1) - math.lgamma(n - j + 1)
@@ -162,7 +158,6 @@ class SimulationReport:
     """Per-interval empirical correct-decoding probabilities."""
 
     success_prob: np.ndarray
-    estimated_relaxation: int | None
     trials: int
     seed: int
 
@@ -189,23 +184,19 @@ def simulate_memory(spec: MemorySpec, trials: int, seed: int) -> SimulationRepor
     probability p_e rounded up to the next such multiple: at most 1.1e-16
     above p_e.  The uniforms are drawn row-major over (trial, interval),
     block b of ``BLOCK`` trials from ``default_rng((seed, b))``
-    (``info.trial_blocks``), in chunks of at most ``SIMULATION_BLOCK_BYTES``
+    (``info.trial_blocks``), in chunks of at most ``info.DRAW_BYTES``
     (at least one trial) taken in turn from the block's one generator;
     with integer aggregation the result is exactly reproducible whatever
-    the byte cap.  A trial's uniforms, its events and the last chunk's,
-    the counts and the result hold at most 18 bytes an interval, which
-    must fit in ``info.MAX_LAYER_BYTES`` (up to 29,826,161 intervals),
-    checked before anything is allocated.  ``estimated_relaxation`` is the
-    first interval at which the success probability drops below 1 - delta,
-    or None if it never does.
+    the chunk size.  A trial's uniforms, its events and the last chunk's,
+    the counts and the result hold at most 18 bytes an interval, checked
+    by ``info.check_bytes`` (up to 29,826,161 intervals) before anything
+    is allocated.
     """
     trials = count(trials, "trial count")
     steps = spec.intervals
-    if 18 * steps > MAX_LAYER_BYTES:
-        raise ValidationError(f"{steps} intervals need {18 * steps} bytes per trial, above "
-                              f"the cap of {MAX_LAYER_BYTES} bytes ({MAX_LAYER_BYTES >> 20} MiB)")
+    check_bytes(18 * steps, f"a trial of {steps} intervals")
     p_e = catastrophic_prob_exact(spec.n, spec.xi)
-    rows = max(1, SIMULATION_BLOCK_BYTES // (steps * 8))
+    rows = max(1, info.DRAW_BYTES // (steps * 8))
     wrong_counts = np.zeros(steps, dtype=np.int64)
     for start, stop, rng in trial_blocks(trials, seed):
         for first in range(start, stop, rows):
@@ -215,8 +206,4 @@ def simulate_memory(spec: MemorySpec, trials: int, seed: int) -> SimulationRepor
             wrong_counts += np.count_nonzero(events, axis=0)
     success = wrong_counts / trials
     np.subtract(1.0, success, out=success)
-    below = success < 1.0 - spec.delta
-    estimated = int(below.argmax()) + 1 if below.any() else None
-    return SimulationReport(
-        success_prob=success, estimated_relaxation=estimated, trials=trials, seed=seed
-    )
+    return SimulationReport(success_prob=success, trials=trials, seed=seed)

@@ -24,13 +24,14 @@ from typing import Sequence
 
 import numpy as np
 
+from . import info
 from .errors import ValidationError, count, interval
 from .info import (
     Channel,
     Distribution,
     LogBase,
     _as_base,
-    check_layer_bytes,
+    check_bytes,
     flip_bits,
     phi_information,
     trial_blocks,
@@ -140,16 +141,19 @@ def load_network(path) -> NoisyNetwork:
         raise ValidationError(f"{path}: {exc}") from None
 
 
-def _check_input_law(net: NoisyNetwork, p_x: Distribution | None) -> None:
-    n_in = 1 << net.input_width
-    if p_x is not None and p_x.alphabet_size != n_in:
-        raise ValidationError(f"input law has {p_x.alphabet_size} states, network expects {n_in}")
-
-
 def _check_layers(net: NoisyNetwork, row_bits: int) -> None:
     """Refuse a network whose layer matrix on 2^row_bits rows is over the cap."""
     for width in net.widths:
-        check_layer_bytes(row_bits, width)
+        check_bytes(8 << (row_bits + width), f"a 2^{row_bits} x 2^{width} layer matrix")
+
+
+def _check_information(net: NoisyNetwork, p_x: Distribution | None) -> None:
+    """Refuse an input law of the wrong size, and layers over the cap on the
+    2^min(input_width, width_1) distinct first-layer states they propagate."""
+    n_in = 1 << net.input_width
+    if p_x is not None and p_x.alphabet_size != n_in:
+        raise ValidationError(f"input law has {p_x.alphabet_size} states, network expects {n_in}")
+    _check_layers(net, min(net.input_width, net.widths[0]))
 
 
 def _fired(layer: Sequence[ThresholdNeuron], states: np.ndarray | None = None) -> np.ndarray:
@@ -228,9 +232,9 @@ def exact_io_mutual_information(
 ) -> float:
     """Exact I(input; output) under input law p_x (uniform over the
     2^input_width states by default): ``_divergences`` of the first-layer
-    states, each weighted by the p_x mass that fires it, capped as ``network_channel``."""
-    _check_input_law(net, p_x)
-    _check_layers(net, net.input_width)
+    states, each weighted by the p_x mass that fires it; firing holds 16 bytes a state."""
+    _check_information(net, p_x)
+    check_bytes(16 << net.input_width, f"firing the 2^{net.input_width} input states")
     fired = _fired(net.layers[0])
     mass = np.bincount(fired) / len(fired) if p_x is None else np.bincount(fired, p_x.probs)
     p, d = _divergences(net, mass)
@@ -269,16 +273,16 @@ def monte_carlo_io_mi(
     """
     trials = count(trials, "trial count")
     n_in = count(net.input_width, "input width of a Monte Carlo estimate", maximum=53)
-    _check_input_law(net, p_x)
-    _check_layers(net, min(n_in, net.widths[0]))
+    _check_information(net, p_x)
     cum = None if p_x is None else np.cumsum(p_x.probs)
     states = np.empty(trials, dtype=np.int64)
     for start, stop, rng in trial_blocks(trials, seed):
         u = rng.random(stop - start)
         states[start:stop] = ((u * (1 << n_in)).astype(np.int64) if cum is None else
                               np.minimum(np.searchsorted(cum, u, side="right"), cum.size - 1))
-    for a in range(0, trials, 1 << 16):  # in slices, which bound _fired's temporaries
-        states[a : a + (1 << 16)] = _fired(net.layers[0], states[a : a + (1 << 16)])
+    step = info.DRAW_BYTES // 64  # _fired holds about 41 bytes a state
+    for a in range(0, trials, step):
+        states[a : a + step] = _fired(net.layers[0], states[a : a + step])
     p, d = _divergences(net, np.bincount(states) / trials)
     mi = float(p @ d)
     stderr = math.sqrt(float(p @ (d - mi) ** 2) / trials)

@@ -13,10 +13,11 @@ import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import sdpi
 from sdpi import verify
-from sdpi.cli import VERIFY_SUITES, VERIFIED_XI1, _linspace, _num, main
+from sdpi.cli import VERIFY_SUITES, VERIFIED_XI1, _linspace, _num, _row_format, main
 
 
 @pytest.fixture
@@ -250,8 +251,8 @@ class TestNetworkCommands:
         )
 
     def test_mi_with_a_huge_input_width_exits_2(self, runner, tmp_path):
-        # 2^40 input states: the byte cap refuses the network before any
-        # 2^40-entry input law is built.
+        # 2^40 input states: the byte cap refuses to fire them all before
+        # any 2^40-entry input law is built.
         net = sdpi.random_network(40, [1], xi=0.1)
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(net.to_dict()))
@@ -259,13 +260,14 @@ class TestNetworkCommands:
         assert res.exit_code == 2
         assert res.stdout == ""
         assert res.stderr == (
-            f"error: a 2^40 x 2^1 layer matrix needs {8 << 41} bytes, "
+            f"error: firing the 2^40 input states needs {16 << 40} bytes, "
             "above the cap of 536870912 bytes (512 MiB)\n"
         )
 
     @pytest.mark.parametrize("input_width", [14, 18, 20])
     def test_mi_of_a_wide_input_is_exact(self, runner, tmp_path, input_width):
-        # The byte cap counts the 2^input_width x 2^1 matrix the layer outputs.
+        # The byte cap counts the two distinct first-layer rows, and 16 bytes
+        # per input state for firing them.
         net = sdpi.random_network(input_width, [1], xi=0.1, seed=3)
         path = tmp_path / "wide.json"
         path.write_text(json.dumps(net.to_dict()))
@@ -280,7 +282,7 @@ class TestNetworkCommands:
         res = runner.invoke(main, ["nn", "mi", str(path)])
         assert (res.exit_code, res.stdout) == (2, "")
         assert res.stderr == (
-            "error: a 2^26 x 2^1 layer matrix needs 1073741824 bytes, "
+            "error: firing the 2^26 input states needs 1073741824 bytes, "
             "above the cap of 536870912 bytes (512 MiB)\n"
         )
 
@@ -439,7 +441,7 @@ class TestMemoryCommands:
         finally:
             tracemalloc.stop()
         assert (res.exit_code, res.stdout) == (2, "")
-        assert res.stderr.startswith("error: the binomial tail at n = 100000000000000 sums ")
+        assert res.stderr.startswith("error: summing the binomial tail at n = 100000000000000 over ")
         assert res.stderr.count("\n") == 1
         assert peak < 1 << 20
 
@@ -574,6 +576,17 @@ class TestFigureCommands:
             num = int(rng.integers(1, 120))
             want = [float(x).hex() for x in np.linspace(start, stop, num)]
             assert [x.hex() for x in _linspace(start, stop, num)] == want, (start, stop, num)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.one_of(
+        st.integers(-(2**70), 2**70),
+        st.integers(-(2**63), 2**63 - 1).map(np.int64),
+        st.floats(),
+        st.floats().map(np.float64),
+        st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 1e-300, 1e300]),
+    ), min_size=1, max_size=6))
+    def test_a_csv_row_is_rendered_as_its_numbers(self, row):
+        assert _row_format(row).format(*row) == ",".join(map(_num, row))
 
     def test_fig5_reference_cell(self, runner):
         res = runner.invoke(

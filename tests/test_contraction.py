@@ -36,7 +36,7 @@ from sdpi.contraction import (
     _interior_probs,
     _pushforward_hessians,
 )
-from sdpi.info import MAX_LAYER_BYTES, check_layer_bytes
+from sdpi.info import MAX_LAYER_BYTES, check_bytes
 from noise_oracles import (
     correlated_weights,
     correlated_weights_decrease,
@@ -135,7 +135,7 @@ class TestIndependentLayer:
     def test_width_cap(self):
         # 2^13 x 2^13 floats are exactly the byte cap; 2^14 x 2^14 are 2 GiB,
         # and the refusal comes before any of it is allocated.
-        check_layer_bytes(13, 13)
+        check_bytes(8 << 26, "a 2^13 x 2^13 layer matrix")
         tracemalloc.start()
         try:
             for build, spec in ((independent_layer_channel, LayerNoiseSpec(0.1, 14)),
@@ -155,16 +155,16 @@ class TestIndependentLayer:
 
         asked = []
 
-        def record(row_bits, col_bits):
-            asked.append((row_bits, col_bits))
+        def record(need, what):
+            asked.append((need, what))
             raise Checked
 
-        monkeypatch.setattr(sdpi.contraction, "check_layer_bytes", record)
+        monkeypatch.setattr(sdpi.contraction, "check_bytes", record)
         for build, spec in ((independent_layer_channel, LayerNoiseSpec(0.1, 13)),
                             (correlated_layer_channel, CorrelatedNoiseSpec(0.01, 0.1, 13))):
             with pytest.raises(Checked):
                 build(spec)
-        assert asked == [(13, 13), (13, 13)]
+        assert asked == [(8 << 26, "a 2^13 x 2^13 layer matrix")] * 2
 
     def test_invalid_noise_rejected(self):
         with pytest.raises(ValidationError):

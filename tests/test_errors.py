@@ -35,7 +35,7 @@ from sdpi import (
     shared_noise_slope,
     simulate_memory,
 )
-from sdpi import memory
+from sdpi import info
 from sdpi.cli import main
 from sdpi.errors import count, interval
 from sdpi.network import monte_carlo_io_mi, random_network
@@ -157,14 +157,14 @@ class TestSimulationByteCap:
 
     def test_intervals_past_the_cap_are_refused(self):
         # 1.8e13 bytes: an input error, never numpy's MemoryError.
-        with pytest.raises(ValidationError, match=r"^1000000000000 intervals need 18000000000000 "
-                           r"bytes per trial, above the cap of 536870912 bytes \(512 MiB\)$"):
+        with pytest.raises(ValidationError, match=r"^a trial of 1000000000000 intervals needs "
+                           r"18000000000000 bytes, above the cap of 536870912 bytes \(512 MiB\)$"):
             simulate_memory(_spec(intervals=10**12), trials=1, seed=0)
 
     def test_the_cap_is_inclusive(self, monkeypatch):
-        monkeypatch.setattr(memory, "MAX_LAYER_BYTES", 18 * 10)
+        monkeypatch.setattr(info, "MAX_LAYER_BYTES", 18 * 10)
         assert len(simulate_memory(_spec(intervals=10), trials=3, seed=0).success_prob) == 10
-        with pytest.raises(ValidationError, match=r"^11 intervals need 198 bytes "):
+        with pytest.raises(ValidationError, match=r"^a trial of 11 intervals needs 198 bytes, "):
             simulate_memory(_spec(intervals=11), trials=3, seed=0)
 
     @pytest.mark.parametrize("trials", [1, 3])
@@ -186,7 +186,7 @@ class TestSimulationByteCap:
                                         "0.3", "--intervals", "1000000000000", "--trials", "1"])
         assert res.exit_code == 2
         assert res.stdout == ""
-        assert res.stderr.startswith("error: 1000000000000 intervals need 18000000000000 bytes")
+        assert res.stderr.startswith("error: a trial of 1000000000000 intervals needs 18000000000000 bytes")
         assert res.stderr.count("\n") == 1
 
 
@@ -273,6 +273,24 @@ def test_one_byte_cap_and_no_per_call_width_knobs():
                      if isinstance(t, ast.Name) and t.id.startswith("MAX_")}
     assert knobs == set()
     assert caps == CAP_CONSTANTS_ALLOWED
+
+
+def test_the_memory_policy_is_stated_only_in_info():
+    # Every refusal goes through ``info.check_bytes``, the one comparison
+    # with the cap, and every byte budget is a constant of ``info``.
+    found = set()
+    for path in sorted(Path(sdpi.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            owner = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            for node in ast.walk(top):
+                if isinstance(node, ast.Compare) and any(
+                        "MAX_LAYER_BYTES" in (getattr(n, "id", None), getattr(n, "attr", None))
+                        for side in (node.left, *node.comparators) for n in ast.walk(side)):
+                    found.add(f"{owner} compares with MAX_LAYER_BYTES")
+            targets = top.targets if isinstance(top, ast.Assign) else [getattr(top, "target", None)]
+            found |= {f"{path.stem}.{t.id}" for t in targets
+                      if isinstance(t, ast.Name) and t.id.endswith("_BYTES") and path.stem != "info"}
+    assert found == {"info.check_bytes compares with MAX_LAYER_BYTES"}
 
 
 REPO = Path(__file__).resolve().parent.parent

@@ -97,11 +97,15 @@ class TestConstruction:
         with pytest.raises(ValidationError, match="row 1"):
             Channel([[0.5, 0.5], [0.6, 0.3]])
 
-    @pytest.mark.parametrize("rows", [[[0.5, 0.5], [0.5, 0.5], [0.2, -0.01]],
-                                      [[0.5, 0.5], [0.5, 0.5], [np.nan, 1.0]],
-                                      [[0.5, 0.5], [0.5, 0.5], [0.5, 0.6], [np.inf, 0.0]]])
-    def test_channel_error_names_first_bad_row(self, rows):
-        with pytest.raises(ValidationError, match="^channel row 2 "):
+    @pytest.mark.parametrize("rows, message", [
+        ([[0.5, 0.5], [0.5, 0.5], [0.2, -0.01], [0.5, 0.5]], r"has a negative entry \(-0\.01\)"),
+        ([[0.5, 0.5], [0.5, 0.5], [np.nan, 1.0], [0.2, -0.01]], "contains non-finite entries"),
+        ([[0.5, 0.5], [0.5, 0.5], [0.5, 0.6], [np.inf, 0.0]], r"sums to 1\.1; expected 1 within 1e-09"),
+    ], ids=["rows0", "rows1", "rows2"])
+    def test_channel_error_names_first_bad_row(self, rows, message):
+        # The whole stack is checked at once; a failure still names the
+        # first bad row, with that row's own message.
+        with pytest.raises(ValidationError, match=f"^channel row 2 {message}$"):
             Channel(rows)
 
     def test_rows_match_the_one_row_at_a_time_reference(self):

@@ -245,9 +245,10 @@ class TestExactMutualInformation:
                 estimate(random_network(3, [2], xi=0.1), Distribution.uniform(4))
 
     def test_every_layer_is_capped_before_any_is_propagated(self):
-        # The first layer fits (2^12 x 2^12 floats, 128 MiB); the second,
-        # 2^12 x 2^15, does not, and nothing is allocated before it is refused.
-        net = random_network(12, [1, 15], xi=0.1)
+        # On the 2^12 distinct first-layer states the first layer fits
+        # (2^12 x 2^12 floats, 128 MiB); the second, 2^12 x 2^15, does not,
+        # and nothing is allocated before it is refused.
+        net = random_network(12, [12, 15], xi=0.1)
         tracemalloc.start()
         try:
             with pytest.raises(ValidationError, match=r"^a 2\^12 x 2\^15 layer matrix"):
@@ -258,13 +259,14 @@ class TestExactMutualInformation:
         assert peak < 1 << 20
 
     @pytest.mark.parametrize("estimate, refusal", [
-        (exact_io_mutual_information, r"^a 2\^27 x 2\^1 layer matrix"),
+        (exact_io_mutual_information, r"^firing the 2\^27 input states needs 2147483648 bytes"),
         (lambda net: monte_carlo_io_mi(net, trials=10), None),
     ], ids=["exact", "monte-carlo"])
     def test_byte_cap_is_checked_before_the_input_law_is_built(self, estimate, refusal):
-        # The default uniform law on 2^27 input states alone is 1 GiB.  The
-        # exact layer is refused first; Monte Carlo never builds the law (it
-        # draws the input state from its uniform) and runs in under 1 MiB.
+        # The default uniform law on 2^27 input states alone is 1 GiB.  Exact
+        # firing of every input state, 16 bytes each, is refused first; Monte
+        # Carlo never builds the law (it draws the input state from its
+        # uniform) and runs in under 1 MiB.
         net = random_network(27, [1], xi=0.1)
         tracemalloc.start()
         try:
@@ -273,6 +275,30 @@ class TestExactMutualInformation:
             else:
                 with pytest.raises(ValidationError, match=refusal):
                     estimate(net)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("input_width, widths, want", [(16, [12, 2], 0.04085604255),
+                                                           (20, [12, 12], 0.0004925677109)])
+    def test_networks_whose_distinct_rows_fit_are_answered(self, input_width, widths, want):
+        # The cap counts the 2^12 distinct first-layer rows each layer
+        # propagates, and 16 bytes per input state for firing them.
+        net = random_network(input_width, widths, xi=0.1, seed=3)
+        assert exact_io_mutual_information(net) == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("input_width, widths, refusal", [
+        (14, [14], r"^a 2\^14 x 2\^14 layer matrix needs 2147483648 bytes, "),
+        (26, [1], r"^firing the 2\^26 input states needs 1073741824 bytes, "),
+        (40, [1], r"^firing the 2\^40 input states needs 17592186044416 bytes, "),
+    ])
+    def test_networks_past_the_cap_are_refused_before_allocating(self, input_width, widths, refusal):
+        net = random_network(input_width, widths, xi=0.1, seed=3)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=refusal):
+                exact_io_mutual_information(net)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -670,12 +696,10 @@ class TestMonteCarlo:
                       for got in (monte_carlo_io_mi(net, trials=trials, seed=seed) for seed in range(100)))
         assert covered >= 99
 
-    def test_a_network_past_the_exact_cap_lands_within_four_stderr(self):
-        # 16->12->2 needs a 2^16 x 2^12 matrix, over the exact path's cap;
-        # summed over the 25 first-layer states that its 2^16 inputs fire,
-        # its information is 0.0408560426 nats.
-        got = monte_carlo_io_mi(random_network(16, [12, 2], xi=0.1, seed=3), trials=100_000, seed=0)
-        assert abs(got.estimate - 0.0408560426) <= 4 * got.stderr
+    def test_a_three_layer_network_lands_within_four_stderr_of_its_exact_value(self):
+        net = random_network(16, [12, 2], xi=0.1, seed=3)
+        got = monte_carlo_io_mi(net, trials=100_000, seed=0)
+        assert abs(got.estimate - exact_io_mutual_information(net)) <= 4 * got.stderr
 
 
 class TestMonteCarloCodes:

@@ -16,7 +16,7 @@ from sdpi import (
     quadratic_decomposition_check,
     rayleigh_supremum,
 )
-from sdpi import verify
+from sdpi import info, verify
 from sdpi.info import BLOCK
 
 # A budget that ends inside the second block.
@@ -209,14 +209,14 @@ def test_pass_size_cannot_change_a_result(monkeypatch, forced_failures, suite, b
     assert max(last - first for first, last in spans) == blocks - 1
     for per_pass in (1, 3):
         spans.clear()
-        monkeypatch.setattr(verify, "PASS_BYTES", per_pass * BLOCK * SAMPLE_BYTES[suite])
+        monkeypatch.setattr(info, "DRAW_BYTES", per_pass * BLOCK * SAMPLE_BYTES[suite])
         assert verify.SUITES[suite](budget, 3).to_dict() == want
         assert all(first // per_pass == last // per_pass for first, last in spans)
         assert max(last - first for first, last in spans) == min(per_pass, blocks) - 1
 
 
 def test_memory_does_not_grow_with_the_budget():
-    per_pass = verify.PASS_BYTES // (SAMPLE_BYTES["sdpi-fuzz"] * BLOCK) * BLOCK
+    per_pass = info.DRAW_BYTES // (SAMPLE_BYTES["sdpi-fuzz"] * BLOCK) * BLOCK
     peaks = []
     for samples in (per_pass, 8 * per_pass):
         tracemalloc.start()
