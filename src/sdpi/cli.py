@@ -431,7 +431,8 @@ def mem_simulate(n, xi, delta, intervals, trials, seed):
     spec = MemorySpec(n=n, xi=xi, delta=delta, intervals=intervals)
     report = simulate_memory(spec, trials=trials, seed=seed)
     meta = dict(spec.to_dict(), trials=trials, seed=seed)
-    rows = zip(range(1, intervals + 1), map(float, report.success_prob), map(float, report.stderr()))
+    rows = ((t, p, math.sqrt(p * (1.0 - p) / trials))  # no column is held but success_prob
+            for t, p in zip(range(1, intervals + 1), map(float, report.success_prob)))
     _write_csv(["t", "success_prob", "stderr"], rows, note="# " + json.dumps(meta, sort_keys=True))
 
 

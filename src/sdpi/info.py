@@ -212,9 +212,9 @@ def mutual_information_batch(tables: np.ndarray, base: LogBase = "nats") -> np.n
 def phi_information(rows: np.ndarray, px: np.ndarray | None, py: np.ndarray) -> np.ndarray:
     """sum_xy p(x) p(y) phi(d) of ``mutual_information_batch`` over the last
     two axes of ``rows``, a (..., nx, ny) stack of p(y | x) that is
-    overwritten; with px None, each row's sum over y, D(p(. | x) || py).
-    The sum adds over blocks of rows, so it can run a block at a time."""
-    # Empty columns have zero weight; zero cells come out as 0 * log(0) = nan, and phi(-1) = 1.
+    overwritten; with px None, each row's sum over y, D(p(. | x) || py), its
+    own reduction, so a row gives the same bits in any block of rows."""
+    # Empty columns have zero weight; phi is 1 on zero cells (nan here) and below 2^-54 of py (-inf).
     rows /= np.where(py > 0.0, py, 1.0)[..., None, :]
     phi = np.subtract(rows, 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -222,9 +222,9 @@ def phi_information(rows: np.ndarray, px: np.ndarray | None, py: np.ndarray) -> 
         phi *= rows
     rows -= 1.0
     phi -= rows
-    phi[np.isnan(phi)] = 1.0
-    if px is None:
-        return (phi @ py[..., :, None])[..., 0]
+    phi[~np.isfinite(phi)] = 1.0
+    if px is None:  # not phi @ py, whose BLAS sums depend on the row count
+        return np.multiply(phi, py[..., None, :], out=phi).sum(axis=-1)
     return (px[..., None, :] @ phi @ py[..., :, None])[..., 0, 0]
 
 

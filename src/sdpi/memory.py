@@ -158,17 +158,11 @@ class SimulationReport:
     """Per-interval empirical correct-decoding probabilities."""
 
     success_prob: np.ndarray
-    trials: int
-    seed: int
 
     def __post_init__(self):
         arr = np.asarray(self.success_prob, dtype=float)
         arr.setflags(write=False)
         object.__setattr__(self, "success_prob", arr)
-
-    def stderr(self) -> np.ndarray:
-        p = self.success_prob
-        return np.sqrt(p * (1.0 - p) / self.trials)
 
 
 def simulate_memory(spec: MemorySpec, trials: int, seed: int) -> SimulationReport:
@@ -206,4 +200,4 @@ def simulate_memory(spec: MemorySpec, trials: int, seed: int) -> SimulationRepor
             wrong_counts += np.count_nonzero(events, axis=0)
     success = wrong_counts / trials
     np.subtract(1.0, success, out=success)
-    return SimulationReport(success_prob=success, trials=trials, seed=seed)
+    return SimulationReport(success_prob=success)

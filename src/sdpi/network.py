@@ -148,12 +148,11 @@ def _check_layers(net: NoisyNetwork, row_bits: int) -> None:
 
 
 def _check_information(net: NoisyNetwork, p_x: Distribution | None) -> None:
-    """Refuse an input law of the wrong size, and layers over the cap on the
-    2^min(input_width, width_1) distinct first-layer states they propagate."""
+    """Refuse an input law of the wrong size, and layers over the cap on two rows."""
     n_in = 1 << net.input_width
     if p_x is not None and p_x.alphabet_size != n_in:
         raise ValidationError(f"input law has {p_x.alphabet_size} states, network expects {n_in}")
-    _check_layers(net, min(net.input_width, net.widths[0]))
+    _check_layers(net, 1)
 
 
 def _fired(layer: Sequence[ThresholdNeuron], states: np.ndarray | None = None) -> np.ndarray:
@@ -172,21 +171,26 @@ def _fired(layer: Sequence[ThresholdNeuron], states: np.ndarray | None = None) -
         pre = table if states is None else table[states & ((1 << low) - 1)]
         for i in range(low, fan_in):
             pre += np.where((states >> i) & 1, neuron.weights[i], 0.0)
-        np.add(fired, 1 << j, out=fired, where=pre >= 0.0)
+        for a in range(0, len(fired), info.DRAW_BYTES):  # a mask slice, not a byte a state
+            out = fired[a : a + info.DRAW_BYTES]
+            np.add(out, 1 << j, out=out, where=pre[a : a + info.DRAW_BYTES] >= 0.0)
     return fired
 
 
-def _propagate(net: NoisyNetwork, states: np.ndarray) -> np.ndarray:
-    """The channel rows of the distinct first-layer ``states`` through the
-    noisy layers: from a 1 in the state's column, ``info.flip_bits`` adds
-    each layer's noise, and a later threshold map adds every column into
-    that of the state it fires."""
-    m = np.zeros((len(states), 1 << net.widths[0]))
+def _propagate(net: NoisyNetwork, states: np.ndarray, fired: list, mass=()) -> np.ndarray:
+    """The channel rows of the distinct first-layer ``states``, then the law
+    sum_s mass_s W_s if ``mass`` is given: from a 1 in the state's column (the
+    mass in its own), ``info.flip_bits`` adds each layer's noise, and a later threshold
+    map adds every column into that of the state it fires, fired once into ``fired``."""
+    m = np.zeros((len(states) + (len(mass) > 0), 1 << net.widths[0]))
     m[np.arange(len(states)), states] = 1.0
+    m[len(states) :, : len(mass)] = mass
     m = flip_bits(m, net.xi)
-    for layer in net.layers[1:]:
+    for i, layer in enumerate(net.layers[1:]):
+        if i == len(fired):
+            fired.append(_fired(layer))
         prev, m = m, np.zeros((len(m), 1 << len(layer)))
-        np.add.at(m.T, _fired(layer), prev.T)
+        np.add.at(m.T, fired[i], prev.T)
         del prev  # before flip_bits allocates its spare
         m = flip_bits(m, net.xi)
     return m
@@ -194,15 +198,17 @@ def _propagate(net: NoisyNetwork, states: np.ndarray) -> np.ndarray:
 
 def _divergences(net: NoisyNetwork, mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(p, d) over the first-layer states s of positive ``mass``: p_s, and
-    D(W_s || p_Y) for W_s the state's row and p_Y = sum_s p_s W_s, from
-    ``info.phi_information`` a block of about sqrt(rows) rows at a time.
-    Y depends on the input only through s, so I(input; Y) = p . d."""
-    states = np.flatnonzero(mass)
-    p, m = mass[states], _propagate(net, states)
-    py = p @ m
-    step = math.isqrt(len(m))
-    d = [phi_information(m[a : a + step], None, py) for a in range(0, len(m), step)]
-    return p, np.concatenate(d)
+    D(W_s || p_Y), p_Y the law row of the first block, by ``phi_information``
+    over blocks of the rows that fit with their ``flip_bits`` spare in ``info.DRAW_BYTES``
+    (one at least).  Y depends on the input only through s, so I(input; Y) = p . d."""
+    states, fired = np.flatnonzero(mass), []
+    step = max(1, info.DRAW_BYTES // (16 << max(net.widths)))
+    m = _propagate(net, states[:step], fired, mass)
+    d = [phi_information(m[:-1], None, m[-1])]
+    py, m = m[-1].copy(), None  # the block is freed before the next is propagated
+    d += [phi_information(_propagate(net, states[a : a + step], fired), None, py)
+          for a in range(step, len(states), step)]
+    return mass[states], np.concatenate(d)
 
 
 def layer_channel(layer: Sequence[ThresholdNeuron], xi: float) -> Channel:
@@ -222,7 +228,7 @@ def network_channel(net: NoisyNetwork) -> Channel:
     _check_layers(net, net.input_width)
     fired = _fired(net.layers[0])
     hit = np.bincount(fired) > 0
-    m = _propagate(net, np.flatnonzero(hit))
+    m = _propagate(net, np.flatnonzero(hit), [])
     # Not m[rows]: at 2^24 rows of two entries np.take gathers 6x faster.
     return Channel(np.take(m, (np.cumsum(hit) - 1)[fired], axis=0))
 
@@ -249,8 +255,6 @@ class MiEstimate:
 
     estimate: float
     stderr: float
-    trials: int
-    seed: int
 
 
 def monte_carlo_io_mi(
@@ -268,8 +272,8 @@ def monte_carlo_io_mi(
     input state from p_x: under the default uniform law floor(u
     2^input_width), the state a search of its cumulative sums finds.  So
     the input width is at most 53 bits, all u resolves.  Every layer is
-    capped on 2^min(input_width, width_1) rows, the most states it can hold,
-    before anything is drawn; memory grows by one int64 per trial.
+    capped on two rows, as in exact information, before anything is drawn;
+    memory grows by one int64 per trial.
     """
     trials = count(trials, "trial count")
     n_in = count(net.input_width, "input width of a Monte Carlo estimate", maximum=53)
@@ -280,13 +284,13 @@ def monte_carlo_io_mi(
         u = rng.random(stop - start)
         states[start:stop] = ((u * (1 << n_in)).astype(np.int64) if cum is None else
                               np.minimum(np.searchsorted(cum, u, side="right"), cum.size - 1))
-    step = info.DRAW_BYTES // 64  # _fired holds about 41 bytes a state
+    step = max(1, info.DRAW_BYTES // 64)  # _fired holds about 41 bytes a state
     for a in range(0, trials, step):
         states[a : a + step] = _fired(net.layers[0], states[a : a + step])
     p, d = _divergences(net, np.bincount(states) / trials)
     mi = float(p @ d)
     stderr = math.sqrt(float(p @ (d - mi) ** 2) / trials)
-    return MiEstimate(_as_base(mi, base), _as_base(stderr, base), trials, seed)
+    return MiEstimate(_as_base(mi, base), _as_base(stderr, base))
 
 
 def random_network(

@@ -224,15 +224,16 @@ class TestNetworkCommands:
         assert "mutual information: 0" in res.stdout
 
     def test_mi_over_the_byte_cap_exits_2(self, runner, tmp_path):
-        # A 14-input, 14-wide layer needs a 2^14 x 2^14 matrix (2 GiB), past the 512 MiB cap.
-        net = sdpi.random_network(14, [14], xi=0.1)
+        # A 27-wide layer on its two rows, the law's and one state's, needs a
+        # 2^1 x 2^27 matrix (2 GiB), past the 512 MiB cap.
+        net = sdpi.random_network(1, [27], xi=0.1)
         path = tmp_path / "wide.json"
         path.write_text(json.dumps(net.to_dict()))
         res = runner.invoke(main, ["nn", "mi", str(path)])
         assert res.exit_code == 2
         assert res.stdout == ""
         assert res.stderr == (
-            "error: a 2^14 x 2^14 layer matrix needs 2147483648 bytes, "
+            "error: a 2^1 x 2^27 layer matrix needs 2147483648 bytes, "
             "above the cap of 536870912 bytes (512 MiB)\n"
         )
 
@@ -466,8 +467,8 @@ class TestMemoryCommands:
 
     def test_long_csv_is_written_in_chunks(self, runner, tmp_path):
         # 1e5 rows of about 30 characters.  Rendering the whole text before
-        # writing it peaked at 9.7 MiB; streamed, the peak is the three
-        # float arrays of 8 bytes per interval and one chunk of lines.
+        # writing it peaked at 9.7 MiB; streamed, the peak is what the
+        # simulation checked (see the next test) and one chunk of lines.
         intervals, out = 100_000, tmp_path / "sim.csv"
         args = ["mem", "simulate", "--n", "5", "--xi", "0.1", "--delta", "0.3",
                 "--intervals", str(intervals), "--trials", "1", "--out", str(out)]
@@ -483,6 +484,24 @@ class TestMemoryCommands:
         lines = out.read_text().split("\n")
         assert lines[3].startswith("1,") and lines[-2].startswith(f"{intervals},")
         assert lines[-1] == "" and len(lines) == intervals + 4
+
+    def test_simulate_holds_no_more_than_the_bytes_it_checks(self, runner, tmp_path):
+        # ``simulate_memory`` checks 18 bytes an interval.  The command then
+        # holds only the success column and derives each row's stderr as it
+        # writes it; the columns held as float arrays used to peak at 1.35
+        # times the check.  64 KiB is for one chunk of lines.
+        intervals = 100_000
+        args = ["mem", "simulate", "--n", "5", "--xi", "0.1", "--delta", "0.3",
+                "--intervals", str(intervals), "--trials", "1", "--out", str(tmp_path / "sim.csv")]
+        runner.invoke(main, args[:9] + ["2"])  # load the modules untraced
+        tracemalloc.start()
+        try:
+            res = runner.invoke(main, args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.exit_code == 0
+        assert peak <= 18 * intervals + (64 << 10)
 
     @pytest.mark.parametrize("command", [
         ["mem", "simulate", "--n", "5", "--xi", "0.2", "--delta", "0.3", "--intervals", "4"],

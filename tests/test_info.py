@@ -195,6 +195,14 @@ class TestJointAndMi:
             j = joint(Distribution.uniform(2), Channel.bsc((1.0 - x) / 2.0))
             assert mutual_information(j) == pytest.approx(x**2 / 2 + x**4 / 12, rel=1e-6, abs=0.0)
 
+    @pytest.mark.parametrize("xi", [1e-17, 1e-20, 1e-250])
+    def test_mi_of_a_nearly_noiseless_channel_is_finite(self, xi):
+        # A cell at xi of its column law 1/2 has ratio 2 xi, and ratio - 1
+        # rounds to -1 below 2^-54: log1p gave -inf there, and so did the
+        # information.  Oracle: log 2 - h(xi), h(xi) < 1e-15 nats here.
+        j = joint(Distribution.uniform(2), Channel.bsc(xi))
+        assert mutual_information(j) == pytest.approx(math.log(2.0), rel=1e-15)
+
     def test_mi_symmetric_under_transpose(self):
         rng = np.random.default_rng(4)
         for _ in range(30):

@@ -413,7 +413,7 @@ class TestSimulation:
         spec = MemorySpec(n=7, xi=0.25, delta=0.4, intervals=15)
         report = simulate_memory(spec, trials=10_000, seed=3)
         p = report.success_prob
-        stderr = report.stderr()
+        stderr = np.sqrt(p * (1.0 - p) / 10_000)
         for t in range(1, len(p)):
             assert p[t] <= p[t - 1] + 3 * max(stderr[t], stderr[t - 1])
 

@@ -78,6 +78,23 @@ def neuron_fire(neuron, x):
     return 1 if float(neuron.weights @ np.asarray(x, dtype=float)) + neuron.bias >= 0.0 else 0
 
 
+def block_bytes(net):
+    """What exact information may hold on a network of widths up to 16: a
+    block of rows with its ``flip_bits`` spare (``info.DRAW_BYTES``), an
+    eighth more for the nan mask of ``phi_information``, the law row, its
+    spare and the first-layer mass at the widest layer, and firing, 16 bytes
+    an input state; 64 KiB is margin."""
+    return (1.125 * sdpi.info.DRAW_BYTES + 3 * (8 << max(net.widths))
+            + (16 << net.input_width) + (64 << 10))
+
+
+def input_law(net, dirichlet):
+    """None (the uniform default) or a Dirichlet(1) law over the input states."""
+    if not dirichlet:
+        return None
+    return Distribution(np.random.default_rng(net.input_width).dirichlet(np.ones(1 << net.input_width)))
+
+
 class TestNeuronFire:
     # Noiseless one-neuron layers: row s of the channel is the point mass
     # on the neuron's output for input state s (little-endian bits).
@@ -245,13 +262,13 @@ class TestExactMutualInformation:
                 estimate(random_network(3, [2], xi=0.1), Distribution.uniform(4))
 
     def test_every_layer_is_capped_before_any_is_propagated(self):
-        # On the 2^12 distinct first-layer states the first layer fits
-        # (2^12 x 2^12 floats, 128 MiB); the second, 2^12 x 2^15, does not,
-        # and nothing is allocated before it is refused.
-        net = random_network(12, [12, 15], xi=0.1)
+        # On its two rows, the law's and one state's, the first layer fits
+        # (2^1 x 2^12 floats, 64 KiB); the second, 2^1 x 2^27, does not, and
+        # nothing is allocated before it is refused.
+        net = random_network(12, [12, 27], xi=0.1)
         tracemalloc.start()
         try:
-            with pytest.raises(ValidationError, match=r"^a 2\^12 x 2\^15 layer matrix"):
+            with pytest.raises(ValidationError, match=r"^a 2\^1 x 2\^27 layer matrix"):
                 exact_io_mutual_information(net)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -289,7 +306,7 @@ class TestExactMutualInformation:
         assert exact_io_mutual_information(net) == pytest.approx(want, rel=1e-9)
 
     @pytest.mark.parametrize("input_width, widths, refusal", [
-        (14, [14], r"^a 2\^14 x 2\^14 layer matrix needs 2147483648 bytes, "),
+        (1, [27], r"^a 2\^1 x 2\^27 layer matrix needs 2147483648 bytes, "),
         (26, [1], r"^firing the 2\^26 input states needs 1073741824 bytes, "),
         (40, [1], r"^firing the 2\^40 input states needs 17592186044416 bytes, "),
     ])
@@ -307,20 +324,22 @@ class TestExactMutualInformation:
     @pytest.mark.parametrize("input_width, widths, seed", [(8, [12], 0), (8, [12, 12], 0), (10, [14], 3)],
                              ids=["8-12", "8-12-12", "10-14"])
     def test_mutual_information_is_summed_in_the_propagated_matrix(self, input_width, widths, seed):
-        # The peak is propagation's: the rows of the 15 or 16 distinct
-        # first-layer states (of 256 or 1024 input states) and the spare of
-        # ``flip_bits``, measured at 2.08-2.22 such matrices, the excess
+        # The peak is propagation's: one block of the distinct first-layer
+        # states' rows (15 or 16 of 256 or 1024 input states, each network's
+        # in one block), the law row that travels with it and the spare of
+        # ``flip_bits``, measured at 2.11-2.26 such matrices, the excess
         # being fixed-size buffers; 256 KiB is margin.  A row per input
         # state, as the sum used to gather, would add 8 or 128 MiB.
         net = random_network(input_width, widths, xi=0.1, seed=seed)
         rows = len(np.unique(sdpi.network._fired(net.layers[0])))
+        step = max(1, sdpi.info.DRAW_BYTES // (16 << max(widths)))
         tracemalloc.start()
         try:
             exact_io_mutual_information(net)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * (rows * 8 << widths[-1]) + (256 << 10)
+        assert peak <= 2 * ((min(rows, step) + 1) * 8 << max(widths)) + (256 << 10)
 
     def test_only_the_distinct_first_layer_states_are_propagated(self):
         # All-rows propagation of a 10->14 network held the 128 MiB matrix
@@ -337,11 +356,10 @@ class TestExactMutualInformation:
 
     @pytest.mark.parametrize("input_width, width", [(9, 12), (6, 14)])
     def test_an_injective_first_layer_sums_its_rows_a_block_at_a_time(self, input_width, width):
-        # A copier first layer fires every input state: the last layer's
-        # 2^input_width rows and the spare of ``flip_bits`` are the peak,
-        # measured at 2.01 such matrices.  The information is summed a block
-        # of rows at a time; summed over all rows at once, its phi and nan
-        # mask would lift the peak to 2.125 matrices.
+        # A copier first layer fires every input state, and all 2^input_width
+        # rows of the last layer and their spare used to be held at once (16
+        # and 8 MiB); a block of them, measured at 0.89-0.92 of
+        # ``block_bytes``, is held now.
         last = random_network(input_width, [width], xi=0.1).layers[0]
         net = NoisyNetwork((copier_layer(input_width), last), 0.1, input_width)
         tracemalloc.start()
@@ -350,7 +368,51 @@ class TestExactMutualInformation:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.05 * (8 << (input_width + width))
+        assert peak <= block_bytes(net)
+
+    @pytest.mark.parametrize("net, want", [
+        (random_network(14, [14], 0.1, seed=3), 0.8111890050473971),
+        (random_network(16, [16], 0.1, seed=3), 1.4889228540332284),
+        (NoisyNetwork((copier_layer(12),), 0.1, 12),
+         12 * (math.log(2.0) + 0.1 * math.log(0.1) + 0.9 * math.log(0.9))),
+    ], ids=["14-14", "16-16", "copier-12"])
+    def test_wide_first_layers_are_answered_a_block_of_rows_at_a_time(self, net, want):
+        # Their distinct first-layer rows were refused as 2^14 x 2^14 and
+        # 2^16 x 2^16 matrices (2 and 32 GiB) and held the copier's 2^12 rows
+        # (256 MiB with their spare).  Peaks measured: 4.4, 6.1 and 4.4 MiB,
+        # 0.84-0.94 of ``block_bytes``; the copier's value is 12 (log 2 - h(0.1)).
+        tracemalloc.start()
+        try:
+            mi = exact_io_mutual_information(net)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mi == pytest.approx(want, rel=1e-12)
+        assert peak <= block_bytes(net)
+
+    @settings(max_examples=100, deadline=None)
+    @given(net=networks(), dirichlet=st.booleans())
+    def test_one_row_blocks_give_the_default_sums_bit_for_bit(self, net, dirichlet):
+        # The rows of a block never interact, and each row's divergence is a
+        # reduction of its own, so blocks of one row give the same bits.
+        p_x = input_law(net, dirichlet)
+        exact = exact_io_mutual_information(net, p_x)
+        sampled = monte_carlo_io_mi(net, p_x, trials=300, seed=net.input_width)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sdpi.info, "DRAW_BYTES", 8)
+            assert exact_io_mutual_information(net, p_x) == exact
+            assert monte_carlo_io_mi(net, p_x, trials=300, seed=net.input_width) == sampled
+
+    @settings(max_examples=200, deadline=None)
+    @given(net=networks(), dirichlet=st.booleans())
+    def test_matches_the_sum_over_all_rows(self, net, dirichlet):
+        # Reference: every input state's row, p_Y = p . m over them, and
+        # I = p . d, the sum as it was before the law travelled as a row.
+        p_x = input_law(net, dirichlet)
+        p = np.full(1 << net.input_width, 2.0**-net.input_width) if p_x is None else p_x.probs
+        m = propagate_all_rows(net.layers, net.xi)
+        want = float(p @ sdpi.info.phi_information(m, None, p @ m))
+        assert abs(exact_io_mutual_information(net, p_x) - want) <= 1e-12 * want + 1e-15
 
     def test_a_one_neuron_layer_propagates_at_most_two_rows(self, monkeypatch):
         shapes, flip_bits = [], sdpi.network.flip_bits
@@ -370,7 +432,7 @@ class TestExactMutualInformation:
     def test_distinct_rows_give_the_all_rows_matrix_bit_for_bit(self, net):
         all_rows = propagate_all_rows(net.layers, net.xi)
         states, rows = np.unique(sdpi.network._fired(net.layers[0]), return_inverse=True)
-        np.testing.assert_array_equal(sdpi.network._propagate(net, states)[rows], all_rows)
+        np.testing.assert_array_equal(sdpi.network._propagate(net, states, [])[rows], all_rows)
         np.testing.assert_array_equal(network_channel(net).matrix, Channel(all_rows).matrix)
 
     @pytest.mark.parametrize("input_width", [20, 24])
@@ -420,6 +482,20 @@ class TestExactMutualInformation:
             tracemalloc.stop()
         assert peak <= 17 * (1 << input_width) + (64 << 10)
         assert 0.0 <= mi <= widths[-1] * math.log(2.0)
+
+    def test_firing_holds_the_bytes_it_checks_and_one_mask_slice(self, monkeypatch):
+        # Each neuron compares a slice of ``info.DRAW_BYTES`` states at a
+        # time, so the 1-byte mask is one slice, not one byte per input state
+        # on top of the 16 checked (25->1 peaked at 544 MiB for 512 checked).
+        monkeypatch.setattr(sdpi.info, "DRAW_BYTES", 1 << 16)
+        net = random_network(20, [1], xi=0.1, seed=3)
+        tracemalloc.start()
+        try:
+            exact_io_mutual_information(net)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (16 << 20) + (1 << 16) + (16 << 10)
 
     def test_matches_the_joint_law_of_the_network_channel(self):
         # Reference: the validated channel, its joint law with p_x, and the
@@ -746,15 +822,15 @@ class TestMonteCarloCodes:
         assert peaks[0] < 16 << 20
         assert peaks[1] - peaks[0] <= 8 * 200_000 + (64 << 10)
 
-    @pytest.mark.parametrize("input_width, widths", [(40, [30]), (70, [1]), (8, [20, 1])])
+    @pytest.mark.parametrize("input_width, widths", [(40, [30]), (70, [1]), (8, [27, 1])])
     def test_codes_wider_than_53_bits_are_refused(self, input_width, widths):
-        # An input state past 53 bits is refused by its width.  The rows are
-        # at most the 2^min(input_width, width_1) first-layer states, and
-        # every layer on that many rows is capped before a draw.
+        # An input state past 53 bits is refused by its width.  Every layer
+        # is capped on the two rows a block may hold, the law's and one
+        # state's, before a draw.
         refusal = {
             70: r"^input width of a Monte Carlo estimate must be an integer in \[1, 53\], got 70$",
-            40: r"^a 2\^30 x 2\^30 layer matrix needs 9223372036854775808 bytes",
-            8: r"^a 2\^8 x 2\^20 layer matrix needs 2147483648 bytes",
+            40: r"^a 2\^1 x 2\^30 layer matrix needs 17179869184 bytes",
+            8: r"^a 2\^1 x 2\^27 layer matrix needs 2147483648 bytes",
         }[input_width]
         net = random_network(input_width, widths, xi=0.1)
         tracemalloc.start()
