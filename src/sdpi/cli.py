@@ -1,13 +1,18 @@
 """Command-line front end.
 
-Every command is registered with ``_command``: the text/JSON commands
-share --format text|json and --out, and the CSV commands (the figure
-datasets and the simulation) share --out and ``_write_csv``.
-Every CSV starts with a comment line carrying the canonical invocation
-and the seed, numbers are printed with 9 significant digits, and output
-bytes depend only on the command, flags, and seed.  Exit codes: 0 on
-success, 1 on domain infeasibility, 2 on input error, 3 on an internal
-error (one ``error: internal:`` line on stderr, no traceback).
+Every command is declared once, in ``COMMANDS``, by ``_command``: its
+path (group and name), its function and its options in declaration
+order.  ``main`` looks up the invoked command and parses only its
+options, with nothing outside the standard library; ``--help`` and the
+CSV header read the same table.  The text/JSON commands share --format
+text|json and --out, and the CSV commands (the figure datasets and the
+simulation) share --out and ``_write_csv``.  Every CSV starts with a
+comment line carrying the canonical invocation and the seed, numbers are
+printed with 9 significant digits, and output bytes depend only on the
+command, flags, and seed.  Exit codes: 0 on success, 1 on domain
+infeasibility, 2 on input error, a usage error included, 3 on an
+internal error; an error is one ``error:`` line on stderr, with no
+traceback.
 
 The closed forms come from ``closed_form``, which needs no numpy; the
 modules that do (``contraction``, ``info``, ``memory``, ``network``,
@@ -18,8 +23,8 @@ CLI sets ``OPENBLAS_NUM_THREADS`` to 1 unless the environment sets it.
 
 from __future__ import annotations
 
+import collections
 import contextlib
-import functools
 import itertools
 import json
 import math
@@ -27,8 +32,6 @@ import numbers
 import os
 import sys
 from pathlib import Path
-
-import click
 
 from . import closed_form as cf
 from .errors import InfeasibleError, ValidationError, count, interval
@@ -46,6 +49,51 @@ VERIFY_SUITES = ("appendix-identity", "layer-equality", "memory-sandwich", "sdpi
 # Largest shared flip probability xi1 for which the weight ordering that
 # the leading-order correlated bound rests on was checked numerically.
 VERIFIED_XI1 = 0.07
+
+ABOUT = ("Contraction bounds for noisy discrete channels, noisy threshold networks, "
+         "and fault-tolerant memories.")
+GROUPS = {
+    "bound": "Contraction bounds for channels and noisy layers.",
+    "fig": "Reproduce the figure datasets as CSV.",
+    "mem": "Fault-tolerant memory bounds and simulation.",
+    "nn": "Noisy threshold network computations.",
+}
+
+# One option of a command.  ``flag`` is "--name", or the bare name of a
+# positional argument; ``type`` converts the option's text, or is the
+# tuple of its choices, or ``bool`` for a flag that takes no value.
+Option = collections.namedtuple("Option", "name flag type default required multiple help")
+Command = collections.namedtuple("Command", "path function options csv")
+
+# Every command by its path, "group name" or a top-level name.
+COMMANDS: dict[str, Command] = {}
+
+
+def _opt(flag: str, type, default=None, help: str = "", *, name: str | None = None,
+         required: bool = False, multiple: bool = False) -> Option:
+    return Option(name or flag.lstrip("-").replace("-", "_"), flag, type, default, required,
+                  multiple, help)
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(tok) for tok in text.split(","))
+
+
+def _pair(text: str) -> tuple[float, float]:
+    delta, xi = map(float, text.split(","))
+    return delta, xi
+
+
+# The help metavar of each option type, and the form of value it expects.
+FORMS = {int: ("INTEGER", "an integer"), float: ("FLOAT", "a number"), str: ("PATH", "a path"),
+         bool: ("", ""), _int_list: ("N,N,...", "comma-separated integers"),
+         _pair: ("DELTA,XI", "'delta,xi'")}
+
+
+def _form(option: Option) -> tuple[str, str]:
+    if isinstance(option.type, tuple):
+        return "{" + "|".join(option.type) + "}", "one of " + ", ".join(option.type)
+    return FORMS[option.type]
 
 
 def _num(x) -> str:
@@ -85,10 +133,8 @@ def _grid(lo: float, hi: float, points: int, name: str, top: str) -> list[float]
 
 def _warn_if_unverified(xi1: float) -> None:
     if xi1 > VERIFIED_XI1:
-        click.echo(
-            f"warning: xi1 above {VERIFIED_XI1:g} leaves the numerically verified ordering range",
-            err=True,
-        )
+        print(f"warning: xi1 above {VERIFIED_XI1:g} leaves the numerically verified ordering range",
+              file=sys.stderr)
 
 
 def _emit(lines, out: str | None) -> None:
@@ -97,79 +143,131 @@ def _emit(lines, out: str | None) -> None:
     rendered text is held at once."""
     lines = iter(lines)
     with (contextlib.nullcontext() if out is None else open(out, "w")) as f:
-        write = f.write if f else functools.partial(click.echo, nl=False)
+        write = f.write if f else sys.stdout.write
         while chunk := "".join(itertools.islice(lines, 4096)):
             write(chunk)
 
 
-def _command(group: click.Group, name: str, csv: bool = False, plot: bool = False):
-    """Register a command under ``group``.
+def _command(path: str, *options: Option, csv: bool = False, plot: bool = False):
+    """Declare the command ``path`` with ``options`` and then the output
+    options.  A text/JSON command returns (JSON payload, text, exit code)
+    and gains --format and --out; a ``csv`` command returns the table
+    keywords of ``_write_csv`` and gains --out, and --gnuplot when ``plot``."""
+    output = [] if csv else [_opt("--format", ("text", "json"), "text", name="fmt")]
+    output.append(_opt("--out", str))
+    if plot:
+        output.append(_opt("--gnuplot", bool, False))
 
-    A text/JSON command returns (JSON payload, text, exit code) and gains
-    --format and --out as its last options: it writes the chosen rendering
-    to stdout or --out and exits with the code.  A ``csv`` command writes
-    its table with ``_write_csv`` and gains --out, and --gnuplot when
-    ``plot``, as its last options.  A --seed is checked here, as a
-    non-negative integer of any size.  Errors exit with the module's exit codes.
+    def declare(f):
+        COMMANDS[path] = Command(path, f, (*options, *output), csv)
+        return f
+
+    return declare
+
+
+def _convert(option: Option, text: str):
+    try:
+        if not isinstance(option.type, tuple):
+            return option.type(text)
+        if text in option.type:
+            return text
+    except ValueError:
+        pass
+    raise ValidationError(f"invalid value for {option.flag}: expected {_form(option)[1]}, "
+                          f"got {text!r}")
+
+
+def _parse(cmd: Command, args: list[str]) -> dict | None:
+    """The value of each of ``cmd``'s options in ``args``, by name, or None
+    once --help has printed the command's help.
+
+    An option matches only by its whole flag, never by a prefix, and its
+    value is ``--flag=value`` or the next token, whatever that looks like,
+    so that ``--xi -1e-3`` reaches the range check.  The other tokens, and
+    every token after ``--``, fill the positional arguments in order.  A
+    repeated option keeps its last value, or every value if ``multiple``.
     """
+    flags = {o.flag: o for o in cmd.options if o.flag.startswith("-")}
+    texts, positional = collections.defaultdict(list), []
+    tokens = iter(args)
+    for token in tokens:
+        if token == "--":
+            positional += tokens
+        elif token == "--help":
+            print(_command_help(cmd))
+            return None
+        elif token.startswith("-") and token != "-":
+            flag, eq, text = token.partition("=")
+            option = flags.get(flag)
+            if option is None:
+                raise ValidationError(f"no such option {flag}")
+            if option.type is bool and eq:
+                raise ValidationError(f"option {flag} takes no value")
+            if option.type is not bool and not eq and (text := next(tokens, None)) is None:
+                raise ValidationError(f"option {flag} needs a value")
+            texts[option.name].append(text)
+        else:
+            positional.append(token)
+    for option in cmd.options:
+        if not option.flag.startswith("-") and positional:
+            texts[option.name].append(positional.pop(0))
+    if positional:
+        raise ValidationError(f"unexpected argument {positional[0]!r}")
+    values = {}
+    for option in cmd.options:
+        if option.name in texts:
+            given = [True if option.type is bool else _convert(option, t)
+                     for t in texts[option.name]]
+            values[option.name] = tuple(given) if option.multiple else given[-1]
+        elif option.required:
+            kind = "option" if option.flag.startswith("-") else "argument"
+            raise ValidationError(f"missing {kind} {option.flag}")
+        else:
+            values[option.name] = option.default
+    return values
 
-    def decorate(f):
-        @functools.wraps(f)
-        def run(out, fmt="text", gnuplot=False, **params):
-            try:
-                if gnuplot and out is None:
-                    raise ValidationError("--gnuplot requires --out (the script references the CSV)")
-                if "seed" in params:
-                    count(params["seed"], "seed", minimum=0, float_range=False)
-                if csv:
-                    return f(**params)
-                payload, text, code = f(**params)
-                _emit([json.dumps(payload, sort_keys=True) + "\n" if fmt == "json" else text], out)
-                if code:
-                    sys.exit(code)
-            except InfeasibleError as exc:
-                click.echo(f"error: {exc}", err=True)
-                sys.exit(1)
-            except (ValidationError, ValueError, OSError) as exc:
-                click.echo(f"error: {exc}", err=True)
-                sys.exit(2)
-            except (click.ClickException, click.exceptions.Exit, click.Abort):
-                raise
-            except Exception as exc:
-                # Any other failure is a defect of the program, not of the input.
-                click.echo(f"error: internal: {type(exc).__name__}: {exc}", err=True)
-                sys.exit(3)
 
-        cmd = group.command(name)(run)
-        if not csv:
-            formats = click.Choice(["text", "json"])
-            cmd.params.append(click.Option(["--format", "fmt"], type=formats, default="text"))
-        cmd.params.append(click.Option(["--out"], type=click.Path(), default=None))
-        if plot:
-            cmd.params.append(click.Option(["--gnuplot"], is_flag=True, default=False))
-        return cmd
-
-    return decorate
+def _commands_under(group: str) -> dict[str, str]:
+    """The commands under ``group`` ("" for the top level), each with its summary."""
+    prefix = f"{group} " if group else ""
+    summaries = {**{path: cmd.function.__doc__.split("\n")[0] for path, cmd in COMMANDS.items()},
+                 **GROUPS}
+    return {path.removeprefix(prefix): text for path, text in sorted(summaries.items())
+            if path.startswith(prefix) and " " not in path.removeprefix(prefix)}
 
 
-def _invocation(ctx: click.Context) -> str:
-    """Canonical ``# sdpi <command> <options>`` line of the running command.
+def _help(usage: str, doc: str, heading: str, rows: dict[str, str]) -> str:
+    width = max(map(len, rows))
+    return "\n".join([f"usage: sdpi {usage}", "", doc, "", f"{heading}:",
+                      *(f"  {left:<{width}}  {right}".rstrip() for left, right in rows.items())])
+
+
+def _command_help(cmd: Command) -> str:
+    import textwrap  # here, so that only --help loads it
+
+    args = [_form(o)[0] if isinstance(o.type, tuple) else o.flag.upper()
+            for o in cmd.options if not o.flag.startswith("-")]
+    summary, _, rest = cmd.function.__doc__.partition("\n")
+    rows = {f"{o.flag} {_form(o)[0]}".rstrip(): o.help + " (required)" * o.required
+            for o in cmd.options if o.flag.startswith("-")}
+    return _help(" ".join([cmd.path, "[options]", *args]),
+                 (summary + "\n" + textwrap.dedent(rest)).strip(), "options", rows)
+
+
+def _invocation(cmd: Command, params: dict) -> str:
+    """Canonical ``# sdpi <command> <options>`` line of a CSV command.
 
     Options appear in declaration order, whatever their order on the
     command line, with a multiple option repeated once per value and a
-    tuple value joined by commas; the output options are left out.
+    tuple value joined by commas; the output options, not in ``params``,
+    are left out.
     """
-    parts, c = [], ctx
-    while c.parent is not None:
-        parts.insert(0, c.info_name)
-        c = c.parent
-    for param in ctx.command.params:
-        if param.name in ("out", "gnuplot"):
-            continue
-        value = ctx.params[param.name]
-        for v in value if param.multiple else (value,):
+    parts = [cmd.path]
+    for option in (o for o in cmd.options if o.name in params):
+        value = params[option.name]
+        for v in value if option.multiple else (value,):
             text = ",".join(map(_num, v)) if isinstance(v, tuple) else _num(v)
-            parts.append(f"{param.opts[0]} {text}")
+            parts.append(f"{option.flag} {text}")
     return "# sdpi " + " ".join(parts)
 
 
@@ -185,62 +283,88 @@ def _gnuplot_script(csv_path: str, columns: list[str]) -> str:
     )
 
 
-def _write_csv(columns: list[str], rows, footer: str | None = None, note: str | None = None) -> None:
-    """Write the running command's CSV to stdout or --out.
+def _write_csv(invocation: str, out: str | None, gnuplot: bool, columns: list[str], rows,
+               footer: str | None = None, note: str | None = None) -> None:
+    """Write a CSV command's table to stdout or ``out``.
 
-    Lines: the canonical invocation, ``note`` if given, the column names,
-    one line per row of numbers in the ``_row_format`` of the first, and
-    ``footer`` if given.  With --out the footer is also echoed to stdout
-    (without its ``# ``), and --gnuplot writes a plot script next to it.
+    Lines: the canonical ``invocation``, ``note`` if given, the column
+    names, one line per row of numbers in the ``_row_format`` of the first,
+    and ``footer`` if given.  With ``out`` the footer is also printed to
+    stdout (without its ``# ``), and ``gnuplot`` writes a plot script next
+    to it.
     """
-    ctx = click.get_current_context()
-    out = ctx.params["out"]
-    head = [_invocation(ctx), *([note] if note else []), ",".join(columns)]
+    head = [invocation, *([note] if note else []), ",".join(columns)]
     rows = iter(rows)
     first = next(rows)
     body = itertools.starmap(_row_format(first).format, itertools.chain([first], rows))
     lines = itertools.chain(head, body, [footer] if footer else [])
     _emit((line + "\n" for line in lines), out)
     if footer and out is not None:
-        click.echo(footer.lstrip("# "))
-    if ctx.params.get("gnuplot"):
+        print(footer.lstrip("# "))
+    if gnuplot:
         Path(out).with_suffix(".gp").write_text(_gnuplot_script(out, columns))
 
 
-def _parse_int_list(_ctx, _param, value):
+def _run(cmd: Command, args: list[str]) -> None:
+    """Parse ``args`` for ``cmd`` and run it.  A --seed is checked here, as
+    a non-negative integer of any size."""
+    params = _parse(cmd, args)
+    if params is None:
+        return
+    out, fmt, gnuplot = params.pop("out"), params.pop("fmt", None), params.pop("gnuplot", False)
+    if gnuplot and out is None:
+        raise ValidationError("--gnuplot requires --out (the script references the CSV)")
+    if "seed" in params:
+        count(params["seed"], "seed", minimum=0, float_range=False)
+    result = cmd.function(**params)
+    if cmd.csv:
+        _write_csv(_invocation(cmd, params), out, gnuplot, **result)
+        return
+    payload, text, code = result
+    _emit([json.dumps(payload, sort_keys=True) + "\n" if fmt == "json" else text], out)
+    if code:
+        sys.exit(code)
+
+
+def main(args=None) -> None:
+    """Run the ``sdpi`` command in ``args`` (by default ``sys.argv[1:]``);
+    an error exits with the module's exit codes."""
+    args = list(sys.argv[1:] if args is None else args)
+    group = args[0] if args[:1] and args[0] in GROUPS else ""
+    depth = 2 if group else 1
+    path = " ".join(args[:depth])
     try:
-        return tuple(int(tok) for tok in str(value).split(","))
-    except ValueError:
-        raise click.BadParameter(f"expected comma-separated integers, got {value!r}")
+        if path in COMMANDS:
+            return _run(COMMANDS[path], args[depth:])
+        if args[depth - 1 : depth] == ["--help"]:
+            usage = " ".join(filter(None, (group, "<command> [options]")))
+            return print(_help(usage, GROUPS.get(group, ABOUT), "commands", _commands_under(group)))
+        names = ", ".join(_commands_under(group))
+        if len(args) < depth:
+            raise ValidationError(f"missing command, one of {names}")
+        raise ValidationError(f"no such command {path!r}, not one of {names}")
+    except InfeasibleError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(1)
+    except (ValidationError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)
+    except Exception as exc:
+        # Any other failure is a defect of the program, not of the input.
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        sys.exit(3)
 
 
-def _parse_pair(_ctx, _param, value):
-    pairs = []
-    for item in value:
-        try:
-            delta, xi = (float(tok) for tok in str(item).split(","))
-        except ValueError:
-            raise click.BadParameter(f"expected 'delta,xi', got {item!r}")
-        pairs.append((delta, xi))
-    return tuple(pairs)
-
-
-@click.group()
-def main():
-    """Contraction bounds for noisy discrete channels, noisy threshold
-    networks, and fault-tolerant memories."""
+# click.testing.CliRunner, which the tests and perfbench's traced run drive the
+# CLI with, reads these two attributes; ROADMAP item 2 removes them.
+main.name = "sdpi"
+main.main = lambda args=None, prog_name=None: main(args)
 
 
 # ----------------------------------------------------------------- bound
 
 
-@main.group()
-def bound():
-    """Contraction bounds for channels and noisy layers."""
-
-
-@_command(bound, "channel")
-@click.argument("path", type=click.Path())
+@_command("bound channel", _opt("path", str, required=True))
 def bound_channel(path):
     """Pair bound of a channel read from a JSON or CSV file."""
     from .contraction import contraction_bound
@@ -252,11 +376,11 @@ def bound_channel(path):
     return result.to_json(), text, 0
 
 
-@_command(bound, "layer")
-@click.option("--n", type=int, required=True, help="Layer width.")
-@click.option("--xi", type=float, default=None, help="Independent flip probability.")
-@click.option("--xi1", type=float, default=None, help="Shared flip probability.")
-@click.option("--xi2", type=float, default=None, help="Per-component flip probability.")
+@_command("bound layer",
+          _opt("--n", int, required=True, help="Layer width."),
+          _opt("--xi", float, help="Independent flip probability."),
+          _opt("--xi1", float, help="Shared flip probability."),
+          _opt("--xi2", float, help="Per-component flip probability."))
 def bound_layer(n, xi, xi1, xi2):
     """Contraction bound of an n-component noisy layer.
 
@@ -280,8 +404,8 @@ def bound_layer(n, xi, xi1, xi2):
         exact = ctr.correlated_layer_bound_exact(spec)
         leading = ctr.correlated_layer_bound_leading(spec)
         if xi1 <= VERIFIED_XI1 and cf.shared_noise_slope(xi2, n) * xi1 >= (4 * xi2 - 4 * xi2**2) ** n:
-            click.echo("warning: slope*xi1 reaches (4 xi2 - 4 xi2^2)^n, where the first-order "
-                       "eta_leading says nothing", err=True)
+            print("warning: slope*xi1 reaches (4 xi2 - 4 xi2^2)^n, where the first-order "
+                  "eta_leading says nothing", file=sys.stderr)
         k, l = exact.witness_pair
         text = (
             f"eta: {_num(exact.eta)}\nwitness: ({k}, {l})\nmethod: {exact.method}\n"
@@ -296,15 +420,10 @@ def bound_layer(n, xi, xi1, xi2):
 # -------------------------------------------------------------------- nn
 
 
-@main.group()
-def nn():
-    """Noisy threshold network computations."""
-
-
-@_command(nn, "mi")
-@click.argument("netfile", type=click.Path())
-@click.option("--px", type=click.Path(), default=None, help="Input law file (default uniform).")
-@click.option("--base", type=click.Choice(["bits", "nats"]), default="bits")
+@_command("nn mi",
+          _opt("netfile", str, required=True),
+          _opt("--px", str, help="Input law file (default uniform)."),
+          _opt("--base", ("bits", "nats"), "bits"))
 def nn_mi(netfile, px, base):
     """Exact input-output mutual information of a network file."""
     from .info import load_distribution
@@ -317,20 +436,20 @@ def nn_mi(netfile, px, base):
     return payload, f"mutual information: {_num(value)} {base}\n", 0
 
 
-@_command(nn, "bound")
-@click.option("--widths", callback=_parse_int_list, required=True, help="Comma-separated layer widths.")
-@click.option("--xi", type=float, required=True)
-@click.option("--hx", type=float, default=1.0, help="Input entropy H(X).")
+@_command("nn bound",
+          _opt("--widths", _int_list, required=True, help="Comma-separated layer widths."),
+          _opt("--xi", float, required=True),
+          _opt("--hx", float, 1.0, "Input entropy H(X)."))
 def nn_bound(widths, xi, hx):
     """Information decay bound through layers of the given widths."""
     value = cf.information_decay_bound(widths, xi, hx)
     return {"bound": value}, f"decay bound: {_num(value)}\n", 0
 
 
-@_command(nn, "min-neurons")
-@click.option("--xi", type=float, required=True)
-@click.option("--delta", type=float, required=True)
-@click.option("--layers", type=int, required=True)
+@_command("nn min-neurons",
+          _opt("--xi", float, required=True),
+          _opt("--delta", float, required=True),
+          _opt("--layers", int, required=True))
 def nn_min_neurons(xi, delta, layers):
     """Hidden-neuron lower bound for delta-reliable computation."""
     value = cf.min_neurons_lower_bound(xi, delta, layers)
@@ -339,11 +458,11 @@ def nn_min_neurons(xi, delta, layers):
     return payload, f"minimum hidden neurons: {_num(value)}\n", 1 if infeasible else 0
 
 
-@_command(nn, "tradeoff")
-@click.option("--n", type=float, required=True, help="Input count of the target function.")
-@click.option("--xi", type=float, required=True)
-@click.option("--delta", type=float, required=True)
-@click.option("--max-depth", type=int, required=True)
+@_command("nn tradeoff",
+          _opt("--n", float, required=True, help="Input count of the target function."),
+          _opt("--xi", float, required=True),
+          _opt("--delta", float, required=True),
+          _opt("--max-depth", int, required=True))
 def nn_tradeoff(n, xi, delta, max_depth):
     """Depth sweep of max(expressibility, noise) size requirements."""
     result = cf.optimal_depth_tradeoff(n, xi, delta, max_depth)
@@ -374,25 +493,20 @@ def nn_tradeoff(n, xi, delta, max_depth):
 # ------------------------------------------------------------------- mem
 
 
-@main.group("mem")
-def mem_group():
-    """Fault-tolerant memory bounds and simulation."""
-
-
-@_command(mem_group, "overhead")
-@click.option("--delta", type=float, required=True)
-@click.option("--intervals", type=int, required=True, help="Refresh intervals to survive.")
-@click.option("--xi", type=float, required=True)
+@_command("mem overhead",
+          _opt("--delta", float, required=True),
+          _opt("--intervals", int, required=True, help="Refresh intervals to survive."),
+          _opt("--xi", float, required=True))
 def mem_overhead(delta, intervals, xi):
     """Physical-bit lower bound for any correction rule."""
     value = cf.overhead_lower_bound(delta, intervals, xi)
     return {"n_lower": value}, f"overhead lower bound: {_num(value)} bits\n", 0
 
 
-@_command(mem_group, "relax")
-@click.option("--n", type=int, required=True)
-@click.option("--xi", type=float, required=True)
-@click.option("--delta", type=float, required=True)
+@_command("mem relax",
+          _opt("--n", int, required=True),
+          _opt("--xi", float, required=True),
+          _opt("--delta", float, required=True))
 def mem_relax(n, xi, delta):
     """Relaxation-time upper bound for any correction rule."""
     result = cf.relaxation_upper_bound(n, xi, delta)
@@ -403,10 +517,10 @@ def mem_relax(n, xi, delta):
     return {"time": result.time, "asymptotic": result.asymptotic}, text, 0
 
 
-@_command(mem_group, "reptime")
-@click.option("--n", type=int, required=True)
-@click.option("--xi", type=float, required=True)
-@click.option("--delta", type=float, required=True)
+@_command("mem reptime",
+          _opt("--n", int, required=True),
+          _opt("--xi", float, required=True),
+          _opt("--delta", float, required=True))
 def mem_reptime(n, xi, delta):
     """Repetition-code relaxation time (exact tail probability)."""
     from .memory import repetition_relaxation_time
@@ -417,13 +531,13 @@ def mem_reptime(n, xi, delta):
     return {"time": result.time, "chernoff_lower": result.chernoff_lower}, text, 0
 
 
-@_command(mem_group, "simulate", csv=True)
-@click.option("--n", type=int, required=True)
-@click.option("--xi", type=float, required=True)
-@click.option("--delta", type=float, required=True)
-@click.option("--intervals", type=int, required=True)
-@click.option("--trials", type=int, default=10000)
-@click.option("--seed", type=int, default=0)
+@_command("mem simulate",
+          _opt("--n", int, required=True),
+          _opt("--xi", float, required=True),
+          _opt("--delta", float, required=True),
+          _opt("--intervals", int, required=True),
+          _opt("--trials", int, 10000),
+          _opt("--seed", int, 0), csv=True)
 def mem_simulate(n, xi, delta, intervals, trials, seed):
     """Monte Carlo repetition-code memory; emits a CSV success curve."""
     from .memory import MemorySpec, simulate_memory
@@ -433,47 +547,40 @@ def mem_simulate(n, xi, delta, intervals, trials, seed):
     meta = dict(spec.to_dict(), trials=trials, seed=seed)
     rows = ((t, p, math.sqrt(p * (1.0 - p) / trials))  # no column is held but success_prob
             for t, p in zip(range(1, intervals + 1), map(float, report.success_prob)))
-    _write_csv(["t", "success_prob", "stderr"], rows, note="# " + json.dumps(meta, sort_keys=True))
+    return dict(columns=["t", "success_prob", "stderr"], rows=rows,
+                note="# " + json.dumps(meta, sort_keys=True))
 
 
 # ------------------------------------------------------------------- fig
 
 
-@main.group()
-def fig():
-    """Reproduce the figure datasets as CSV."""
-
-
 # The figure datasets draw nothing at random; their --seed is checked
 # as every seed is and only echoed in the CSV header.
-_label_seed = click.option(
-    "--seed", type=int, default=0,
-    help="Only labels the CSV header; the dataset does not depend on it.",
-)
+_LABEL_SEED = _opt("--seed", int, 0, "Only labels the CSV header; the dataset does not depend on it.")
 
 
-@_command(fig, "2", csv=True, plot=True)
-@click.option("--n", type=int, default=3, help="Components in the layer.")
-@click.option("--xi-min", type=float, default=0.0)
-@click.option("--xi-max", type=float, default=0.5)
-@click.option("--points", type=int, default=51)
-@_label_seed
+@_command("fig 2",
+          _opt("--n", int, 3, "Components in the layer."),
+          _opt("--xi-min", float, 0.0),
+          _opt("--xi-max", float, 0.5),
+          _opt("--points", int, 51),
+          _LABEL_SEED, csv=True, plot=True)
 def fig2(n, xi_min, xi_max, points, seed):
     """Layer bound versus per-component (Evans-Schulman) accounting."""
     rows = []
     for xi in _grid(xi_min, xi_max, points, "xi", "0.5]"):
         eta = 1.0 - (4.0 * xi - 4.0 * xi**2)
         rows.append((xi, cf.evans_schulman_raw(eta, n), 1.0 - (1.0 - eta) ** n))
-    _write_csv(["xi", "evans_schulman", "ours"], rows)
+    return dict(columns=["xi", "evans_schulman", "ours"], rows=rows)
 
 
-@_command(fig, "3", csv=True, plot=True)
-@click.option("--xi2", type=float, default=0.35)
-@click.option("--n", type=int, default=5)
-@click.option("--xi1-min", type=float, default=0.0)
-@click.option("--xi1-max", type=float, default=VERIFIED_XI1)
-@click.option("--points", type=int, default=15)
-@_label_seed
+@_command("fig 3",
+          _opt("--xi2", float, 0.35),
+          _opt("--n", int, 5),
+          _opt("--xi1-min", float, 0.0),
+          _opt("--xi1-max", float, VERIFIED_XI1),
+          _opt("--points", int, 15),
+          _LABEL_SEED, csv=True, plot=True)
 def fig3(xi2, n, xi1_min, xi1_max, points, seed):
     """Correlated-noise bounds against the matched independent bound."""
     from . import contraction as ctr
@@ -488,16 +595,16 @@ def fig3(xi2, n, xi1_min, xi1_max, points, seed):
         leading = ctr.correlated_layer_bound_leading(spec)
         exact = ctr.correlated_layer_bound_exact(spec).eta
         rows.append((xi1, eta_ind, leading, exact))
-    _write_csv(["xi1", "eta_ind", "eta_wc_leading", "eta_wc_exact"], rows)
+    return dict(columns=["xi1", "eta_ind", "eta_wc_leading", "eta_wc_exact"], rows=rows)
 
 
-@_command(fig, "5", csv=True, plot=True)
-@click.option("--xi-min", type=float, default=0.01)
-@click.option("--xi-max", type=float, default=0.49)
-@click.option("--points", type=int, default=49)
-@click.option("--delta", "deltas", type=float, multiple=True, default=(0.3, 0.4))
-@click.option("--layers", "layer_counts", type=int, multiple=True, default=(2, 4, 6))
-@_label_seed
+@_command("fig 5",
+          _opt("--xi-min", float, 0.01),
+          _opt("--xi-max", float, 0.49),
+          _opt("--points", int, 49),
+          _opt("--delta", float, (0.3, 0.4), name="deltas", multiple=True),
+          _opt("--layers", int, (2, 4, 6), name="layer_counts", multiple=True),
+          _LABEL_SEED, csv=True, plot=True)
 def fig5(xi_min, xi_max, points, deltas, layer_counts, seed):
     """Hidden-neuron lower bound as a function of the noise level."""
     grid = _grid(xi_min, xi_max, points, "xi", "0.5)")
@@ -507,15 +614,15 @@ def fig5(xi_min, xi_max, points, deltas, layer_counts, seed):
         for depth in layer_counts
         for xi in grid
     ]
-    _write_csv(["xi", "delta", "L", "n_s"], rows)
+    return dict(columns=["xi", "delta", "L", "n_s"], rows=rows)
 
 
-@_command(fig, "6", csv=True, plot=True)
-@click.option("--n", type=float, default=5e8, help="Input count of the parity target.")
-@click.option("--xi", type=float, default=0.37)
-@click.option("--delta", type=float, default=0.4)
-@click.option("--max-depth", type=int, default=6)
-@_label_seed
+@_command("fig 6",
+          _opt("--n", float, 5e8, "Input count of the parity target."),
+          _opt("--xi", float, 0.37),
+          _opt("--delta", float, 0.4),
+          _opt("--max-depth", int, 6),
+          _LABEL_SEED, csv=True, plot=True)
 def fig6(n, xi, delta, max_depth, seed):
     """Size requirements per depth with the binding regime and the optimum."""
     result = cf.optimal_depth_tradeoff(n, xi, delta, max_depth)
@@ -527,14 +634,14 @@ def fig6(n, xi, delta, max_depth, seed):
         f"# optimal depth {result.best.depth}: minimum neurons "
         f"{_num(result.best.minimum_neurons)}"
     )
-    _write_csv(["d", "omega", "ns_plus_1", "max"], rows, footer=footer)
+    return dict(columns=["d", "omega", "ns_plus_1", "max"], rows=rows, footer=footer)
 
 
-@_command(fig, "8", csv=True, plot=True)
-@click.option("--t-max", type=int, default=100)
-@click.option("--pair", "pairs", multiple=True, callback=_parse_pair,
-              default=("0.3,0.2", "0.4,0.1"), help="delta,xi series (repeatable).")
-@_label_seed
+@_command("fig 8",
+          _opt("--t-max", int, 100),
+          _opt("--pair", _pair, ((0.3, 0.2), (0.4, 0.1)), "delta,xi series (repeatable).",
+               name="pairs", multiple=True),
+          _LABEL_SEED, csv=True, plot=True)
 def fig8(t_max, pairs, seed):
     """Error-correction overhead lower bound versus the interval count."""
     t_max = count(t_max, "t-max")
@@ -543,16 +650,16 @@ def fig8(t_max, pairs, seed):
         for delta, xi in pairs
         for t in range(1, t_max + 1)
     ]
-    _write_csv(["T", "delta", "xi", "n_lower"], rows)
+    return dict(columns=["T", "delta", "xi", "n_lower"], rows=rows)
 
 
 # ---------------------------------------------------------------- verify
 
 
-@_command(main, "verify")
-@click.argument("suite", type=click.Choice([*VERIFY_SUITES, "all"]))
-@click.option("--seed", type=int, default=0)
-@click.option("--budget", type=int, default=None, help="Sample count for randomized suites.")
+@_command("verify",
+          _opt("suite", (*VERIFY_SUITES, "all"), required=True),
+          _opt("--seed", int, 0),
+          _opt("--budget", int, help="Sample count for randomized suites."))
 def verify(suite, seed, budget):
     """Run a verification suite; exit 0 iff every check passes."""
     from .verify import run_suite

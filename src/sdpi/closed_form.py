@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Literal, Sequence
 
 from .errors import InfeasibleError, ValidationError, count, interval
 
@@ -152,7 +152,7 @@ class SizeBoundResult:
     depth: int
     expressibility_bound: float
     noise_bound: float
-    binding: Literal["expressibility", "noise"]
+    binding: str  # "expressibility" or "noise"
 
     @property
     def minimum_neurons(self) -> float:

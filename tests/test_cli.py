@@ -9,7 +9,6 @@ import sys
 import tracemalloc
 from pathlib import Path
 
-import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -17,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import sdpi
 from sdpi import verify
-from sdpi.cli import VERIFY_SUITES, VERIFIED_XI1, _linspace, _num, _row_format, main
+from sdpi.cli import COMMANDS, VERIFY_SUITES, VERIFIED_XI1, _linspace, _num, _row_format, main
 
 
 @pytest.fixture
@@ -775,21 +774,15 @@ SWEEP_BASE = {
 EDGE_VALUES = ["nan", "inf", "-inf", "-1", "0"]
 
 
-def _leaves(group, path=()):
-    for name, cmd in sorted(group.commands.items()):
-        if isinstance(cmd, click.Group):
-            yield from _leaves(cmd, path + (name,))
-        else:
-            yield " ".join(path + (name,)), cmd
+def _leaves():
+    return sorted(COMMANDS.items())
 
 
 def _numeric_options():
-    for path, cmd in _leaves(main):
-        for param in cmd.params:
-            if isinstance(param, click.Option) and isinstance(
-                param.type, (click.types.IntParamType, click.types.FloatParamType)
-            ):
-                yield path, param.opts[0]
+    for path, cmd in _leaves():
+        for option in cmd.options:
+            if option.flag.startswith("--") and option.type in (int, float):
+                yield path, option.flag
 
 
 @pytest.mark.parametrize("value", EDGE_VALUES)
@@ -799,6 +792,55 @@ def test_edge_values_never_escape_as_exceptions(runner, path, option, value):
     res = runner.invoke(main, args)
     assert res.exception is None or isinstance(res.exception, SystemExit), res.exception
     assert res.exit_code in (0, 1, 2)
+
+
+@pytest.mark.parametrize("args, message", [
+    ("", "missing command, one of bound, fig, mem, nn, verify"),
+    ("fig", "missing command, one of 2, 3, 5, 6, 8"),
+    ("nope", "no such command 'nope', not one of bound, fig, mem, nn, verify"),
+    ("fig 9", "no such command 'fig 9', not one of 2, 3, 5, 6, 8"),
+    ("fig 2 --xi-m 0.1", "no such option --xi-m"),
+    ("bound layer -n 3 --xi 0.1", "no such option -n"),
+    ("bound layer --n abc --xi 0.1", "invalid value for --n: expected an integer, got 'abc'"),
+    ("bound layer --n 5.0 --xi 0.1", "invalid value for --n: expected an integer, got '5.0'"),
+    ("bound layer --n 5 --xi abc", "invalid value for --xi: expected a number, got 'abc'"),
+    ("nn bound --widths 3,x --xi 0.1",
+     "invalid value for --widths: expected comma-separated integers, got '3,x'"),
+    ("fig 8 --pair 0.1", "invalid value for --pair: expected 'delta,xi', got '0.1'"),
+    ("bound layer --xi 0.1", "missing option --n"),
+    ("nn mi", "missing argument netfile"),
+    ("bound layer --n", "option --n needs a value"),
+    ("fig 2 --gnuplot=1", "option --gnuplot takes no value"),
+    ("bound layer --n 5 --xi 0.1 extra", "unexpected argument 'extra'"),
+    ("bound layer --n 5 --xi 0.1 --format xml",
+     "invalid value for --format: expected one of text, json, got 'xml'"),
+    ("nn mi net.json --base foo", "invalid value for --base: expected one of bits, nats, got 'foo'"),
+    ("verify nope", "invalid value for suite: expected one of appendix-identity, layer-equality, "
+                    "memory-sandwich, sdpi-fuzz, all, got 'nope'"),
+    # A value that looks like an option is still the option's value.
+    ("bound layer --n 5 --xi -inf", "flip probability must be in [0, 0.5), got -inf"),
+    ("bound layer --n 5 --xi -1e-3", "flip probability must be in [0, 0.5), got -0.001"),
+])
+def test_usage_errors_are_one_line_and_exit_2(runner, args, message):
+    res = runner.invoke(main, args.split())
+    assert (res.exit_code, res.stdout, res.stderr) == (2, "", f"error: {message}\n")
+
+
+def test_an_option_value_may_follow_an_equals_sign(runner):
+    spaced = runner.invoke(main, ["fig", "5", "--points", "2", "--delta", "0.3", "--layers", "3"])
+    joined = runner.invoke(main, ["fig", "5", "--points=2", "--delta=0.3", "--layers=3"])
+    assert (joined.exit_code, joined.stdout) == (0, spaced.stdout)
+
+
+@pytest.mark.parametrize("args, names", [
+    (["--help"], ["bound", "fig", "mem", "nn", "verify"]),
+    (["fig", "--help"], ["2", "3", "5", "6", "8"]),
+], ids=["sdpi", "fig"])
+def test_help_lists_the_commands(runner, args, names):
+    res = runner.invoke(main, args)
+    assert (res.exit_code, res.stderr) == (0, "")
+    listing = res.stdout.split("\ncommands:\n")[1]
+    assert [line.split()[0] for line in listing.splitlines()] == names
 
 
 # The closed-form commands, which must run without numpy.
@@ -837,6 +879,25 @@ def test_closed_forms_never_load_numpy(code):
     )
     assert res.returncode == 0, res.stderr
     assert res.stderr == "numpy loaded: False\n"
+
+
+@pytest.mark.parametrize("command", NUMPY_FREE_COMMANDS)
+def test_closed_forms_import_neither_click_numpy_nor_typing(command):
+    # -S leaves site-packages, and any site hook that imports typing itself,
+    # out of the interpreter: a closed form needs only the standard library.
+    code = (
+        "import sys, sdpi.cli\n"
+        "try:\n"
+        f"    sdpi.cli.main({command.split()!r})\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "sys.stderr.write(f'loaded: {sorted({\"click\", \"numpy\", \"typing\"} & set(sys.modules))}\\n')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(sdpi.__file__).parents[1]))
+    res = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         env=env, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stderr == "loaded: []\n"
 
 
 THREADS_AFTER_MATMUL = (

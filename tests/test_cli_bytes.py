@@ -20,11 +20,10 @@ import re
 import shlex
 from pathlib import Path
 
-import click
 import pytest
 from click.testing import CliRunner
 
-from sdpi.cli import main
+from sdpi.cli import COMMANDS, main
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
 
@@ -95,16 +94,12 @@ CASES = [
 ]
 
 
-def _leaves(group, path=()):
-    for name, cmd in sorted(group.commands.items()):
-        if isinstance(cmd, click.Group):
-            yield from _leaves(cmd, path + (name,))
-        else:
-            yield " ".join(path + (name,)), cmd
+def _leaves():
+    return sorted(COMMANDS.items())
 
 
 def option_names() -> dict:
-    return {path: [[p.name, *p.opts] for p in cmd.params] for path, cmd in _leaves(main)}
+    return {path: [[o.name, o.flag] for o in cmd.options] for path, cmd in _leaves()}
 
 
 def run_case(case: str, workdir: Path) -> dict:
@@ -153,16 +148,16 @@ OUTPUT_NAMES = {"--format", "--out", "--gnuplot"}
 
 
 def test_output_options_close_every_command():
-    commands = dict(_leaves(main))
+    commands = dict(_leaves())
     assert len(commands) == 16
     for path, cmd in commands.items():
         want = OUTPUT_OPTIONS.get(path, OUTPUT_OPTIONS.get(path.split()[0], ["--format", "--out"]))
-        names = [p.opts[0] for p in cmd.params]
+        names = [o.flag for o in cmd.options]
         assert names[-len(want):] == want, path
         assert not OUTPUT_NAMES & set(names[:-len(want)]), path
 
 
-@pytest.mark.parametrize("path", [path for path, _ in _leaves(main) if path.startswith("fig ")])
+@pytest.mark.parametrize("path", [path for path, _ in _leaves() if path.startswith("fig ")])
 def test_gnuplot_without_out_exits_2(path):
     res = CliRunner().invoke(main, [*path.split(), "--gnuplot"])
     assert (res.exit_code, res.stdout) == (2, "")
@@ -170,7 +165,7 @@ def test_gnuplot_without_out_exits_2(path):
 
 
 def test_every_subcommand_is_pinned():
-    for path, _ in _leaves(main):
+    for path, _ in _leaves():
         assert any(case.startswith(path + " ") for case in CASES), path
 
 
