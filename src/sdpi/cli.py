@@ -11,14 +11,16 @@ comment line carrying the canonical invocation and the seed, numbers are
 printed with 9 significant digits, and output bytes depend only on the
 command, flags, and seed.  Exit codes: 0 on success, 1 on domain
 infeasibility, 2 on input error, a usage error included, 3 on an
-internal error; an error is one ``error:`` line on stderr, with no
-traceback.
+internal error, and 141, silently, once the reader of stdout has left
+(``| head``); an error is one ``error:`` line on stderr, with no traceback.
 
 The closed forms come from ``closed_form``, which needs no numpy; the
 modules that do (``contraction``, ``info``, ``memory``, ``network``,
 ``verify``) are imported inside the commands that use them, so a
-closed-form command never loads numpy.  Before numpy can load, the
-CLI sets ``OPENBLAS_NUM_THREADS`` to 1 unless the environment sets it.
+closed-form command never loads numpy; ``json``, ``pathlib`` and
+``textwrap`` load only where JSON is written, for --gnuplot and for
+--help.  Before numpy can load, the CLI sets ``OPENBLAS_NUM_THREADS``
+to 1 unless the environment sets it.
 """
 
 from __future__ import annotations
@@ -26,12 +28,10 @@ from __future__ import annotations
 import collections
 import contextlib
 import itertools
-import json
 import math
 import numbers
 import os
 import sys
-from pathlib import Path
 
 from . import closed_form as cf
 from .errors import InfeasibleError, ValidationError, count, interval
@@ -140,12 +140,14 @@ def _warn_if_unverified(xi1: float) -> None:
 def _emit(lines, out: str | None) -> None:
     """Write ``lines``, each ending in its newline, to stdout or to the
     file ``out``, 4096 at a time, so that no more than one chunk of
-    rendered text is held at once."""
+    rendered text is held at once.  Every line of stdout is written here
+    and flushed, so that a reader that has left is seen by ``main``, not
+    at exit."""
     lines = iter(lines)
-    with (contextlib.nullcontext() if out is None else open(out, "w")) as f:
-        write = f.write if f else sys.stdout.write
+    with (contextlib.nullcontext(sys.stdout) if out is None else open(out, "w")) as f:
         while chunk := "".join(itertools.islice(lines, 4096)):
-            write(chunk)
+            f.write(chunk)
+        f.flush()
 
 
 def _command(path: str, *options: Option, csv: bool = False, plot: bool = False):
@@ -194,7 +196,7 @@ def _parse(cmd: Command, args: list[str]) -> dict | None:
         if token == "--":
             positional += tokens
         elif token == "--help":
-            print(_command_help(cmd))
+            _emit([_command_help(cmd) + "\n"], None)
             return None
         elif token.startswith("-") and token != "-":
             flag, eq, text = token.partition("=")
@@ -271,9 +273,9 @@ def _invocation(cmd: Command, params: dict) -> str:
     return "# sdpi " + " ".join(parts)
 
 
-def _gnuplot_script(csv_path: str, columns: list[str]) -> str:
+def _gnuplot_script(csv_name: str, columns: list[str]) -> str:
     plots = ", ".join(
-        f"'{Path(csv_path).name}' using 1:{i} with lines title '{name}'"
+        f"'{csv_name}' using 1:{i} with lines title '{name}'"
         for i, name in enumerate(columns[1:], start=2)
     )
     return (
@@ -300,9 +302,11 @@ def _write_csv(invocation: str, out: str | None, gnuplot: bool, columns: list[st
     lines = itertools.chain(head, body, [footer] if footer else [])
     _emit((line + "\n" for line in lines), out)
     if footer and out is not None:
-        print(footer.lstrip("# "))
+        _emit([footer.lstrip("# ") + "\n"], None)
     if gnuplot:
-        Path(out).with_suffix(".gp").write_text(_gnuplot_script(out, columns))
+        from pathlib import Path  # here, so that only --gnuplot loads it
+
+        Path(out).with_suffix(".gp").write_text(_gnuplot_script(Path(out).name, columns))
 
 
 def _run(cmd: Command, args: list[str]) -> None:
@@ -321,7 +325,10 @@ def _run(cmd: Command, args: list[str]) -> None:
         _write_csv(_invocation(cmd, params), out, gnuplot, **result)
         return
     payload, text, code = result
-    _emit([json.dumps(payload, sort_keys=True) + "\n" if fmt == "json" else text], out)
+    if fmt == "json":
+        import json  # here, so that only JSON output loads it
+        text = json.dumps(payload, sort_keys=True) + "\n"
+    _emit([text], out)
     if code:
         sys.exit(code)
 
@@ -338,7 +345,8 @@ def main(args=None) -> None:
             return _run(COMMANDS[path], args[depth:])
         if args[depth - 1 : depth] == ["--help"]:
             usage = " ".join(filter(None, (group, "<command> [options]")))
-            return print(_help(usage, GROUPS.get(group, ABOUT), "commands", _commands_under(group)))
+            return _emit([_help(usage, GROUPS.get(group, ABOUT), "commands",
+                                _commands_under(group)) + "\n"], None)
         names = ", ".join(_commands_under(group))
         if len(args) < depth:
             raise ValidationError(f"missing command, one of {names}")
@@ -346,6 +354,11 @@ def main(args=None) -> None:
     except InfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(1)
+    except BrokenPipeError:
+        # The reader of stdout left, as `| head` does: what is still buffered
+        # goes to os.devnull, and the status is a shell's for SIGPIPE (128 + 13).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(141)
     except (ValidationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(2)
@@ -540,6 +553,8 @@ def mem_reptime(n, xi, delta):
           _opt("--seed", int, 0), csv=True)
 def mem_simulate(n, xi, delta, intervals, trials, seed):
     """Monte Carlo repetition-code memory; emits a CSV success curve."""
+    import json
+
     from .memory import MemorySpec, simulate_memory
 
     spec = MemorySpec(n=n, xi=xi, delta=delta, intervals=intervals)
@@ -662,6 +677,8 @@ def fig8(t_max, pairs, seed):
           _opt("--budget", int, help="Sample count for randomized suites."))
 def verify(suite, seed, budget):
     """Run a verification suite; exit 0 iff every check passes."""
+    import json
+
     from .verify import run_suite
 
     names = VERIFY_SUITES if suite == "all" else [suite]

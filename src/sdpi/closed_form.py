@@ -7,15 +7,16 @@ accounting and the shared-noise slope, the information decay bound,
 the hidden-neuron lower bound and the depth-width trade-off, and the
 memory overhead and relaxation bounds.  The module imports nothing but
 the standard library and ``errors``, so a caller that needs only these
-never loads numpy.
+never loads numpy.  Its records are named tuples, since ``dataclasses``
+would load ``inspect``.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from .errors import InfeasibleError, ValidationError, count, interval
 
@@ -23,16 +24,17 @@ from .errors import InfeasibleError, ValidationError, count, interval
 # ------------------------------------------------------------ noisy layers
 
 
-@dataclass(frozen=True)
-class LayerNoiseSpec:
+class LayerNoiseSpec(namedtuple("LayerNoiseSpec", "xi n")):
     """A layer of n components whose outputs flip independently with probability xi."""
 
-    xi: float
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "xi", interval(self.xi, "flip probability", "[0, 0.5)"))
-        object.__setattr__(self, "n", count(self.n, "layer width"))
+    def __new__(cls, xi: float, n: int):
+        return super().__new__(cls, interval(xi, "flip probability", "[0, 0.5)"),
+                               count(n, "layer width"))
+
+    # ``_replace`` builds through ``_make``, which would skip the checks.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def independent_layer_bound(spec: LayerNoiseSpec) -> float:
@@ -117,13 +119,8 @@ def min_neurons_lower_bound(xi: float, delta: float, layers: int) -> float:
     return (layers - 1) * math.log(1.0 - ratio ** (1.0 / (layers - 1))) / math.log(a)
 
 
-@dataclass(frozen=True)
-class AmGmBound:
-    """Product of (1 - a^w) terms against its equal-split upper bound."""
-
-    product: float
-    bound: float
-    tight: bool
+AmGmBound = namedtuple("AmGmBound", "product bound tight")
+AmGmBound.__doc__ = "Product of (1 - a^w) terms against its equal-split upper bound."
 
 
 def amgm_product_bound(a: float, widths: Sequence[int]) -> AmGmBound:
@@ -145,24 +142,20 @@ def parity_size_complexity(n: int, d: int) -> float:
     return (n / 2.0) ** (1.0 / (2.0 * (d - 1)))
 
 
-@dataclass(frozen=True)
-class SizeBoundResult:
-    """Both size requirements at one depth; the larger one binds."""
+class SizeBoundResult(namedtuple("SizeBoundResult",
+                                 "depth expressibility_bound noise_bound binding")):
+    """Both size requirements at one depth; the larger one binds.  ``binding``
+    is "expressibility" or "noise"."""
 
-    depth: int
-    expressibility_bound: float
-    noise_bound: float
-    binding: str  # "expressibility" or "noise"
+    __slots__ = ()
 
     @property
     def minimum_neurons(self) -> float:
         return max(self.expressibility_bound, self.noise_bound)
 
 
-@dataclass(frozen=True)
-class DepthTradeoff:
-    per_depth: tuple[SizeBoundResult, ...]
-    best: SizeBoundResult
+# ``per_depth`` is a tuple of ``SizeBoundResult``, and ``best`` one of them.
+DepthTradeoff = namedtuple("DepthTradeoff", "per_depth best")
 
 
 def optimal_depth_tradeoff(n: int, xi: float, delta: float, max_depth: int) -> DepthTradeoff:
@@ -235,12 +228,8 @@ def overhead_lower_bound(delta: float, intervals: int, xi: float) -> float:
     return (math.log(-log_cap) - math.log(intervals) + x / 2.0) / noise_logs(xi)[0]
 
 
-@dataclass(frozen=True)
-class RelaxationBound:
-    """Relaxation-time upper bound with its large-n exponential form."""
-
-    time: float
-    asymptotic: float
+RelaxationBound = namedtuple("RelaxationBound", "time asymptotic")
+RelaxationBound.__doc__ = "Relaxation-time upper bound with its large-n exponential form."
 
 
 def relaxation_upper_bound(n: int, xi: float, delta: float) -> RelaxationBound:

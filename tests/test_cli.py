@@ -884,20 +884,41 @@ def test_closed_forms_never_load_numpy(code):
 @pytest.mark.parametrize("command", NUMPY_FREE_COMMANDS)
 def test_closed_forms_import_neither_click_numpy_nor_typing(command):
     # -S leaves site-packages, and any site hook that imports typing itself,
-    # out of the interpreter: a closed form needs only the standard library.
+    # out of the interpreter: a closed form needs only the standard library,
+    # and of that neither dataclasses (which loads inspect, ast and dis), nor
+    # json, which only JSON output loads, nor pathlib, which only --gnuplot does.
     code = (
         "import sys, sdpi.cli\n"
         "try:\n"
         f"    sdpi.cli.main({command.split()!r})\n"
         "except SystemExit as exc:\n"
         "    assert exc.code == 0, exc.code\n"
-        "sys.stderr.write(f'loaded: {sorted({\"click\", \"numpy\", \"typing\"} & set(sys.modules))}\\n')\n"
+        "heavy = {'click', 'dataclasses', 'inspect', 'json', 'numpy', 'pathlib', 'typing'}\n"
+        "sys.stderr.write(f'loaded: {sorted(heavy & set(sys.modules))}\\n')\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(sdpi.__file__).parents[1]))
     res = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                          env=env, timeout=60)
     assert res.returncode == 0, res.stderr
     assert res.stderr == "loaded: []\n"
+
+
+@pytest.mark.parametrize("args, lines_read", [
+    ("fig 5 --points 20000", 1),  # more than a pipe holds: a write fails
+    ("--help", 0),  # buffered until the end: the flush fails
+], ids=["while-writing", "at-the-flush"])
+def test_a_reader_that_leaves_ends_the_command_with_status_141_and_no_error(args, lines_read):
+    # 141 is 128 + SIGPIPE, the status a shell reports for a writer whose
+    # reader left, as under `| head -1`; stdout is buffered, as it is by default.
+    env = dict(os.environ, PYTHONPATH=str(Path(sdpi.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen([sys.executable, "-m", "sdpi.cli", *args.split()],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    for _ in range(lines_read):
+        assert proc.stdout.readline().startswith(b"# sdpi fig 5 ")
+    proc.stdout.close()
+    _, stderr = proc.communicate(timeout=60)
+    assert (proc.returncode, stderr) == (141, b"")
 
 
 THREADS_AFTER_MATMUL = (

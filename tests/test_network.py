@@ -12,10 +12,15 @@ from hypothesis import given, settings, strategies as st
 import sdpi.network
 from noise_oracles import hamming_channel, independent_weights, propagate_all_rows, sampled_divergences
 from sdpi import (
+    AmGmBound,
     Channel,
+    DepthTradeoff,
     Distribution,
     InfeasibleError,
+    LayerNoiseSpec,
     NoisyNetwork,
+    RelaxationBound,
+    SizeBoundResult,
     ThresholdNeuron,
     ValidationError,
     amgm_product_bound,
@@ -713,6 +718,44 @@ class TestDepthTradeoff:
             optimal_depth_tradeoff(10**6, 0.49, 0.01, 5)
 
 
+_SIZE_FIELDS = dict(depth=2, expressibility_bound=3.5, noise_bound=9.0, binding="noise")
+_SIZE = SizeBoundResult(**_SIZE_FIELDS)
+_SIZE_TEXT = "SizeBoundResult(depth=2, expressibility_bound=3.5, noise_bound=9.0, binding='noise')"
+# Each record with its fields, in the order they had as frozen dataclasses,
+# and the repr text the dataclass printed for them.
+RECORDS = [
+    (LayerNoiseSpec, dict(xi=0.1, n=3), "LayerNoiseSpec(xi=0.1, n=3)"),
+    (AmGmBound, dict(product=0.5, bound=0.75, tight=False),
+     "AmGmBound(product=0.5, bound=0.75, tight=False)"),
+    (SizeBoundResult, _SIZE_FIELDS, _SIZE_TEXT),
+    (DepthTradeoff, dict(per_depth=(_SIZE,), best=_SIZE),
+     f"DepthTradeoff(per_depth=({_SIZE_TEXT},), best={_SIZE_TEXT})"),
+    (RelaxationBound, dict(time=2.0, asymptotic=1.5), "RelaxationBound(time=2.0, asymptotic=1.5)"),
+]
+
+
+@pytest.mark.parametrize("cls, fields, text", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_closed_form_records_keep_the_dataclass_contract(cls, fields, text):
+    # Named tuples now: the same fields, construction, repr and immutability,
+    # and a tuple besides, equal to the plain tuple of the fields.
+    assert cls._fields == tuple(fields)
+    record = cls(**fields)
+    assert record == cls(*fields.values()) == tuple(fields.values())
+    assert repr(record) == text
+    for name in (cls._fields[0], "other"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 1)
+    if cls is LayerNoiseSpec:
+        for xi, n, message in ((0.5, 3, "flip probability must be in [0, 0.5), got 0.5"),
+                               (0.1, 0, "layer width must be an integer of at least 1, got 0")):
+            with pytest.raises(ValidationError, match=re.escape(message)):
+                LayerNoiseSpec(xi=xi, n=n)
+        with pytest.raises(ValidationError, match="flip probability"):
+            record._replace(xi=0.5)
+    if cls is SizeBoundResult:
+        assert record.minimum_neurons == 9.0
+
+
 class TestMonteCarlo:
     def test_noiseless_copier_recovers_one_bit(self):
         net = NoisyNetwork(layers=(copier_layer(1),), xi=0.0, input_width=1)
@@ -758,6 +801,26 @@ class TestMonteCarlo:
             states = rng.integers(0, 1 << fan_in, size=int(2.0 ** rng.uniform(0.0, fan_in + 1.0)))
             np.testing.assert_array_equal(sdpi.network._fired(layer, states),
                                           sdpi.network._fired(layer)[states])
+
+    def test_firing_follows_the_rule_in_slices_that_fire_everywhere_nowhere_or_in_part(self):
+        # 2^15 states fire in four slices of 2^13, one for each value of the
+        # top two inputs.  Top weights of 0 or +-5 against low ones of at most
+        # 0.1 make neurons that fire on whole slices, on none or on part of
+        # one; the states must be the rule's, the bias plus the weights of the
+        # set inputs in ascending order (adding 0.0 for the others).
+        rng = np.random.default_rng(43)
+        states = np.arange(1 << 15)
+        for _ in range(8):
+            layer = tuple(ThresholdNeuron(np.concatenate([rng.integers(-10, 11, size=13) / 100.0,
+                                                          rng.choice([-5.0, 0.0, 5.0], size=2)]),
+                                          int(rng.integers(-10, 11)) / 10.0) for _ in range(4))
+            want = np.zeros(1 << 15, dtype=np.int64)
+            for j, neuron in enumerate(layer):
+                total = np.full(1 << 15, neuron.bias)
+                for i, w in enumerate(neuron.weights):
+                    total = total + np.where(states >> i & 1, w, 0.0)
+                want |= (total >= 0.0).astype(np.int64) << j
+            np.testing.assert_array_equal(sdpi.network._fired(layer), want)
 
     @pytest.mark.parametrize("input_width", [14, 18])
     def test_errors_are_within_four_stderr_and_the_bias(self, input_width):
