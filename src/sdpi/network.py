@@ -167,9 +167,6 @@ def _fired(layer: Sequence[ThresholdNeuron], states: np.ndarray | None = None) -
     table = np.empty(1 << low)
     high = () if states is None else [((states & (1 << i)) != 0).view(np.uint8)
                                       for i in range(low, fan_in)]
-    # A slice's bool mask and int64 shift (9 bytes a state) hold no more than a byte
-    # for each state, or 72 KiB: fewer states would cost more in calls than in bytes.
-    step = max(1 << 13, min(info.DRAW_BYTES, len(fired)) // 9)
     for j, neuron in enumerate(layer):
         table[0] = neuron.bias
         for i, w in enumerate(neuron.weights[:low]):
@@ -177,14 +174,9 @@ def _fired(layer: Sequence[ThresholdNeuron], states: np.ndarray | None = None) -
         pre = table if states is None else table[states & ((1 << low) - 1)]
         for w, bit in zip(neuron.weights[low:], high):
             pre += bit * w
-        for a in range(0, len(fired), step):  # neuron j alone sets bit j, so | adds it
-            mask = pre[a : a + step] >= 0.0
-            if mask.all():  # most slices of a wide layer fire everywhere or nowhere
-                fired[a : a + step] |= 1 << j
-            elif mask.any():  # mask << j would cast through a 64 KiB buffer more
-                shift = mask.astype(np.int64)
-                fired[a : a + step] |= np.left_shift(shift, j, out=shift)
-                del shift  # before the next slice's
+        for a in range(0, len(fired), info.DRAW_BYTES):  # a mask slice, not a byte a state
+            out = fired[a : a + info.DRAW_BYTES]
+            np.add(out, 1 << j, out=out, where=pre[a : a + info.DRAW_BYTES] >= 0.0)
     return fired
 
 

@@ -905,18 +905,24 @@ def test_closed_forms_import_neither_click_numpy_nor_typing(command):
 
 @pytest.mark.parametrize("args, lines_read", [
     ("fig 5 --points 20000", 1),  # more than a pipe holds: a write fails
-    ("--help", 0),  # buffered until the end: the flush fails
+    ("--help", 0),  # fits in stdout's buffer: the flush fails
 ], ids=["while-writing", "at-the-flush"])
 def test_a_reader_that_leaves_ends_the_command_with_status_141_and_no_error(args, lines_read):
     # 141 is 128 + SIGPIPE, the status a shell reports for a writer whose
     # reader left, as under `| head -1`; stdout is buffered, as it is by default.
     env = dict(os.environ, PYTHONPATH=str(Path(sdpi.__file__).parents[1]))
     env.pop("PYTHONUNBUFFERED", None)
-    proc = subprocess.Popen([sys.executable, "-m", "sdpi.cli", *args.split()],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    for _ in range(lines_read):
-        assert proc.stdout.readline().startswith(b"# sdpi fig 5 ")
-    proc.stdout.close()
+    command = [sys.executable, "-m", "sdpi.cli", *args.split()]
+    if lines_read:
+        proc = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        for _ in range(lines_read):
+            assert proc.stdout.readline().startswith(b"# sdpi fig 5 ")
+        proc.stdout.close()
+    else:  # the reader has left before the command starts, so its first flush fails
+        read, write = os.pipe()
+        os.close(read)
+        proc = subprocess.Popen(command, stdout=write, stderr=subprocess.PIPE, env=env)
+        os.close(write)
     _, stderr = proc.communicate(timeout=60)
     assert (proc.returncode, stderr) == (141, b"")
 

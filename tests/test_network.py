@@ -802,26 +802,6 @@ class TestMonteCarlo:
             np.testing.assert_array_equal(sdpi.network._fired(layer, states),
                                           sdpi.network._fired(layer)[states])
 
-    def test_firing_follows_the_rule_in_slices_that_fire_everywhere_nowhere_or_in_part(self):
-        # 2^15 states fire in four slices of 2^13, one for each value of the
-        # top two inputs.  Top weights of 0 or +-5 against low ones of at most
-        # 0.1 make neurons that fire on whole slices, on none or on part of
-        # one; the states must be the rule's, the bias plus the weights of the
-        # set inputs in ascending order (adding 0.0 for the others).
-        rng = np.random.default_rng(43)
-        states = np.arange(1 << 15)
-        for _ in range(8):
-            layer = tuple(ThresholdNeuron(np.concatenate([rng.integers(-10, 11, size=13) / 100.0,
-                                                          rng.choice([-5.0, 0.0, 5.0], size=2)]),
-                                          int(rng.integers(-10, 11)) / 10.0) for _ in range(4))
-            want = np.zeros(1 << 15, dtype=np.int64)
-            for j, neuron in enumerate(layer):
-                total = np.full(1 << 15, neuron.bias)
-                for i, w in enumerate(neuron.weights):
-                    total = total + np.where(states >> i & 1, w, 0.0)
-                want |= (total >= 0.0).astype(np.int64) << j
-            np.testing.assert_array_equal(sdpi.network._fired(layer), want)
-
     @pytest.mark.parametrize("input_width", [14, 18])
     def test_errors_are_within_four_stderr_and_the_bias(self, input_width):
         # The bias bound is 4 mean chi^2(W_x || p_Y) / (2 trials) under the
