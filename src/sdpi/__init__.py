@@ -64,7 +64,6 @@ _EXPORTS = {
     "memory": (
         "MemorySpec",
         "RepetitionRelaxation",
-        "SimulationReport",
         "catastrophic_prob_chernoff",
         "catastrophic_prob_exact",
         "repetition_relaxation_time",

@@ -318,6 +318,9 @@ def _run(cmd: Command, args: list[str]) -> None:
     out, fmt, gnuplot = params.pop("out"), params.pop("fmt", None), params.pop("gnuplot", False)
     if gnuplot and out is None:
         raise ValidationError("--gnuplot requires --out (the script references the CSV)")
+    if gnuplot and out.endswith(".gp"):
+        raise ValidationError("--gnuplot requires an --out not ending in .gp "
+                              "(the script would overwrite the CSV)")
     if "seed" in params:
         count(params["seed"], "seed", minimum=0, float_range=False)
     result = cmd.function(**params)
@@ -558,10 +561,10 @@ def mem_simulate(n, xi, delta, intervals, trials, seed):
     from .memory import MemorySpec, simulate_memory
 
     spec = MemorySpec(n=n, xi=xi, delta=delta, intervals=intervals)
-    report = simulate_memory(spec, trials=trials, seed=seed)
-    meta = dict(spec.to_dict(), trials=trials, seed=seed)
-    rows = ((t, p, math.sqrt(p * (1.0 - p) / trials))  # no column is held but success_prob
-            for t, p in zip(range(1, intervals + 1), map(float, report.success_prob)))
+    success = simulate_memory(spec, trials=trials, seed=seed)
+    meta = dict(spec._asdict(), trials=trials, seed=seed)
+    rows = ((t, p, math.sqrt(p * (1.0 - p) / trials))  # no column is held but success
+            for t, p in zip(range(1, intervals + 1), map(float, success)))
     return dict(columns=["t", "success_prob", "stderr"], rows=rows,
                 note="# " + json.dumps(meta, sort_keys=True))
 

@@ -17,7 +17,7 @@ that try to break the bound are in ``verify``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -37,13 +37,11 @@ INTERIOR_MIN = 1e-9
 MAX_CLASS_SCAN_WIDTH = 1000
 
 
-@dataclass(frozen=True)
-class ContractionBound:
+class ContractionBound(namedtuple("ContractionBound", "eta witness_pair method",
+                                  defaults=("pair-scan",))):
     """Contraction coefficient bound with the row pair attaining it."""
 
-    eta: float
-    witness_pair: tuple[int, int]
-    method: str = "pair-scan"
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {"eta": self.eta, "witness": list(self.witness_pair), "method": self.method}
@@ -79,8 +77,7 @@ def pair_bound_batch(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return eta, np.stack(np.divmod(flat, n), axis=-1)
 
 
-@dataclass(frozen=True)
-class CorrelatedNoiseSpec:
+class CorrelatedNoiseSpec(namedtuple("CorrelatedNoiseSpec", "xi1 xi2 n")):
     """Layer noise with a shared all-flip probability xi1 on top of independent xi2.
 
     A biased coin first decides (probability xi1) whether every component
@@ -89,14 +86,15 @@ class CorrelatedNoiseSpec:
     xi1 << xi2.
     """
 
-    xi1: float
-    xi2: float
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "xi1", interval(self.xi1, "shared flip probability", "[0, 1]"))
-        object.__setattr__(self, "xi2", interval(self.xi2, "independent flip probability", "[0, 0.5)"))
-        object.__setattr__(self, "n", count(self.n, "layer width", 1, MAX_CLASS_SCAN_WIDTH))
+    def __new__(cls, xi1: float, xi2: float, n: int):
+        return super().__new__(cls, interval(xi1, "shared flip probability", "[0, 1]"),
+                               interval(xi2, "independent flip probability", "[0, 0.5)"),
+                               count(n, "layer width", 1, MAX_CLASS_SCAN_WIDTH))
+
+    # ``_replace`` builds through ``_make``, which would skip the checks.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def independent_layer_channel(spec: LayerNoiseSpec) -> Channel:
@@ -272,9 +270,9 @@ def rayleigh_supremum_batch(matrices: np.ndarray, probs: np.ndarray) -> np.ndarr
     return np.clip(top, 0.0, 1.0)
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
-    """Residuals of the quadratic-form split of the entropy Hessian forms.
+DecompositionReport = namedtuple("DecompositionReport",
+                                 "identity_residual min_square_term sum_residual")
+DecompositionReport.__doc__ = """Residuals of the quadratic-form split of the entropy Hessian forms.
 
     ``identity_residual``: |Q_g - Q_f - sum Q_st * w_st| for the given
     channel, where w_st is the Bhattacharyya-type column sum.
@@ -282,10 +280,6 @@ class DecompositionReport:
     ``sum_residual``: |Q_g - sum Q_st|; this split is channel-independent
     and is the identity the all-rows-equal case reduces to.
     """
-
-    identity_residual: float
-    min_square_term: float
-    sum_residual: float
 
 
 def _square_terms(probs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:

@@ -20,10 +20,6 @@ import numpy as np
 
 from .errors import ValidationError, count, interval
 
-# Entries below this are treated as exact zeros inside logarithms
-# (0 * log 0 = 0 convention).
-LOG_ZERO_CUTOFF = 1e-15
-
 # Constructors renormalize vectors whose sum is within this of 1 and
 # reject anything further off; tolerates text round-trips without
 # masking malformed input.
@@ -168,14 +164,10 @@ class JointDistribution:
         object.__setattr__(self, "table", table)
 
 
-def _entropy_nats(values: np.ndarray) -> float:
-    nz = values[values > LOG_ZERO_CUTOFF]
-    return float(-np.sum(nz * np.log(nz)))
-
-
 def entropy(d: Distribution, base: LogBase = "nats") -> float:
     """Shannon entropy -sum p_i log p_i with the 0 log 0 = 0 convention."""
-    return _as_base(_entropy_nats(d.probs), base)
+    nz = d.probs[d.probs > 0.0]
+    return _as_base(float(-np.sum(nz * np.log(nz))), base)
 
 
 def joint(d: Distribution, c: Channel) -> JointDistribution:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -24,24 +24,20 @@ from .errors import InfeasibleError, ValidationError, count, interval
 from .info import check_bytes, trial_blocks
 
 
-@dataclass(frozen=True)
-class MemorySpec:
+class MemorySpec(namedtuple("MemorySpec", "n xi delta intervals")):
     """Physical bits n, per-interval flip probability xi, failure budget
     delta, and the number of refresh intervals."""
 
-    n: int
-    xi: float
-    delta: float
-    intervals: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "n", count(self.n, "bit count"))
-        object.__setattr__(self, "xi", interval(self.xi, "flip probability", "(0, 0.5)"))
-        object.__setattr__(self, "delta", interval(self.delta, "failure budget", "(0, 0.5)"))
-        object.__setattr__(self, "intervals", count(self.intervals, "interval count"))
+    def __new__(cls, n: int, xi: float, delta: float, intervals: int):
+        return super().__new__(cls, count(n, "bit count"),
+                               interval(xi, "flip probability", "(0, 0.5)"),
+                               interval(delta, "failure budget", "(0, 0.5)"),
+                               count(intervals, "interval count"))
 
-    def to_dict(self) -> dict:
-        return {"n": self.n, "xi": self.xi, "delta": self.delta, "intervals": self.intervals}
+    # ``_replace`` builds through ``_make``, which would skip the checks.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def _tail_terms(n: int, xi: float) -> np.ndarray:
@@ -99,17 +95,13 @@ def catastrophic_prob_chernoff(n: int, xi: float) -> float:
     return (4.0 * xi * (1.0 - xi)) ** (n / 2.0)
 
 
-@dataclass(frozen=True)
-class RepetitionRelaxation:
-    """Relaxation time of majority-vote repetition coding.
+RepetitionRelaxation = namedtuple("RepetitionRelaxation", "time chernoff_lower")
+RepetitionRelaxation.__doc__ = """Relaxation time of majority-vote repetition coding.
 
     ``time`` uses the exact per-interval failure probability;
     ``chernoff_lower`` substitutes the Chernoff bound for it (a lower
     bound on the time, None when that bound is vacuous at 1/2 or more).
     """
-
-    time: float
-    chernoff_lower: float | None
 
 
 def repetition_relaxation_time(n: int, xi: float, delta: float) -> RepetitionRelaxation:
@@ -153,20 +145,10 @@ def repetition_relaxation_time(n: int, xi: float, delta: float) -> RepetitionRel
     return RepetitionRelaxation(time=time, chernoff_lower=chernoff_lower)
 
 
-@dataclass(frozen=True, eq=False)
-class SimulationReport:
-    """Per-interval empirical correct-decoding probabilities."""
-
-    success_prob: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.success_prob, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "success_prob", arr)
-
-
-def simulate_memory(spec: MemorySpec, trials: int, seed: int) -> SimulationReport:
+def simulate_memory(spec: MemorySpec, trials: int, seed: int) -> np.ndarray:
     """Monte Carlo repetition-code memory: flip bits, refresh to majority.
+    Returns the empirical probability of decoding correctly after each of
+    the ``spec.intervals`` intervals, a read-only float array.
 
     All bits carry the logical value after each refresh, so an interval
     reduces to a catastrophic event, a flip count that defeats the
@@ -200,4 +182,5 @@ def simulate_memory(spec: MemorySpec, trials: int, seed: int) -> SimulationRepor
             wrong_counts += np.count_nonzero(events, axis=0)
     success = wrong_counts / trials
     np.subtract(1.0, success, out=success)
-    return SimulationReport(success_prob=success)
+    success.setflags(write=False)
+    return success

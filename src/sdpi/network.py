@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -250,14 +251,10 @@ def exact_io_mutual_information(
     return _as_base(float(p @ d), base)
 
 
-@dataclass(frozen=True)
-class MiEstimate:
-    """``monte_carlo_io_mi``'s estimate and the spread of its sampled
+MiEstimate = namedtuple("MiEstimate", "estimate stderr")
+MiEstimate.__doc__ = """``monte_carlo_io_mi``'s estimate and the spread of its sampled
     divergences over sqrt(trials).  Its bias, about -mean chi^2(W_s || p_Y)
     / (2 trials) over the sampled states s, is documented, not corrected."""
-
-    estimate: float
-    stderr: float
 
 
 def monte_carlo_io_mi(

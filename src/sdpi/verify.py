@@ -15,7 +15,7 @@ a float-tolerance breach), never a sampling artifact.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from collections import namedtuple
 from itertools import islice
 
 import numpy as np
@@ -42,24 +42,21 @@ SQUARE_TOL = -1e-12
 DEGENERATE_MI = 1e-10
 
 
-@dataclass
-class SuiteResult:
-    suite: str
-    checks: int
-    skipped: int = 0
-    failures: list = field(default_factory=list)
-    worst: dict = field(default_factory=dict)
+class SuiteResult(namedtuple("SuiteResult", "suite checks skipped failures worst")):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, suite: str, checks: int, skipped: int = 0, failures=(), worst=None):
         # Randomized suites find failures one shape group at a time.
-        self.failures.sort(key=lambda f: f.get("sample", 0))
+        return super().__new__(cls, suite, checks, skipped,
+                               sorted(failures, key=lambda f: f.get("sample", 0)),
+                               {} if worst is None else worst)
 
     @property
     def passed(self) -> bool:
         return not self.failures
 
     def to_dict(self) -> dict:
-        return dict(asdict(self), passed=self.passed)
+        return dict(self._asdict(), passed=self.passed)
 
 
 def _simplex_rows(values: np.ndarray, size: int) -> np.ndarray:

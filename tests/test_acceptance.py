@@ -184,7 +184,7 @@ def test_09_repetition_memory_model():
         for t in range(1, 21):
             expected = (1 + (1 - 2 * p_e) ** t) / 2
             stderr = math.sqrt(expected * (1 - expected) / trials)
-            assert abs(report.success_prob[t - 1] - expected) <= 3 * stderr
+            assert abs(report[t - 1] - expected) <= 3 * stderr
 
         for nn in range(5, 26, 2):
             for x in (0.1, 0.2, 0.3, 0.4):

@@ -679,6 +679,14 @@ class TestFigureCommands:
         assert res.stdout == ""
         assert res.stderr.startswith("error: --gnuplot requires --out")
 
+    def test_gnuplot_refuses_an_out_its_script_would_overwrite(self, runner, tmp_path):
+        out = tmp_path / "plot.gp"
+        res = runner.invoke(main, ["fig", "2", "--points", "3", "--out", str(out), "--gnuplot"])
+        assert (res.exit_code, res.stdout) == (2, "")
+        assert res.stderr == ("error: --gnuplot requires an --out not ending in .gp "
+                              "(the script would overwrite the CSV)\n")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestDeterminism:
     def test_identical_invocations_identical_bytes(self, runner):

@@ -163,7 +163,7 @@ class TestSimulationByteCap:
 
     def test_the_cap_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(info, "MAX_LAYER_BYTES", 18 * 10)
-        assert len(simulate_memory(_spec(intervals=10), trials=3, seed=0).success_prob) == 10
+        assert len(simulate_memory(_spec(intervals=10), trials=3, seed=0)) == 10
         with pytest.raises(ValidationError, match=r"^a trial of 11 intervals needs 198 bytes, "):
             simulate_memory(_spec(intervals=11), trials=3, seed=0)
 
@@ -291,6 +291,25 @@ def test_the_memory_policy_is_stated_only_in_info():
             found |= {f"{path.stem}.{t.id}" for t in targets
                       if isinstance(t, ast.Name) and t.id.endswith("_BYTES") and path.stem != "info"}
     assert found == {"info.check_bytes compares with MAX_LAYER_BYTES"}
+
+
+def test_only_records_that_hold_arrays_are_dataclasses():
+    # A record that holds numpy arrays is a frozen dataclass compared by
+    # identity, since tuple equality would compare arrays; every other
+    # record is a named tuple, so no other module loads ``dataclasses``.
+    importers, records = set(), {}
+    for path in sorted(Path(sdpi.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+                    or isinstance(node, ast.Import) and "dataclasses" in {a.name for a in node.names}):
+                importers.add(path.stem)
+            if isinstance(node, ast.ClassDef):
+                records |= {f"{path.stem}.{node.name}": ast.unparse(d) for d in node.decorator_list
+                            if "dataclass" in ast.unparse(d)}
+    assert importers == {"info", "network"}
+    assert records == dict.fromkeys(
+        ["info.Channel", "info.Distribution", "info.JointDistribution",
+         "network.ThresholdNeuron", "network.NoisyNetwork"], "dataclass(frozen=True, eq=False)")
 
 
 REPO = Path(__file__).resolve().parent.parent

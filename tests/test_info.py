@@ -63,6 +63,13 @@ class TestEntropy:
         assert entropy(Distribution((0.4, 0.6)), base="bits") == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.970951, abs=1e-6)
 
+    def test_every_positive_entry_counts(self):
+        # 1e-15 of mass carries 3.5e-14 nats, 35 times the rest of the sum.
+        d = Distribution([1 - 1e-15, 1e-15])
+        expected = math.fsum(-p * math.log(p) for p in d.probs)
+        assert expected == pytest.approx(3.554e-14, rel=1e-3, abs=0)
+        assert entropy(d) == pytest.approx(expected, rel=1e-12, abs=0)
+
     def test_base_conversion(self):
         d = Distribution((0.2, 0.3, 0.5))
         assert entropy(d, base="bits") == pytest.approx(entropy(d) / math.log(2), abs=1e-15)

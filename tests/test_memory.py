@@ -389,7 +389,7 @@ class TestSimulation:
         # trials cannot produce a single flip event of 3+ bits.
         spec = MemorySpec(n=5, xi=1e-9, delta=0.4, intervals=10)
         report = simulate_memory(spec, trials=200, seed=0)
-        np.testing.assert_array_equal(report.success_prob, 1.0)
+        np.testing.assert_array_equal(report, 1.0)
 
     def test_matches_two_state_closed_form(self):
         spec = MemorySpec(n=9, xi=0.3, delta=0.4, intervals=20)
@@ -399,20 +399,20 @@ class TestSimulation:
         for t in range(1, 21):
             analytic = (1 + (1 - 2 * p_e) ** t) / 2
             stderr = math.sqrt(analytic * (1 - analytic) / trials)
-            assert abs(report.success_prob[t - 1] - analytic) <= 3 * stderr
+            assert abs(report[t - 1] - analytic) <= 3 * stderr
 
     def test_estimated_relaxation_near_analytic(self):
         spec = MemorySpec(n=9, xi=0.3, delta=0.4, intervals=20)
         report = simulate_memory(spec, trials=20_000, seed=7)
         analytic = repetition_relaxation_time(9, 0.3, 0.4).time
         # The first interval whose success probability is below 1 - delta.
-        below = np.flatnonzero(report.success_prob < 1.0 - spec.delta)
+        below = np.flatnonzero(report < 1.0 - spec.delta)
         assert abs(int(below[0]) + 1 - round(analytic)) <= 1
 
     def test_success_curve_non_increasing_up_to_noise(self):
         spec = MemorySpec(n=7, xi=0.25, delta=0.4, intervals=15)
         report = simulate_memory(spec, trials=10_000, seed=3)
-        p = report.success_prob
+        p = report
         stderr = np.sqrt(p * (1.0 - p) / 10_000)
         for t in range(1, len(p)):
             assert p[t] <= p[t - 1] + 3 * max(stderr[t], stderr[t - 1])
@@ -423,7 +423,7 @@ class TestSimulation:
         # One trial holds 8 x 5 float64 uniforms: blocks of 77 trials.
         monkeypatch.setattr(info, "DRAW_BYTES", 77 * 8 * 5 * 8)
         b = simulate_memory(spec, trials=1000, seed=13)
-        np.testing.assert_array_equal(a.success_prob, b.success_prob)
+        np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("rows", [None, 385, 1])
     def test_draws_follow_the_documented_stream(self, monkeypatch, rows):
@@ -434,7 +434,7 @@ class TestSimulation:
         if rows is not None:
             monkeypatch.setattr(info, "DRAW_BYTES", rows * 12 * 8)
         got = simulate_memory(spec, trials=2500, seed=21)
-        np.testing.assert_array_equal(got.success_prob, reference_simulation(spec, 2500, 21))
+        np.testing.assert_array_equal(got, reference_simulation(spec, 2500, 21))
 
     def test_draws_one_uniform_per_cell(self, monkeypatch):
         # 2500 trials over 12 intervals in 385-row chunks: every generator
@@ -464,7 +464,7 @@ class TestSimulation:
     def test_pooled_seeds_match_two_state_closed_form(self):
         spec = MemorySpec(n=9, xi=0.3, delta=0.4, intervals=20)
         trials, seeds = 5000, range(20)
-        pooled = np.mean([simulate_memory(spec, trials, seed).success_prob for seed in seeds], axis=0)
+        pooled = np.mean([simulate_memory(spec, trials, seed) for seed in seeds], axis=0)
         p_e = catastrophic_prob_exact(9, 0.3)
         analytic = (1 + (1 - 2 * p_e) ** np.arange(1, 21)) / 2
         stderr = np.sqrt(analytic * (1 - analytic) / (trials * len(seeds)))

@@ -14,12 +14,17 @@ from noise_oracles import hamming_channel, independent_weights, propagate_all_ro
 from sdpi import (
     AmGmBound,
     Channel,
+    ContractionBound,
+    CorrelatedNoiseSpec,
     DepthTradeoff,
     Distribution,
     InfeasibleError,
     LayerNoiseSpec,
+    MemorySpec,
+    MiEstimate,
     NoisyNetwork,
     RelaxationBound,
+    RepetitionRelaxation,
     SizeBoundResult,
     ThresholdNeuron,
     ValidationError,
@@ -39,6 +44,8 @@ from sdpi import (
     parity_size_complexity,
     random_network,
 )
+from sdpi.contraction import DecompositionReport
+from sdpi.verify import SuiteResult
 
 
 def copier_layer(width):
@@ -721,8 +728,10 @@ class TestDepthTradeoff:
 _SIZE_FIELDS = dict(depth=2, expressibility_bound=3.5, noise_bound=9.0, binding="noise")
 _SIZE = SizeBoundResult(**_SIZE_FIELDS)
 _SIZE_TEXT = "SizeBoundResult(depth=2, expressibility_bound=3.5, noise_bound=9.0, binding='noise')"
-# Each record with its fields, in the order they had as frozen dataclasses,
-# and the repr text the dataclass printed for them.
+_SUITE_FIELDS = dict(suite="layer-equality", checks=40, skipped=0,
+                     failures=[{"sample": 1}, {"sample": 3}], worst={"max_abs_error": 0.0})
+# Each record with its fields, in the order they had as dataclasses, and
+# the repr text the dataclass printed for them.
 RECORDS = [
     (LayerNoiseSpec, dict(xi=0.1, n=3), "LayerNoiseSpec(xi=0.1, n=3)"),
     (AmGmBound, dict(product=0.5, bound=0.75, tight=False),
@@ -731,13 +740,40 @@ RECORDS = [
     (DepthTradeoff, dict(per_depth=(_SIZE,), best=_SIZE),
      f"DepthTradeoff(per_depth=({_SIZE_TEXT},), best={_SIZE_TEXT})"),
     (RelaxationBound, dict(time=2.0, asymptotic=1.5), "RelaxationBound(time=2.0, asymptotic=1.5)"),
+    (ContractionBound, dict(eta=0.64, witness_pair=(0, 1), method="pair-scan"),
+     "ContractionBound(eta=0.64, witness_pair=(0, 1), method='pair-scan')"),
+    (CorrelatedNoiseSpec, dict(xi1=0.01, xi2=0.3, n=4), "CorrelatedNoiseSpec(xi1=0.01, xi2=0.3, n=4)"),
+    (DecompositionReport, dict(identity_residual=1e-16, min_square_term=0.25, sum_residual=0.0),
+     "DecompositionReport(identity_residual=1e-16, min_square_term=0.25, sum_residual=0.0)"),
+    (MemorySpec, dict(n=5, xi=0.1, delta=0.3, intervals=20),
+     "MemorySpec(n=5, xi=0.1, delta=0.3, intervals=20)"),
+    (RepetitionRelaxation, dict(time=12.5, chernoff_lower=None),
+     "RepetitionRelaxation(time=12.5, chernoff_lower=None)"),
+    (MiEstimate, dict(estimate=0.5, stderr=0.01), "MiEstimate(estimate=0.5, stderr=0.01)"),
+    (SuiteResult, _SUITE_FIELDS,
+     "SuiteResult(suite='layer-equality', checks=40, skipped=0, "
+     "failures=[{'sample': 1}, {'sample': 3}], worst={'max_abs_error': 0.0})"),
 ]
+# The specs' out-of-domain fields, each with the message that refuses it.
+REFUSALS = {
+    LayerNoiseSpec: [(dict(xi=0.5), "flip probability must be in [0, 0.5), got 0.5"),
+                     (dict(n=0), "layer width must be an integer of at least 1, got 0")],
+    CorrelatedNoiseSpec: [
+        (dict(xi1=1.5), "shared flip probability must be in [0, 1], got 1.5"),
+        (dict(xi2=0.5), "independent flip probability must be in [0, 0.5), got 0.5"),
+        (dict(n=1001), "layer width must be an integer in [1, 1000], got 1001")],
+    MemorySpec: [(dict(n=0), "bit count must be an integer of at least 1, got 0"),
+                 (dict(xi=0.0), "flip probability must be in (0, 0.5), got 0"),
+                 (dict(delta=0.5), "failure budget must be in (0, 0.5), got 0.5"),
+                 (dict(intervals=0), "interval count must be an integer of at least 1, got 0")],
+}
 
 
 @pytest.mark.parametrize("cls, fields, text", RECORDS, ids=[r[0].__name__ for r in RECORDS])
 def test_closed_form_records_keep_the_dataclass_contract(cls, fields, text):
     # Named tuples now: the same fields, construction, repr and immutability,
-    # and a tuple besides, equal to the plain tuple of the fields.
+    # and a tuple besides, equal to the plain tuple of the fields.  A spec
+    # checks its fields in ``_replace`` as in the constructor.
     assert cls._fields == tuple(fields)
     record = cls(**fields)
     assert record == cls(*fields.values()) == tuple(fields.values())
@@ -745,15 +781,18 @@ def test_closed_form_records_keep_the_dataclass_contract(cls, fields, text):
     for name in (cls._fields[0], "other"):
         with pytest.raises(AttributeError):
             setattr(record, name, 1)
-    if cls is LayerNoiseSpec:
-        for xi, n, message in ((0.5, 3, "flip probability must be in [0, 0.5), got 0.5"),
-                               (0.1, 0, "layer width must be an integer of at least 1, got 0")):
+    for bad, message in REFUSALS.get(cls, []):
+        for build in (lambda: cls(**{**fields, **bad}), lambda: record._replace(**bad)):
             with pytest.raises(ValidationError, match=re.escape(message)):
-                LayerNoiseSpec(xi=xi, n=n)
-        with pytest.raises(ValidationError, match="flip probability"):
-            record._replace(xi=0.5)
+                build()
     if cls is SizeBoundResult:
         assert record.minimum_neurons == 9.0
+    if cls is ContractionBound:
+        assert cls(0.64, (0, 1)) == record
+        assert record.to_json() == {"eta": 0.64, "witness": [0, 1], "method": "pair-scan"}
+    if cls is SuiteResult:
+        assert cls(**dict(fields, failures=fields["failures"][::-1])) == record
+        assert record.to_dict() == dict(fields, passed=False)
 
 
 class TestMonteCarlo:
